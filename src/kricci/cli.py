@@ -39,7 +39,6 @@ from kricci.model import (
     CompactEnd,
     FanoFactor,
     SolitonConfig,
-    classify,
     derive_config,
     validate,
 )
@@ -80,13 +79,15 @@ def _rational(value: Any, where: str) -> Fraction:
         raise SchemaError(f"{where}: expected a number or a rational string, got {value!r}")
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
 def _number(value: Any, where: str):
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise SchemaError(f"{where}: expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SchemaError(f"{where}: expected a finite number, got {value!r}")
     if isinstance(value, str):
         return _rational(value, where)
     return value
@@ -462,6 +463,12 @@ def cmd_reconstruct(args) -> int:
     profile = _admissible_profile(doc, args)
     if args.t_max <= 0:
         raise SchemaError("--t-max must be positive")
+    if profile.is_compact:
+        diameter = geometry.t_of_s(profile, profile.s_domain[1])
+        if args.t_max > diameter:
+            raise SchemaError(
+                f"--t-max {args.t_max!r} is beyond the diameter {float(diameter)!r} "
+                f"of the compact profile")
     _, n_grid = _grid_params(doc, args)
     try:
         mf = geometry.metric_functions(profile, np.linspace(0.0, args.t_max, n_grid))
@@ -573,4 +580,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console_main() -> None:
+    sys.exit(main())
+
+
+if __name__ == "__main__":
     sys.exit(main())

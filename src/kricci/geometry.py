@@ -2,17 +2,22 @@
 classification, and the self-similarity diffeomorphism of the flow.
 
 The transverse geodesic coordinate is t = int_0^s dx/sqrt(alpha).  The
-integrand behaves like 1/sqrt(2x) at a collapsed end, so quadrature is done
-in the substituted variable x = w^2 from each collapsed end (both ends for
-compact profiles); inversion s(t) is by bracketed monotone root-finding
-(Brent) on the quadrature itself — cumulative node tables only supply the
-initial bracket and are never interpolated.
+integrand behaves like 1/sqrt(2x) at a collapsed end.  Below the first
+table node (s < 1e-8) quadrature is done in the substituted variable
+x = w^2 from the s = 0 end; at a compact star end the last 1e-8 before s*
+is covered by a Taylor model of alpha instead (see _arclength).  Inversion
+s(t) is by bracketed monotone root-finding (Brent) on the quadrature itself
+— cumulative node tables only supply the initial bracket and are never
+interpolated.
 
 The flow diffeomorphism is Xi(tau, t) = F^{-1}(shift(tau) + F(t)) with
 F'(t) = 1/u_dot(t) and shift = log(1+eps*tau)/eps (or tau when eps = 0).
 In the s-coordinate F' = 1/(kappa1*alpha), so F is tabulated once on a
 fixed s-grid (anchored to 0 at the middle node: F diverges at both ends, so
 no endpoint anchor exists) and evaluated between nodes by local quadrature.
+
+t(s) and F(s) are two tables of one cumulative-integral type, cached on the
+profile; they differ in their rate and in the end models they carry.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import warnings
 
@@ -31,17 +36,18 @@ from scipy.optimize import brentq
 from kricci.profiles import Profile, sample
 
 _S_BISECT_TOL = 1.0e-12
+_F_BISECT_TOL = 1.0e-13
 _NODES = 420
 _S_MIN = 1.0e-8
 _S_MAX = 1.0e5
 
 
-def _quad(fn, a: float, b: float, epsrel: float = 1.0e-11) -> float:
+def _quad(fn, a: float, b: float) -> float:
     """Adaptive quadrature; the roundoff warning near machine-level segment
     contributions is expected and uninformative here."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(fn, a, b, epsabs=0.0, epsrel=epsrel, limit=200)
+        val, _ = quad(fn, a, b, epsabs=0.0, epsrel=1.0e-11, limit=200)
     return val
 
 
@@ -69,24 +75,6 @@ class CompletenessReport:
     note: str = ""
 
 
-@dataclass
-class FlowMap:
-    epsilon: float
-    kappa1: float
-    s_nodes: np.ndarray
-    F_nodes: np.ndarray
-    note: str
-
-    def _segment(self, s: float) -> int:
-        if not (self.s_nodes[0] <= s <= self.s_nodes[-1]):
-            raise ValueError(
-                f"s = {s} outside the flow map's tabulated range "
-                f"[{self.s_nodes[0]}, {self.s_nodes[-1]}]"
-            )
-        j = int(np.searchsorted(self.s_nodes, s)) - 1
-        return min(max(j, 0), len(self.s_nodes) - 2)
-
-
 def _alpha_at(profile: Profile, x: float) -> float:
     a = sample(profile, x).alpha
     if a <= 0.0:
@@ -105,12 +93,98 @@ def _node_grid(profile: Profile) -> np.ndarray:
     return np.geomspace(_S_MIN, _S_MAX, _NODES)
 
 
-def _arc_table(profile: Profile):
-    """Cumulative geodesic distance at the fixed nodes (cached on the profile).
+@dataclass(frozen=True)
+class _CumulativeIntegral:
+    """G(s) = int rate(x) dx, tabulated at fixed s-nodes: ``prefix[j]`` is G
+    at ``nodes[j]``, and between nodes G is the prefix plus one short
+    quadrature (exact by additivity of the integral).
 
-    Between nodes the distance is a single short quadrature added to the
-    tabulated prefix, which is exact by additivity of the integral; the
-    x = w^2 substitution handles the 1/sqrt(alpha) singularity at s = 0.
+    Beyond the nodes a table covers only what its end models cover: ``head``
+    is the integrand in w = sqrt(s) on [0, nodes[0]], where G(0) = 0;
+    ``star`` = (s_star, G(s_star), gamma) is the Taylor sliver at a compact
+    end (see _arclength); ``open_end`` continues the quadrature past the
+    last node.  ``xtol`` is the Brent tolerance of the inverse.
+    """
+
+    nodes: np.ndarray
+    prefix: np.ndarray
+    rate: Callable[[float], float]
+    xtol: float
+    head: Optional[Callable[[float], float]] = None
+    star: Optional[Tuple[float, float, float]] = None
+    open_end: bool = False
+
+    def value(self, s: float) -> float:
+        nodes = self.nodes
+        if self.head is not None and s <= nodes[0]:
+            return _quad(self.head, 0.0, math.sqrt(s))
+        if self.star is not None and s >= nodes[-1]:
+            s_star, total, gamma = self.star
+            delta = max(s_star - s, 0.0)
+            return total - math.sqrt(2.0 * delta) * (1.0 - gamma * delta / 6.0)
+        if self.open_end and s >= nodes[-1]:
+            return self.prefix[-1] + _quad(self.rate, nodes[-1], s)
+        if not (nodes[0] <= s <= nodes[-1]):
+            raise ValueError(
+                f"s = {s} outside the flow map's tabulated range "
+                f"[{nodes[0]}, {nodes[-1]}]"
+            )
+        j = min(max(int(np.searchsorted(nodes, s)) - 1, 0), len(nodes) - 2)
+        return self.prefix[j] + _quad(self.rate, nodes[j], float(s))
+
+    def invert(self, target: float, value: Callable[[float], float]) -> float:
+        """s with value(s) = target, by Brent iteration on ``value`` (the
+        public evaluation of this integral) in a bracket from the table."""
+        nodes, prefix = self.nodes, self.prefix
+        if self.star is not None and target >= prefix[-1]:
+            s_star, total, gamma = self.star
+            if target > total + 1e-9:
+                raise ValueError(f"t = {target} beyond the end of the compact interval")
+            d = max(total - target, 0.0)
+            delta = 0.5 * d * d
+            for _ in range(3):
+                delta = 0.5 * (d / (1.0 - gamma * delta / 6.0)) ** 2
+            return s_star - delta
+        if self.head is not None and target <= prefix[0]:
+            lo, hi = 0.0, float(nodes[0])
+        elif self.open_end and target >= prefix[-1]:
+            lo, hi = float(nodes[-1]), 2.0 * float(nodes[-1])
+            while value(hi) < target:
+                lo = hi
+                hi *= 2.0
+                if hi > 1.0e12:
+                    raise ValueError(f"t = {target} beyond the reachable range")
+        else:
+            fmin, fmax = sorted((prefix[0], prefix[-1]))
+            if not (fmin <= target <= fmax):
+                raise ValueError(
+                    f"flow target F = {target} outside the tabulated range "
+                    f"[{fmin}, {fmax}]"
+                )
+            sign = 1.0 if prefix[-1] > prefix[0] else -1.0  # F falls if kappa1 < 0
+            j = int(np.searchsorted(sign * prefix, sign * target)) - 1
+            j = min(max(j, 0), len(nodes) - 2)
+            lo, hi = float(nodes[j]), float(nodes[j + 1])
+        return float(brentq(lambda x: value(x) - target, lo, hi,
+                            xtol=self.xtol, rtol=1.0e-15, maxiter=200))
+
+
+def _accumulate(nodes: np.ndarray, rate, head=None) -> np.ndarray:
+    """The prefix values of a table.  Without a head model G has no finite
+    value at s = 0, so the table is anchored to 0 at its middle node."""
+    prefix = np.empty(len(nodes))
+    prefix[0] = 0.0 if head is None else _quad(head, 0.0, math.sqrt(nodes[0]))
+    for j in range(len(nodes) - 1):
+        prefix[j + 1] = prefix[j] + _quad(rate, nodes[j], nodes[j + 1])
+    if head is None:
+        prefix -= prefix[len(prefix) // 2]
+    return prefix
+
+
+def _arclength(profile: Profile) -> _CumulativeIntegral:
+    """The geodesic distance table of the profile, built on first use.
+
+    The x = w^2 head handles the 1/sqrt(alpha) singularity at s = 0.
 
     At a compact star end, alpha vanishes with slope exactly -2, but a
     profile whose kappa1 was found numerically carries an O(root-residual)
@@ -122,36 +196,33 @@ def _arc_table(profile: Profile):
     delta = 1e-3.  The model error within the sliver is O(delta^2) ~ 1e-16
     relative, far below the quadrature tolerance.
     """
-    table = getattr(profile, "_arc_table_cache", None)
+    table = profile._integrals.get("t")
     if table is not None:
         return table
-    nodes = _node_grid(profile)
 
-    def plain(x: float) -> float:
+    def rate(x: float) -> float:
         return 1.0 / math.sqrt(_alpha_at(profile, x))
 
-    def from_zero(w: float) -> float:
+    def head(w: float) -> float:
         return 2.0 * w / math.sqrt(_alpha_at(profile, w * w))
 
-    t_nodes = np.empty(len(nodes))
-    t_nodes[0] = _quad(from_zero, 0.0, math.sqrt(nodes[0]))
-    for j in range(len(nodes) - 1):
-        t_nodes[j + 1] = t_nodes[j] + _quad(plain, nodes[j], nodes[j + 1])
-
-    t_total = None
-    gamma = 0.0
+    nodes = _node_grid(profile)
+    prefix = _accumulate(nodes, rate, head)
+    star = None
     if profile.is_compact:
         s_star = float(profile.s_domain[1])
         probe = 1.0e-3
         gamma = (_alpha_at(profile, s_star - probe) / (2.0 * probe) - 1.0) / probe
         d_last = s_star - float(nodes[-1])
-        t_total = t_nodes[-1] + math.sqrt(2.0 * d_last) * (1.0 - gamma * d_last / 6.0)
-    table = (nodes, t_nodes, t_total, gamma)
-    profile._arc_table_cache = table
+        total = prefix[-1] + math.sqrt(2.0 * d_last) * (1.0 - gamma * d_last / 6.0)
+        star = (s_star, total, gamma)
+    table = _CumulativeIntegral(nodes, prefix, rate, _S_BISECT_TOL, head=head,
+                                star=star, open_end=star is None)
+    profile._integrals["t"] = table
     return table
 
 
-def t_of_s(profile: Profile, s: float, epsrel: float = 1.0e-11) -> float:
+def t_of_s(profile: Profile, s: float) -> float:
     """Geodesic distance from the s = 0 end, with relative tolerance ~1e-10."""
     s = float(s)
     hi = profile.s_domain[1]
@@ -159,23 +230,7 @@ def t_of_s(profile: Profile, s: float, epsrel: float = 1.0e-11) -> float:
         raise ValueError(f"s = {s} outside the profile domain")
     if s <= 0.0:
         return 0.0
-    nodes, t_nodes, t_total, gamma = _arc_table(profile)
-
-    def plain(x: float) -> float:
-        return 1.0 / math.sqrt(_alpha_at(profile, x))
-
-    if s <= nodes[0]:
-        def from_zero(w: float) -> float:
-            return 2.0 * w / math.sqrt(_alpha_at(profile, w * w))
-
-        return _quad(from_zero, 0.0, math.sqrt(s), epsrel)
-    if s >= nodes[-1]:
-        if profile.is_compact:
-            delta = max(float(hi) - s, 0.0)
-            return t_total - math.sqrt(2.0 * delta) * (1.0 - gamma * delta / 6.0)
-        return t_nodes[-1] + _quad(plain, nodes[-1], s, epsrel)
-    j = int(np.searchsorted(nodes, s)) - 1
-    return t_nodes[j] + _quad(plain, nodes[j], s, epsrel)
+    return _arclength(profile).value(s)
 
 
 def s_of_t(profile: Profile, t: float) -> float:
@@ -191,30 +246,7 @@ def s_of_t(profile: Profile, t: float) -> float:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return 0.0
-    nodes, t_nodes, t_total, gamma = _arc_table(profile)
-    if profile.is_compact and t >= t_nodes[-1]:
-        if t > t_total + 1e-9:
-            raise ValueError(f"t = {t} beyond the end of the compact interval")
-        d = max(t_total - t, 0.0)
-        delta = 0.5 * d * d
-        for _ in range(3):
-            delta = 0.5 * (d / (1.0 - gamma * delta / 6.0)) ** 2
-        return float(profile.s_domain[1]) - delta
-    if t <= t_nodes[0]:
-        lo, hi = 0.0, float(nodes[0])
-    elif t >= t_nodes[-1]:
-        lo, hi = float(nodes[-1]), 2.0 * float(nodes[-1])
-        while t_of_s(profile, hi) < t:
-            lo = hi
-            hi *= 2.0
-            if hi > 1.0e12:
-                raise ValueError(f"t = {t} beyond the reachable range")
-    else:
-        j = int(np.searchsorted(t_nodes, t)) - 1
-        j = min(max(j, 0), len(nodes) - 2)
-        lo, hi = float(nodes[j]), float(nodes[j + 1])
-    return float(brentq(lambda x: t_of_s(profile, x) - t, lo, hi,
-                        xtol=_S_BISECT_TOL, rtol=1.0e-15, maxiter=200))
+    return _arclength(profile).invert(t, lambda x: t_of_s(profile, x))
 
 
 def metric_functions(profile: Profile, t_grid: Sequence[float]) -> MetricFunctions:
@@ -342,59 +374,22 @@ def completeness_report(profile: Profile) -> CompletenessReport:
 # the flow diffeomorphism
 
 
-def _build_flow_map(profile: Profile) -> FlowMap:
+def _flow_potential(profile: Profile) -> _CumulativeIntegral:
+    """The table of F(s), F' = 1/(kappa1*alpha), built on first use."""
+    table = profile._integrals.get("F")
+    if table is not None:
+        return table
     k1 = profile.kappa1
     if k1 == 0.0:
         raise ValueError("the flow map needs kappa1 != 0 (otherwise Xi = t)")
-    nodes = _node_grid(profile)
 
     def rate(x: float) -> float:
         return 1.0 / (k1 * _alpha_at(profile, x))
 
-    F = np.empty(len(nodes))
-    F[0] = 0.0
-    for j in range(len(nodes) - 1):
-        F[j + 1] = F[j] + _quad(rate, nodes[j], nodes[j + 1])
-    F -= F[len(F) // 2]  # anchor at the middle node; F diverges at the ends
-    return FlowMap(epsilon=float(profile.config.epsilon), kappa1=k1,
-                   s_nodes=nodes, F_nodes=F,
-                   note="F' = 1/(kappa1*alpha); anchored F = 0 at the middle node")
-
-
-def _flow_map(profile: Profile) -> FlowMap:
-    fm = getattr(profile, "_flow_map_cache", None)
-    if fm is None:
-        fm = _build_flow_map(profile)
-        profile._flow_map_cache = fm
-    return fm
-
-
-def _F_of_s(profile: Profile, fm: FlowMap, s: float) -> float:
-    j = fm._segment(s)
-
-    def rate(x: float) -> float:
-        return 1.0 / (fm.kappa1 * _alpha_at(profile, x))
-
-    return fm.F_nodes[j] + _quad(rate, fm.s_nodes[j], float(s))
-
-
-def _s_of_F(profile: Profile, fm: FlowMap, target: float) -> float:
-    F = fm.F_nodes
-    increasing = F[-1] > F[0]
-    fmin, fmax = (F[0], F[-1]) if increasing else (F[-1], F[0])
-    if not (fmin <= target <= fmax):
-        raise ValueError(
-            f"flow target F = {target} outside the tabulated range "
-            f"[{fmin}, {fmax}]"
-        )
-    if increasing:
-        j = int(np.searchsorted(F, target)) - 1
-    else:
-        j = int(np.searchsorted(-F, -target)) - 1
-    j = min(max(j, 0), len(F) - 2)
-    lo, hi = float(fm.s_nodes[j]), float(fm.s_nodes[j + 1])
-    return float(brentq(lambda x: _F_of_s(profile, fm, x) - target, lo, hi,
-                        xtol=1.0e-13, rtol=1.0e-15, maxiter=200))
+    nodes = _node_grid(profile)
+    table = _CumulativeIntegral(nodes, _accumulate(nodes, rate), rate, _F_BISECT_TOL)
+    profile._integrals["F"] = table
+    return table
 
 
 def potential_rate(profile: Profile, t: float) -> float:
@@ -423,8 +418,8 @@ def flow_trajectory(profile: Profile, tau: float, t: float) -> float:
         shift = tau
     if profile.kappa1 == 0.0:
         return t
-    fm = _flow_map(profile)
+    flow = _flow_potential(profile)
     s_here = s_of_t(profile, t)
-    target = _F_of_s(profile, fm, s_here) + shift
-    s_there = _s_of_F(profile, fm, target)
+    target = flow.value(s_here) + shift
+    s_there = flow.invert(target, flow.value)
     return t_of_s(profile, s_there)

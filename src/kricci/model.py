@@ -268,13 +268,7 @@ def classify(config: SolitonConfig) -> SolitonClass:
     """
     if config.kappa1 == 0:
         return SolitonClass.EINSTEIN
-    if config.epsilon == 0:
-        return SolitonClass.STEADY
-    if config.epsilon > 0:
-        return SolitonClass.EXPANDING
-    if config.is_compact:
-        return SolitonClass.SHRINKING_COMPACT
-    return SolitonClass.SHRINKING_NONCOMPACT
+    return _base_class(config)
 
 
 def _base_class(config: SolitonConfig) -> SolitonClass:
@@ -439,7 +433,7 @@ def validate(config: SolitonConfig) -> ValidationReport:
                     f"class: noncompact-shrinker inequality -(N0+1)q < p failed for factor {i+1}"
                 )
 
-    soliton_class = SolitonClass.EINSTEIN if config.kappa1 == 0 else cls
+    soliton_class = classify(config)
     derived = {
         "E_star": config.E_star,
         "sigmas": config.sigmas,

@@ -30,6 +30,7 @@ from typing import List, Optional, Tuple
 
 from kricci import polyexp
 from kricci.model import SolitonConfig, mirror_config
+from kricci.profiles import v_psi_polys
 
 _SCAN_STEP = 0.25
 _MAX_BISECT = 200
@@ -39,16 +40,13 @@ _MAX_BISECT = 200
 class FutakiEvaluation:
     """One evaluation of the obstruction integral.
 
-    ``exact_value`` is populated on the kappa1 = 0 rational path.
-    ``integrand_poly`` is the polynomial Q of the equivalent y-substituted
-    form I = 2^-(sum n_i + 2) * int_0^{s*} e^{-kappa1 y} Q(y) dy, kept for
-    cross-checking; ``value`` always uses the x-form normalization above.
+    ``exact_value`` is populated on the kappa1 = 0 rational path;
+    ``value`` always uses the x-form normalization above.
     """
 
     kappa1: float
     value: float
     exact_value: Optional[Fraction]
-    integrand_poly: list
 
 
 @dataclass(frozen=True)
@@ -76,15 +74,6 @@ def _x_form_poly(config: SolitonConfig) -> list:
                             polyexp.build_shifted_product(shifts))
 
 
-def _y_form_poly(config: SolitonConfig) -> list:
-    """Q(y) = (y - 2N0 - 2) * prod_i (y + sigma_i)^{n_i} from y = 2(x+N0+1)."""
-    n0 = config.n_zero
-    shifts = [(polyexp.as_rational(sig), fac.n)
-              for fac, sig in zip(config.factors, config.sigmas) if fac.n > 0]
-    lin = [Fraction(-2 * (n0 + 1)), Fraction(1)]
-    return polyexp.poly_mul(lin, polyexp.build_shifted_product(shifts))
-
-
 def futaki_integral(config: SolitonConfig, kappa1: float) -> FutakiEvaluation:
     """Evaluate the obstruction integral at the given kappa1.
 
@@ -95,15 +84,12 @@ def futaki_integral(config: SolitonConfig, kappa1: float) -> FutakiEvaluation:
     n0 = config.n_zero
     half_length = Fraction(n0 + config.n_star + 2)  # s*/2
     shifted = polyexp.poly_shift(_x_form_poly(config), Fraction(-(n0 + 1)))
-    q_poly = _y_form_poly(config)
 
     if kappa1 == 0:
         exact = polyexp.exp_poly_integral_exact_zero(shifted, 0, half_length)
-        return FutakiEvaluation(kappa1=0.0, value=float(exact),
-                                exact_value=exact, integrand_poly=q_poly)
+        return FutakiEvaluation(kappa1=0.0, value=float(exact), exact_value=exact)
     value = polyexp.exp_poly_integral(shifted, 2.0 * float(kappa1), 0, half_length)
-    return FutakiEvaluation(kappa1=float(kappa1), value=value,
-                            exact_value=None, integrand_poly=q_poly)
+    return FutakiEvaluation(kappa1=float(kappa1), value=value, exact_value=None)
 
 
 def _mid_sign(config: SolitonConfig, at_star: bool) -> int:
@@ -223,16 +209,7 @@ def find_kappa1_compact(config: SolitonConfig,
 def chi_poly(config: SolitonConfig) -> list:
     """chi(y) = sum_{k >= N0} k! a_k y^{k-N0} with a_k the coefficients of
     Psi = (E_star + eps*x) * prod beta_i(x)^{n_i}, exactly."""
-    shifts = []
-    const = Fraction(1)
-    for fac, sig in zip(config.factors, config.sigmas):
-        if fac.n == 0:
-            continue
-        shifts.append((polyexp.as_rational(sig), fac.n))
-        const *= (-fac.q) ** fac.n
-    v_poly = polyexp.poly_scale(polyexp.build_shifted_product(shifts), const)
-    psi = polyexp.poly_mul([config.E_star, polyexp.as_rational(config.epsilon)],
-                           v_poly)
+    _, psi = v_psi_polys(config, config.E_star)
     n0 = next(k for k, c in enumerate(psi) if c != 0)
     fact = math.factorial
     return polyexp.poly_from_coeffs(

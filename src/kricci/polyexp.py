@@ -24,7 +24,6 @@ map.  Values that genuinely overflow the double range are returned as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -258,31 +257,6 @@ def _pow_or_inf(base: float, exponent: int) -> float:
         return base ** exponent
     except OverflowError:
         return math.inf
-
-
-@dataclass(frozen=True)
-class ExpMomentTable:
-    """Table of moments M_m(kappa, upper) for m = 0..len(moments)-1.
-
-    The entries satisfy the integration-by-parts recurrence
-    moments[m] = (m*moments[m-1] - upper^m*exp(-kappa*upper)) / kappa for
-    kappa != 0, but they are *filled* by the stable per-order branches of
-    `moment`, never by running that recurrence.
-    """
-
-    kappa: float
-    upper: float
-    moments: tuple
-
-    @classmethod
-    def build(cls, kappa: float, upper: float, count: int) -> "ExpMomentTable":
-        if count < 1:
-            raise ValueError("moment table needs at least one entry")
-        return cls(
-            kappa=float(kappa),
-            upper=float(upper),
-            moments=tuple(moment(m, kappa, upper) for m in range(count)),
-        )
 
 
 # ---------------------------------------------------------------------------

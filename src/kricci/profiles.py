@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from kricci import polyexp
 from kricci.model import SolitonConfig, validate
@@ -113,7 +113,8 @@ class Profile:
 
     ``v_poly`` and ``psi_poly`` are exact rational polynomials; everything
     else is float machinery derived from them once at build time.  The object
-    is immutable after construction apart from the lazy series cache.
+    is immutable after construction apart from the lazy caches: the series
+    cache and the geometry module's t and F tables in ``_integrals``.
     """
 
     config: SolitonConfig
@@ -134,10 +135,25 @@ class Profile:
     dv_float: Tuple[float, ...]
     d2v_float: Tuple[float, ...]
     _series: Dict[str, Tuple[float, ...]] = field(default_factory=dict, repr=False)
+    _integrals: Dict[str, Any] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def is_compact(self) -> bool:
         return self.config.is_compact
+
+
+def v_psi_polys(config: SolitonConfig, e_star: Fraction) -> Tuple[list, list]:
+    """v = prod_i beta_i^{n_i} and Psi = (e_star + eps*x)*v, exactly."""
+    shifts = []
+    const = Fraction(1)
+    for fac, sig in zip(config.factors, config.sigmas):
+        if fac.n == 0:
+            continue
+        shifts.append((polyexp.as_rational(sig), fac.n))
+        const *= (-fac.q) ** fac.n
+    v_poly = polyexp.poly_scale(polyexp.build_shifted_product(shifts), const)
+    psi_poly = polyexp.poly_mul([e_star, polyexp.as_rational(config.epsilon)], v_poly)
+    return v_poly, psi_poly
 
 
 def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profile:
@@ -154,19 +170,10 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
         raise ValueError("inadmissible configuration: " + "; ".join(structural))
 
     e_eff = config.E_star + polyexp.as_rational(e_star_shift)
-    eps = polyexp.as_rational(config.epsilon)
     k1 = float(config.kappa1)
 
-    shifts = []
-    const = Fraction(1)
-    for fac, sig in zip(config.factors, config.sigmas):
-        if fac.n == 0:
-            continue
-        shifts.append((polyexp.as_rational(sig), fac.n))
-        const *= (-fac.q) ** fac.n
-    v_poly = polyexp.poly_scale(polyexp.build_shifted_product(shifts), const)
-    psi_poly = polyexp.poly_mul([e_eff, eps], v_poly)
-    if eps != 0:
+    v_poly, psi_poly = v_psi_polys(config, e_eff)
+    if config.epsilon != 0:
         degree = sum(f.n for f in config.factors) + 1
         assert polyexp.poly_degree(psi_poly) == degree
 
@@ -246,13 +253,12 @@ def _eval_J(profile: Profile, s: float) -> float:
     z = abs(k) * s
     threshold = _MOMENT_Z_SNAPPED if profile.t0_snapped else _MOMENT_Z_GENERAL
     if z <= threshold:
-        table = polyexp.ExpMomentTable.build(-k, s, len(profile.taylor))
         total = 0.0
         for m, dm in enumerate(profile.taylor):
             cm = _fhorner(dm, s)
             if m & 1:
                 cm = -cm
-            total += cm * table.moments[m]
+            total += cm * polyexp.moment(m, -k, s)
         return total
     pa = _fhorner(profile.p_alpha, s)
     if profile.t0 == 0.0:

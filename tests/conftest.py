@@ -1,4 +1,5 @@
-"""Shared fixtures: solved roots are expensive, so build each profile once."""
+"""Shared fixtures: solved roots and the acceptance suite are expensive, so
+build each profile and run the suite once per session."""
 
 import pytest
 
@@ -51,3 +52,10 @@ def flat_profile():
 @pytest.fixture(scope="session")
 def cigar_profile():
     return build_profile(acc.cigar_config())
+
+
+@pytest.fixture(scope="session")
+def acceptance_results():
+    """One run of the acceptance suite, shared by test_acceptance and the
+    paper-examples CLI test."""
+    return acc.run_all()

@@ -15,8 +15,8 @@ from kricci import acceptance
 
 
 @pytest.fixture(scope="module")
-def results():
-    out = {r.number: r for r in acceptance.run_all()}
+def results(acceptance_results):
+    out = {r.number: r for r in acceptance_results}
     assert len(out) == 12
     return out
 

@@ -2,15 +2,19 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from kricci import acceptance
 from kricci.cli import main
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -145,6 +149,15 @@ def test_reconstruct_table(tmp_path, capsys):
     assert last[1] == pytest.approx(2.0, rel=1e-9)       # s = t^2/2
 
 
+def test_reconstruct_beyond_the_diameter_is_a_schema_error(capsys):
+    # the symmetric compact profile has diameter sqrt(2)*pi = 4.4429
+    assert main(["reconstruct", str(CONFIGS / "symmetric-compact.json"),
+                 "--t-max", "4.5", "--grid", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "schema error" in err
+    assert "beyond the diameter 4.44288" in err
+
+
 def test_flow_table(capsys):
     assert main(["flow", str(CONFIGS / "steady.json"), "--tau", "0.7",
                  "--grid", "6"]) == 0
@@ -171,6 +184,19 @@ def test_malformed_fraction_is_a_schema_error(tmp_path, capsys):
     assert "schema error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    dict(FLAT_DOC, epsilon=float("nan")),
+    dict(FLAT_DOC, kappa1=float("inf")),
+    dict(FLAT_DOC, sigmas=[0, float("-inf")]),
+    dict(FLAT_DOC, factors=[{"n": 0, "p": float("inf"), "q": -1},
+                            {"n": 0, "p": 1, "q": -1}]),
+])
+def test_non_finite_numbers_are_a_schema_error(tmp_path, capsys, doc):
+    cfg = write_config(tmp_path, doc)   # json writes NaN / Infinity literals
+    assert main(["solve", cfg]) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
 def test_solve_requested_on_non_shrinker_is_inadmissible(tmp_path, capsys):
     doc = dict(FLAT_DOC, kappa1="solve")
     cfg = write_config(tmp_path, doc)
@@ -185,9 +211,12 @@ def test_inadmissible_config_names_the_violation(capsys):
     assert "q_1 must be -1" in err
 
 
-def test_paper_examples_report_honest_failures(capsys):
+def test_paper_examples_report_honest_failures(capsys, monkeypatch,
+                                               acceptance_results):
     # the detuned-conservation criterion cannot meet its nonzero-floor
-    # clause (the combination is identically zero), so the suite exits 1
+    # clause (the combination is identically zero), so the suite exits 1;
+    # the suite's results are shared with test_acceptance
+    monkeypatch.setattr(acceptance, "run_all", lambda: acceptance_results)
     assert main(["paper-examples"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 13
@@ -203,4 +232,14 @@ def test_console_script_is_installed(tmp_path):
     cfg = write_config(tmp_path, FLAT_DOC)
     proc = subprocess.run([exe, "solve", cfg], capture_output=True, text=True)
     assert proc.returncode == 0
+    assert json.loads(proc.stdout)["validation"]["admissible"] is True
+
+
+def test_module_runs_as_a_script(tmp_path):
+    cfg = write_config(tmp_path, FLAT_DOC)
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run([sys.executable, "-m", "kricci.cli", "solve", cfg],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["validation"]["admissible"] is True

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 from kricci import polyexp
 from kricci.polyexp import (
-    ExpMomentTable,
     as_rational,
     build_shifted_product,
     exp_poly_integral,
@@ -55,19 +54,14 @@ def test_moment_power_rule_at_zero():
 
 
 def test_moment_table_satisfies_recurrence():
-    # The table is filled per order by the stable branches; the
+    # Each order is computed by the stable branches; the
     # integration-by-parts recurrence is then a nontrivial cross-check.
     kappa, upper = 0.7, 3.0
-    table = ExpMomentTable.build(kappa, upper, 12)
+    moments = [moment(m, kappa, upper) for m in range(12)]
     tail = math.exp(-kappa * upper)
     for m in range(1, 12):
-        rhs = (m * table.moments[m - 1] - upper**m * tail) / kappa
-        assert table.moments[m] == pytest.approx(rhs, rel=1e-12)
-
-
-def test_moment_table_rejects_empty():
-    with pytest.raises(ValueError):
-        ExpMomentTable.build(1.0, 1.0, 0)
+        rhs = (m * moments[m - 1] - upper**m * tail) / kappa
+        assert moments[m] == pytest.approx(rhs, rel=1e-12)
 
 
 def test_build_shifted_product_expansion():
