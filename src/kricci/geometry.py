@@ -27,10 +27,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-import warnings
-
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from kricci.profiles import Profile, sample
@@ -43,11 +41,9 @@ _S_MAX = 1.0e5
 
 
 def _quad(fn, a: float, b: float) -> float:
-    """Adaptive quadrature; the roundoff warning near machine-level segment
-    contributions is expected and uninformative here."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(fn, a, b, epsabs=0.0, epsrel=1.0e-11, limit=200)
+    """Adaptive quadrature to relative tolerance 1e-11; an IntegrationWarning
+    from scipy is left to reach the caller."""
+    val, _ = quad(fn, a, b, epsabs=0.0, epsrel=1.0e-11, limit=200)
     return val
 
 
@@ -101,9 +97,11 @@ class _CumulativeIntegral:
 
     Beyond the nodes a table covers only what its end models cover: ``head``
     is the integrand in w = sqrt(s) on [0, nodes[0]], where G(0) = 0;
-    ``star`` = (s_star, G(s_star), gamma) is the Taylor sliver at a compact
-    end (see _arclength); ``open_end`` continues the quadrature past the
-    last node.  ``xtol`` is the Brent tolerance of the inverse.
+    without a head, G diverges at s = 0 and is the first prefix minus a
+    quadrature down from the first node; ``star`` = (s_star, G(s_star),
+    gamma) is the Taylor sliver at a compact end (see _arclength);
+    ``open_end`` continues the quadrature past the last node.  ``xtol`` is
+    the Brent tolerance of the inverse.
     """
 
     nodes: np.ndarray
@@ -118,6 +116,8 @@ class _CumulativeIntegral:
         nodes = self.nodes
         if self.head is not None and s <= nodes[0]:
             return _quad(self.head, 0.0, math.sqrt(s))
+        if 0.0 < s < nodes[0]:
+            return self.prefix[0] - _quad(self.rate, s, nodes[0])
         if self.star is not None and s >= nodes[-1]:
             s_star, total, gamma = self.star
             delta = max(s_star - s, 0.0)
@@ -136,6 +136,8 @@ class _CumulativeIntegral:
         """s with value(s) = target, by Brent iteration on ``value`` (the
         public evaluation of this integral) in a bracket from the table."""
         nodes, prefix = self.nodes, self.prefix
+        xtol = self.xtol
+        sign = 1.0 if prefix[-1] > prefix[0] else -1.0  # F falls if kappa1 < 0
         if self.star is not None and target >= prefix[-1]:
             s_star, total, gamma = self.star
             if target > total + 1e-9:
@@ -147,6 +149,15 @@ class _CumulativeIntegral:
             return s_star - delta
         if self.head is not None and target <= prefix[0]:
             lo, hi = 0.0, float(nodes[0])
+        elif self.head is None and sign * (target - prefix[0]) < 0.0:
+            # G diverges at the s = 0 tip: halve the bracket toward it, and
+            # hold s to a relative tolerance there
+            lo, hi = 0.5 * float(nodes[0]), float(nodes[0])
+            while sign * (value(lo) - target) > 0.0:
+                lo, hi = 0.5 * lo, lo
+                if lo < 1.0e-300:
+                    raise ValueError(f"flow target F = {target} not reached above s = 0")
+            xtol *= hi
         elif self.open_end and target >= prefix[-1]:
             lo, hi = float(nodes[-1]), 2.0 * float(nodes[-1])
             while value(hi) < target:
@@ -161,12 +172,11 @@ class _CumulativeIntegral:
                     f"flow target F = {target} outside the tabulated range "
                     f"[{fmin}, {fmax}]"
                 )
-            sign = 1.0 if prefix[-1] > prefix[0] else -1.0  # F falls if kappa1 < 0
             j = int(np.searchsorted(sign * prefix, sign * target)) - 1
             j = min(max(j, 0), len(nodes) - 2)
             lo, hi = float(nodes[j]), float(nodes[j + 1])
         return float(brentq(lambda x: value(x) - target, lo, hi,
-                            xtol=self.xtol, rtol=1.0e-15, maxiter=200))
+                            xtol=xtol, rtol=1.0e-15, maxiter=200))
 
 
 def _accumulate(nodes: np.ndarray, rate, head=None) -> np.ndarray:
@@ -186,12 +196,11 @@ def _arclength(profile: Profile) -> _CumulativeIntegral:
 
     The x = w^2 head handles the 1/sqrt(alpha) singularity at s = 0.
 
-    At a compact star end, alpha vanishes with slope exactly -2, but a
-    profile whose kappa1 was found numerically carries an O(root-residual)
-    offset there, so alpha dips below zero within ~1e-12 of s_star and
-    quadrature through the last sliver is meaningless.  The table therefore
-    stops 1e-8 short of s_star and covers the remainder with the Taylor
-    model alpha = 2*delta*(1 + gamma*delta), whose arclength is
+    At a compact star end alpha is the star series, which vanishes exactly
+    at s_star with slope -2, so 1/sqrt(alpha) has the same 1/sqrt(2*delta)
+    singularity as at s = 0.  The table stops 1e-8 short of s_star and
+    covers the remainder with the Taylor model
+    alpha = 2*delta*(1 + gamma*delta), whose arclength is
     sqrt(2*delta)*(1 - gamma*delta/6); gamma is measured once at
     delta = 1e-3.  The model error within the sliver is O(delta^2) ~ 1e-16
     relative, far below the quadrature tolerance.
@@ -416,8 +425,8 @@ def flow_trajectory(profile: Profile, tau: float, t: float) -> float:
         shift = math.log(arg) / eps
     else:
         shift = tau
-    if profile.kappa1 == 0.0:
-        return t
+    if profile.kappa1 == 0.0 or t == 0.0:
+        return t  # the s = 0 tip is a fixed point of every flow
     flow = _flow_potential(profile)
     s_here = s_of_t(profile, t)
     target = flow.value(s_here) + shift

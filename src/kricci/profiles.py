@@ -33,9 +33,15 @@ polynomial-sized answer out of e^{kappa1 s}-sized terms and loses digits,
 while P(s) is exact.  With T0 nonzero the split form itself cancels at small
 s, so the moment route is kept up to |kappa1|*s = 30.
 
-Within 1e-3 of an end where v vanishes, alpha = J/v is 0/0; evaluation
-switches to a Taylor series in the distance from the end, obtained by
-power-series division (see alpha_series_at_collapse).
+Near a collapsed end alpha = J/v is evaluated as a Taylor series in the
+distance from the end, obtained by power-series division (see
+alpha_series_at_collapse).  At s = 0, where v vanishes, the series serves
+within SERIES_WINDOW.  At a compact star end alpha vanishes only because
+the existence integral does, so J/v is 0/0 there (also at a point end, where
+v does not vanish) and J carries the root's residual; the star series builds
+the vanishing in exactly.  It serves for s_star - s <= rho/30, capped at
+s_star/2, where rho, the series' radius of convergence, is the distance from
+s_star to the nearest other zero of v (Profile.star_window).
 """
 
 from __future__ import annotations
@@ -48,14 +54,18 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from kricci import polyexp
 from kricci.model import SolitonConfig, validate
 
-#: distance from a collapsed end (with vanishing v) below which series are used
+#: distance from the s = 0 end (with vanishing v) below which its series is used
 SERIES_WINDOW = 1e-3
+#: the star series is used within this fraction of its radius of convergence
+_STAR_WINDOW_FRACTION = 1.0 / 30.0
 
 _MOMENT_Z_SNAPPED = 10.0
 _MOMENT_Z_GENERAL = 30.0
 _EXP_OVERFLOW = 709.0
 _SNAP_REL = 1e-9
 _SERIES_TERMS = 14
+_SINGULAR_STAR = ("alpha is singular at s_star: the existence integral does not "
+                  "vanish at this kappa1")
 
 
 def _fhorner(coeffs: Sequence[float], x: float) -> float:
@@ -114,7 +124,9 @@ class Profile:
     ``v_poly`` and ``psi_poly`` are exact rational polynomials; everything
     else is float machinery derived from them once at build time.  The object
     is immutable after construction apart from the lazy caches: the series
-    cache and the geometry module's t and F tables in ``_integrals``.
+    cache (``None`` records a singular star end) and the geometry module's
+    t and F tables in ``_integrals``.  ``star_window`` is the distance from
+    s_star within which alpha comes from the star series (0.0 when open).
     """
 
     config: SolitonConfig
@@ -130,11 +142,11 @@ class Profile:
     t0: float
     t0_snapped: bool
     zero_order: int
-    star_order: int
     v_float: Tuple[float, ...]
     dv_float: Tuple[float, ...]
     d2v_float: Tuple[float, ...]
-    _series: Dict[str, Tuple[float, ...]] = field(default_factory=dict, repr=False)
+    star_window: float
+    _series: Dict[str, Optional[Tuple[float, ...]]] = field(default_factory=dict, repr=False)
     _integrals: Dict[str, Any] = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -216,10 +228,14 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
             t0_snapped = True
 
     zero_order = _low_order_zeros(v_poly)
-    star_order = 0
+    star_window = 0.0
     if config.is_compact:
-        star_order = _low_order_zeros(polyexp.poly_shift(v_poly, config.s_star))
-        s_hi = float(config.s_star)
+        s_star = config.s_star
+        s_hi = float(s_star)
+        zeros = (-polyexp.as_rational(sig)
+                 for fac, sig in zip(config.factors, config.sigmas) if fac.n)
+        rho = min((abs(s_star - z) for z in zeros if z != s_star), default=math.inf)
+        star_window = min(_STAR_WINDOW_FRACTION * float(rho), 0.5 * s_hi)
     else:
         s_hi = math.inf
 
@@ -238,10 +254,10 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
         t0=t0,
         t0_snapped=t0_snapped,
         zero_order=zero_order,
-        star_order=star_order,
         v_float=tuple(float(c) for c in v_poly),
         dv_float=tuple(float(c) for c in dv_poly),
         d2v_float=tuple(float(c) for c in polyexp.poly_derivative(dv_poly)),
+        star_window=star_window,
     )
 
 
@@ -277,10 +293,14 @@ def _series_coeffs(profile: Profile, end: str) -> Tuple[float, ...]:
     e^{k delta} int_0^delta P(x) e^{-k x} dx for a local polynomial P and
     local rate k, divided by the local expansion of v.  The convolution is
     done in floats; the vanishing orders are exact because the rational
-    polynomials carry exact zero coefficients.
+    polynomials carry exact zero coefficients.  At a point star end v does
+    not vanish and the division has the lead v(s_star).  A star end found
+    singular is recorded as ``None`` and raises again without recomputing.
     """
-    cached = profile._series.get(end)
-    if cached is not None:
+    if end in profile._series:
+        cached = profile._series[end]
+        if cached is None:
+            raise ValueError(_SINGULAR_STAR)
         return cached
 
     if end == "zero":
@@ -292,8 +312,6 @@ def _series_coeffs(profile: Profile, end: str) -> Tuple[float, ...]:
     elif end == "star":
         if not profile.is_compact:
             raise ValueError("profile has no second collapsed end")
-        if profile.star_order == 0:
-            raise ValueError("v nonvanishing at s = s_star; plain evaluation suffices")
         s_star = profile.config.s_star
         # smoothness at s_star needs the weighted integral of Psi to vanish
         i_star = polyexp.exp_poly_integral(profile.psi_poly, profile.kappa1, 0, s_star)
@@ -301,10 +319,8 @@ def _series_coeffs(profile: Profile, end: str) -> Tuple[float, ...]:
             [abs(c) for c in profile.psi_poly], profile.kappa1, 0, s_star
         )
         if abs(i_star) > _SNAP_REL * max(1e-300, scale):
-            raise ValueError(
-                "alpha is singular at s_star: the existence integral does not "
-                "vanish at this kappa1"
-            )
+            profile._series[end] = None
+            raise ValueError(_SINGULAR_STAR)
         # reflect about s_star: p_hat(delta) = p(s_star - delta)
         P = [c if j % 2 == 0 else -c
              for j, c in enumerate(polyexp.poly_shift(profile.psi_poly, s_star))]
@@ -350,8 +366,8 @@ def alpha_series_at_collapse(profile: Profile, end: str) -> List[float]:
     The expansion variable is the inward distance from the end (s at the
     zero end, s_star - s at the star end), so the linear coefficient is the
     inward slope: +2 at both ends for calibrated profiles.  Raises ValueError
-    when v does not vanish at the requested end, and at the star end when
-    the configuration's kappa1 does not satisfy the existence condition.
+    when v does not vanish at s = 0 for the zero end, and at the star end
+    when the configuration's kappa1 does not satisfy the existence condition.
     """
     return list(_series_coeffs(profile, end))
 
@@ -387,7 +403,7 @@ def sample(profile: Profile, s: float) -> ProfileSample:
     if profile.zero_order > 0 and s <= SERIES_WINDOW:
         series = _series_coeffs(profile, "zero")
         delta = s
-    elif profile.is_compact and profile.star_order > 0 and hi - s <= SERIES_WINDOW:
+    elif hi - s <= profile.star_window:
         try:
             series = _series_coeffs(profile, "star")
             delta = hi - s

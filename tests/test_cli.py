@@ -70,7 +70,7 @@ def test_solve_compact_solves_kappa1(tmp_path, capsys):
     assert report["derived"]["class"] == "ShrinkingCompact"
     assert report["completeness"]["class"] == "Compact"
     assert report["completeness"]["geodesic_length"] == pytest.approx(
-        4.83608644226425512632, abs=2e-8)
+        4.83608644226425512632, abs=1e-10)
     assert report["residuals"]["r_t_max"] < 1e-9
 
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from kricci import acceptance as acc
+from kricci import polyexp
 from kricci.profiles import alpha_series_at_collapse, build_profile, sample
 
 S_POINTS = (1e-3, 0.5, 2.0, 5.0, 50.0, 500.0, 5000.0)
@@ -83,13 +84,15 @@ def test_boundary_slope_at_zero(steady_profile, expanding_profile, mixed_profile
         assert smp.dalpha == pytest.approx(2.0, abs=1e-10)
 
 
-def test_series_at_both_collapsed_ends(two_blowdowns_profile):
+def test_series_at_both_collapsed_ends(two_blowdowns_profile, mixed_profile):
     low = alpha_series_at_collapse(two_blowdowns_profile, "zero")
-    high = alpha_series_at_collapse(two_blowdowns_profile, "star")
     assert low[0] == pytest.approx(0.0, abs=1e-12)
     assert low[1] == pytest.approx(2.0, abs=1e-10)
-    assert high[0] == pytest.approx(0.0, abs=1e-12)
-    assert high[1] == pytest.approx(2.0, abs=1e-10)
+    # a CP^1 star end, and a point star end where v(s*) != 0
+    for prof in (two_blowdowns_profile, mixed_profile):
+        high = alpha_series_at_collapse(prof, "star")
+        assert high[0] == pytest.approx(0.0, abs=1e-12)
+        assert high[1] == pytest.approx(2.0, abs=1e-10)
 
 
 def test_series_matches_samples_near_the_ends(two_blowdowns_profile):
@@ -115,6 +118,71 @@ def test_star_series_rejects_an_uncalibrated_kappa1():
     prof = build_profile(acc.compact_two_blowdowns(0.25))
     with pytest.raises(ValueError, match="singular at s_star"):
         alpha_series_at_collapse(prof, "star")
+
+
+def test_star_window_is_sized_by_the_radius_of_convergence(
+        mixed_profile, two_blowdowns_profile, flat_profile, steady_profile):
+    from kricci.model import BoundaryStructure, Collapse, CompactEnd, FanoFactor, derive_config
+
+    # rho = distance from s* to the nearest other zero of v
+    assert mixed_profile.star_window == pytest.approx(4.0 / 30.0, rel=1e-15)
+    assert two_blowdowns_profile.star_window == pytest.approx(8.0 / 30.0, rel=1e-15)
+    # v without zeros: the window is capped at half the interval
+    sym = build_profile(derive_config(
+        epsilon=-1,
+        factors=[FanoFactor(0, 1, -1), FanoFactor(0, 1, 1)],
+        boundary=BoundaryStructure(Collapse.FACTOR, compact_end=CompactEnd(Collapse.FACTOR)),
+        kappa1=0,
+    ))
+    assert sym.star_window == 0.5 * float(sym.s_domain[1])
+    for prof in (flat_profile, steady_profile):
+        assert prof.star_window == 0.0
+
+
+def _across_star_window_edge(prof):
+    """The last s inside the star window and the first one outside it."""
+    hi, width = float(prof.s_domain[1]), prof.star_window
+    s_in = hi - width
+    while hi - s_in > width:
+        s_in = math.nextafter(s_in, math.inf)
+    s_out = math.nextafter(s_in, -math.inf)
+    assert hi - s_out > width
+    return s_in, s_out
+
+
+@pytest.mark.parametrize(("fixture", "rel"), [
+    ("mixed_profile", 1e-12),          # point star end
+    ("two_blowdowns_profile", 1e-9),   # CP^1 star end
+])
+def test_alpha_is_continuous_across_the_star_window_edge(request, fixture, rel):
+    """Inside the window alpha is the star series, the solution that vanishes
+    at s_star; outside it is J/v, the one that vanishes at s = 0.  At a
+    numerically solved kappa1 the two differ by exactly the footprint of the
+    root's residual, e^{kappa1 s} I(kappa1)/v(s); what is left is evaluation
+    error.  J/v sums moment terms far larger than J near a CP^1 star end and
+    keeps only ~1e-10 there."""
+    prof = request.getfixturevalue(fixture)
+    s_in, s_out = _across_star_window_edge(prof)
+    inner, outer = sample(prof, s_in), sample(prof, s_out)
+    residual = polyexp.exp_poly_integral(prof.psi_poly, prof.kappa1, 0, prof.config.s_star)
+    footprint = math.exp(prof.kappa1 * s_out) * residual / outer.v
+    assert outer.alpha - inner.alpha == pytest.approx(footprint, abs=rel * inner.alpha)
+    assert sample(prof, float(prof.s_domain[1])).alpha == 0.0
+
+
+def test_singular_star_end_is_recorded_once(monkeypatch):
+    prof = build_profile(acc.compact_two_blowdowns(0.25))
+    calls = []
+    real = polyexp.exp_poly_integral
+    monkeypatch.setattr(polyexp, "exp_poly_integral",
+                        lambda *a: calls.append(a) or real(*a))
+    s_star = float(prof.s_domain[1])
+    values = [sample(prof, s_star - d).alpha for d in (0.2, 0.1, 0.01)]
+    assert len(calls) == 2  # the existence integral and its majorant, once
+    assert all(math.isfinite(a) for a in values)
+    with pytest.raises(ValueError, match="singular at s_star"):
+        alpha_series_at_collapse(prof, "star")
+    assert len(calls) == 2
 
 
 def test_compact_alpha_vanishes_at_both_ends(mixed_profile):
