@@ -213,37 +213,42 @@ class InadmissibleError(Exception):
     pass
 
 
-def _solve_kappa1_if_requested(doc: Dict[str, Any], config: SolitonConfig):
-    """Return (config, root_result_or_None); honours kappa1 = "solve"."""
-    if doc["kappa1"] != "solve":
-        return config, None
-    if float(config.epsilon) >= 0:
-        raise InadmissibleError(
-            'kappa1 = "solve" needs a shrinking configuration (epsilon < 0)'
+def _admissible_config(doc: Dict[str, Any], solve: bool):
+    """Return (config, root_result_or_None, validation report) of a document.
+
+    With `solve`, kappa1 is solved first; that needs a structurally sound
+    shrinking instance, since class-tag violations about the placeholder
+    kappa1 are expected at that stage.  The instance returned, solved or
+    not, passes every check of `validate`.
+    """
+    config = config_from_document(doc)
+    root = None
+    if solve:
+        structural = validate(config).structural_violations()
+        if structural:
+            raise InadmissibleError("; ".join(structural))
+        if float(config.epsilon) >= 0:
+            raise InadmissibleError(
+                'solving for kappa1 needs a shrinking configuration (epsilon < 0)'
+            )
+        try:
+            if config.is_compact:
+                root = find_kappa1_compact(config)
+            else:
+                root = find_kappa1_noncompact(config)
+        except (RuntimeError, ValueError) as exc:
+            raise NumericFailure(str(exc)) from exc
+        config = derive_config(
+            epsilon=config.epsilon,
+            factors=config.factors,
+            boundary=config.boundary,
+            kappa1=root.kappa1,
+            kappa0=config.kappa0,
         )
-    try:
-        if config.is_compact:
-            rr = find_kappa1_compact(config)
-        else:
-            rr = find_kappa1_noncompact(config)
-    except (RuntimeError, ValueError) as exc:
-        raise NumericFailure(str(exc)) from exc
-    solved = derive_config(
-        epsilon=config.epsilon,
-        factors=config.factors,
-        boundary=BoundaryStructure(
-            collapse_at_zero=config.boundary.collapse_at_zero,
-            compact_end=(
-                CompactEnd(config.boundary.compact_end.collapse)
-                if config.boundary.compact_end is not None
-                else None
-            ),
-            strict_unit_charge=config.boundary.strict_unit_charge,
-        ),
-        kappa1=rr.kappa1,
-        kappa0=config.kappa0,
-    )
-    return solved, rr
+    report = validate(config)
+    if not report.admissible:
+        raise InadmissibleError("; ".join(report.violations))
+    return config, root, report
 
 
 def _jsonable(value: Any) -> Any:
@@ -302,20 +307,7 @@ def _grid_params(doc: Dict[str, Any], args) -> Tuple[float, int]:
 
 def cmd_solve(args) -> int:
     doc = load_config(args.config)
-    config = config_from_document(doc)
-    report_v = validate(config)
-    if doc["kappa1"] == "solve" and report_v.structural_violations():
-        # solving needs a structurally sound instance; class-tag violations
-        # about the placeholder kappa1 = 0 are expected at this stage
-        raise InadmissibleError("; ".join(report_v.structural_violations()))
-    config, root = _solve_kappa1_if_requested(doc, config)
-    report_v = validate(config)
-    if not report_v.admissible:
-        print("inadmissible configuration:", file=sys.stderr)
-        for violation in report_v.violations:
-            print(f"  - {violation}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-
+    config, root, report_v = _admissible_config(doc, doc["kappa1"] == "solve")
     profile = build_profile(config)
     s_max, n_grid = _grid_params(doc, args)
     grid = default_grid(profile, n=n_grid, s_max=s_max)
@@ -345,7 +337,6 @@ def cmd_solve(args) -> int:
                 "residual": root.residual,
                 "iterations": root.iterations,
                 "bracket": list(root.bracket),
-                "sign_changes": [list(b) for b in root.scan_sign_changes],
             }
     comp = geometry.completeness_report(profile)
 
@@ -420,17 +411,7 @@ def cmd_futaki(args) -> int:
 
 
 def cmd_find_kappa(args) -> int:
-    doc = load_config(args.config)
-    config = config_from_document(doc)
-    if float(config.epsilon) >= 0:
-        raise InadmissibleError("root finding applies to shrinking configurations")
-    try:
-        if config.is_compact:
-            rr = find_kappa1_compact(config, search_halfwidth=args.halfwidth)
-        else:
-            rr = find_kappa1_noncompact(config)
-    except (RuntimeError, ValueError) as exc:
-        raise NumericFailure(str(exc)) from exc
+    _, rr, _ = _admissible_config(load_config(args.config), solve=True)
     _emit_json(
         {
             "kappa1": rr.kappa1,
@@ -438,29 +419,20 @@ def cmd_find_kappa(args) -> int:
             "residual": rr.residual,
             "iterations": rr.iterations,
             "uniqueness_certificate": rr.uniqueness_certificate,
-            "sign_changes": [list(b) for b in rr.scan_sign_changes],
         },
         args.out,
     )
     return EXIT_OK
 
 
-def _admissible_profile(doc: Dict[str, Any], args):
-    config = config_from_document(doc)
-    if doc["kappa1"] == "solve":
-        report_v = validate(config)
-        if report_v.structural_violations():
-            raise InadmissibleError("; ".join(report_v.structural_violations()))
-    config, _ = _solve_kappa1_if_requested(doc, config)
-    report_v = validate(config)
-    if not report_v.admissible:
-        raise InadmissibleError("; ".join(report_v.violations))
+def _admissible_profile(doc: Dict[str, Any]):
+    config, _, _ = _admissible_config(doc, doc["kappa1"] == "solve")
     return build_profile(config)
 
 
 def cmd_reconstruct(args) -> int:
     doc = load_config(args.config)
-    profile = _admissible_profile(doc, args)
+    profile = _admissible_profile(doc)
     if args.t_max <= 0:
         raise SchemaError("--t-max must be positive")
     if profile.is_compact:
@@ -488,7 +460,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_flow(args) -> int:
     doc = load_config(args.config)
-    profile = _admissible_profile(doc, args)
+    profile = _admissible_profile(doc)
     _, n_grid = _grid_params(doc, args)
     hi = profile.s_domain[1]
     s_hi = float(hi) * 0.95 if profile.is_compact else min(50.0, 1.0e4)
@@ -539,8 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-kappa", help="solve the existence condition for kappa1")
     p.add_argument("config")
-    p.add_argument("--halfwidth", type=float, default=50.0,
-                   help="scan halfwidth for the compact bracket search")
     p.add_argument("--out", help="write the JSON result here (default: stdout)")
     p.set_defaults(fn=cmd_find_kappa)
 

@@ -9,8 +9,11 @@ Compact case: a smooth closed solution exists iff
 where N0 and N* are the total dimensions collapsing at the two ends.  At
 kappa1 = 0 the integral is the classical invariant obstructing a
 Kahler-Einstein metric, and it is a rational number evaluated exactly here.
-The two kappa1 -> +-inf asymptotic signs are always opposite, which is what
-guarantees a root.
+On admissible data the weight w = prod_i (x - p_i/q_i)^{n_i} keeps one sign
+on the interval, so I = +-Z <x> with Z > 0 the total mass of e^{-2 kappa1 y}|w|
+(y = x + N0 + 1) and <x> the mean of x under it.  Since
+d<x>/dkappa1 = -2 Var(x) < 0, while <x> runs from N*+1 down to -N0-1 as
+kappa1 goes from -inf to +inf, the root exists and is unique.
 
 Noncompact case: with Psi = (E_star - x)*v(x) = sum a_k x^k, the linear
 growth condition on alpha reduces to the polynomial equation
@@ -24,16 +27,19 @@ certifies a unique positive root.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from kricci import polyexp
 from kricci.model import SolitonConfig, mirror_config
 from kricci.profiles import v_psi_polys
 
-_SCAN_STEP = 0.25
 _MAX_BISECT = 200
+_MAX_NEWTON = 100
+_EPS = sys.float_info.epsilon
+_X = [Fraction(0), Fraction(1)]
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,6 @@ class RootResult:
     residual: float
     iterations: int
     uniqueness_certificate: Optional[int] = None
-    scan_sign_changes: Tuple[Tuple[float, float], ...] = ()
 
 
 def _require_compact_shrinker(config: SolitonConfig) -> None:
@@ -67,11 +72,10 @@ def _require_compact_shrinker(config: SolitonConfig) -> None:
         )
 
 
-def _x_form_poly(config: SolitonConfig) -> list:
-    """x * prod_{n_i > 0} (x - p_i/q_i)^{n_i}, exactly."""
+def _weight_poly(config: SolitonConfig) -> list:
+    """w = prod_{n_i > 0} (x - p_i/q_i)^{n_i}, exactly."""
     shifts = [(-fac.p / fac.q, fac.n) for fac in config.factors if fac.n > 0]
-    return polyexp.poly_mul([Fraction(0), Fraction(1)],
-                            polyexp.build_shifted_product(shifts))
+    return polyexp.build_shifted_product(shifts)
 
 
 def futaki_integral(config: SolitonConfig, kappa1: float) -> FutakiEvaluation:
@@ -83,7 +87,8 @@ def futaki_integral(config: SolitonConfig, kappa1: float) -> FutakiEvaluation:
     _require_compact_shrinker(config)
     n0 = config.n_zero
     half_length = Fraction(n0 + config.n_star + 2)  # s*/2
-    shifted = polyexp.poly_shift(_x_form_poly(config), Fraction(-(n0 + 1)))
+    shifted = polyexp.poly_shift(polyexp.poly_mul(_X, _weight_poly(config)),
+                                 Fraction(-(n0 + 1)))
 
     if kappa1 == 0:
         exact = polyexp.exp_poly_integral_exact_zero(shifted, 0, half_length)
@@ -131,79 +136,90 @@ def asymptotic_sign(config: SolitonConfig, direction) -> int:
     return (-1) ** n_star * _mid_sign(config, at_star=True)
 
 
-def find_kappa1_compact(config: SolitonConfig,
-                        search_halfwidth: float = 50.0) -> RootResult:
-    """Locate a vanishing point of the obstruction integral.
+def find_kappa1_compact(config: SolitonConfig) -> RootResult:
+    """The unique zero of the obstruction integral, by safeguarded Newton.
 
-    Scans outward from kappa1 = 0 in steps of 0.25, on each side until the
-    sign of I matches that side's asymptotic sign, recording every sign
-    change encountered; the change nearest 0 is refined by bisection to
-    |I| < 1e-12 * max(1, |I(0)|).  Raises RuntimeError if no sign change
-    appears within the halfwidth (the existence theorem says it must).
+    Certificate: no root p_i/q_i (n_i > 0) of w lies inside (-N0-1, N*+1),
+    so w keeps one sign there and the root is unique (module docstring);
+    ValueError otherwise.  Newton steps kappa1 + <x>/(2 Var) start at 0.  A
+    step that leaves the bracket of evaluated points of opposite sign
+    bisects it; while the bracket is open on one side, a step goes at most
+    max(1, |kappa1|) towards it.  The iteration stops when
+    |<x>| <= 8 eps sqrt(Var) or the step is <= 2 eps max(1, |kappa1|).  The
+    bracket returned is finite and holds kappa1 strictly inside.
     """
     _require_compact_shrinker(config)
-    f0 = futaki_integral(config, 0.0).value
-    tol = 1.0e-12 * max(1.0, abs(f0))
-    if abs(f0) <= tol:
-        return RootResult(kappa1=0.0, bracket=(0.0, 0.0), residual=abs(f0),
-                          iterations=0)
+    n0, n_star = config.n_zero, config.n_star
+    inside = [fac.p / fac.q for fac in config.factors
+              if fac.n > 0 and -(n0 + 1) < fac.p / fac.q < n_star + 1]
+    if inside:
+        raise ValueError(
+            f"the weight of the obstruction integral vanishes at x = {inside[0]} "
+            f"inside ({-(n0 + 1)}, {n_star + 1}); no uniqueness certificate"
+        )
+    if futaki_integral(config, 0).exact_value == 0:
+        return RootResult(kappa1=0.0, bracket=(0.0, 0.0), residual=0.0,
+                          iterations=0, uniqueness_certificate=1)
 
-    def f(k: float) -> float:
-        return futaki_integral(config, k).value
+    w = _weight_poly(config)  # |w| has the sign w has mid-interval
+    weight = w if polyexp.poly_eval(w, Fraction(n_star - n0, 2)) > 0 else polyexp.poly_neg(w)
+    # |w|, x|w| and x^2|w| in the distance d from either end: x = -N0-1 + d
+    # and x = N*+1 - d.  Summed in the moments of the end the measure leans
+    # towards (the left one for kappa1 >= 0), the sums expand about where
+    # the mass is, so they cancel less, and their rates are positive, so
+    # they never overflow.
+    anchored = {1: [], -1: []}
+    for _ in range(3):
+        for side, end in ((1, -(n0 + 1)), (-1, n_star + 1)):
+            shifted = polyexp.poly_shift(weight, end)
+            anchored[side].append([c * side ** m for m, c in enumerate(shifted)])
+        weight = polyexp.poly_mul(_X, weight)
+    length = n0 + n_star + 2
 
-    brackets: List[Tuple[float, float]] = []
-    for direction in (+1.0, -1.0):
-        target = asymptotic_sign(config, "+inf" if direction > 0 else "-inf")
-        prev_k, prev_v = 0.0, f0
-        k = 0.0
-        while abs(k) < search_halfwidth:
-            k += direction * _SCAN_STEP
-            val = f(k)
-            if val == 0.0:
-                brackets.append((k, k))
-                break
-            if (val > 0) != (prev_v > 0):
-                lo, hi = sorted((prev_k, k))
-                brackets.append((lo, hi))
-            if (1 if val > 0 else -1) == target:
-                break
-            prev_k, prev_v = k, val
-        else:
-            raise RuntimeError(
-                f"no sign change of the obstruction integral within "
-                f"|kappa1| < {search_halfwidth} in the {'+' if direction > 0 else '-'} "
-                f"direction; asymptotic sign never reached"
-            )
+    def mean_var(k: float) -> Tuple[float, float]:
+        z, m1, m2 = (polyexp.exp_poly_integral(p, 2.0 * abs(k), 0, length)
+                     for p in anchored[1 if k >= 0 else -1])
+        if not (0.0 < z < math.inf and math.isfinite(m1) and math.isfinite(m2)):
+            raise RuntimeError(f"the obstruction moments are not finite at kappa1 = {k!r}")
+        mean = m1 / z
+        return mean, m2 / z - mean * mean
 
-    if not brackets:
+    lo, hi = -math.inf, math.inf  # <x> > 0 at lo, < 0 at hi, and lo < k < hi
+    k = 0.0
+    for iterations in range(_MAX_NEWTON):
+        mean, var = mean_var(k)
+        if abs(mean) <= 8.0 * _EPS * math.sqrt(max(var, 0.0)):
+            break
+        lo_k, hi_k = (k, hi) if mean > 0 else (lo, k)
+        step = mean / (2.0 * var) if var > 0 else math.copysign(math.inf, mean)
+        if math.isinf(lo_k) or math.isinf(hi_k):
+            step = math.copysign(min(abs(step), max(1.0, abs(k))), mean)
+        elif not lo_k < k + step < hi_k:
+            step = 0.5 * (lo_k + hi_k) - k
+        if abs(step) <= 2.0 * _EPS * max(1.0, abs(k)):
+            break
+        lo, hi = lo_k, hi_k
+        k += step
+    else:
         raise RuntimeError(
-            "the obstruction integral changed to its asymptotic sign without "
-            "a detectable sign change; no bracket found"
+            f"the obstruction root did not converge in {_MAX_NEWTON} Newton steps"
         )
 
-    lo, hi = min(brackets, key=lambda b: min(abs(b[0]), abs(b[1])))
-    if lo == hi:
-        return RootResult(kappa1=lo, bracket=(lo, hi), residual=0.0,
-                          iterations=0, scan_sign_changes=tuple(brackets))
+    def beyond(direction: float) -> float:
+        """An evaluated point past k where <x> has the sign of -direction."""
+        delta = 16.0 * _EPS * max(1.0, abs(k))
+        while delta < max(1.0, abs(k)):
+            end = k + direction * delta
+            if mean_var(end)[0] * direction < 0:
+                return end
+            delta *= 16.0
+        raise RuntimeError(f"no sign change of <x> next to kappa1 = {k!r}")
 
-    flo = f(lo)
-    iterations = 0
-    root, froot = lo, flo
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        iterations += 1
-        if abs(fmid) <= tol or hi - lo <= 1e-16 * max(1.0, abs(mid)):
-            root, froot = mid, fmid
-            break
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        root, froot = mid, fmid
-    return RootResult(kappa1=root, bracket=min(brackets, key=lambda b: min(abs(b[0]), abs(b[1]))),
-                      residual=abs(froot), iterations=iterations,
-                      scan_sign_changes=tuple(brackets))
+    bracket = (beyond(-1.0) if math.isinf(lo) else lo,
+               beyond(+1.0) if math.isinf(hi) else hi)
+    return RootResult(kappa1=k, bracket=bracket,
+                      residual=abs(futaki_integral(config, k).value),
+                      iterations=iterations, uniqueness_certificate=1)
 
 
 def chi_poly(config: SolitonConfig) -> list:

@@ -130,12 +130,19 @@ def test_find_kappa_noncompact(capsys):
     assert result["residual"] < 1e-12
 
 
-def test_find_kappa_reports_scan_failure(capsys):
-    assert main(["find-kappa", str(CONFIGS / "compact-shrinker.json"),
-                 "--halfwidth", "1e-6"]) == 4
-    err = capsys.readouterr().err
-    assert "numeric failure" in err
-    assert "no sign change of the obstruction integral" in err
+@pytest.mark.parametrize("middle", [
+    {"n": 1, "p": 1, "q": -2},
+    {"n": 2, "p": 1, "q": -3},
+])
+def test_find_kappa_validates_the_config(tmp_path, capsys, middle):
+    # both break the compact-shrinker inequality -(N0+1)q < p, so beta_2
+    # is negative at s = 0: inadmissible, as for `solve`
+    doc = dict(COMPACT_DOC, factors=[{"n": 0, "p": 1, "q": -1}, middle,
+                                     {"n": 0, "p": 1, "q": 1}])
+    cfg = write_config(tmp_path, doc)
+    assert main(["find-kappa", cfg]) == 3
+    assert "beta_2 is not positive on the open interior" in capsys.readouterr().err
+    assert main(["solve", cfg]) == 3
 
 
 def test_reconstruct_table(tmp_path, capsys):

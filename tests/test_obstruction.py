@@ -2,13 +2,16 @@
 
 Root oracles were frozen from 50-digit arbitrary-precision bisection of the
 obstruction integral built independently from the weighted boundary
-polynomial; the package must match them to 1e-10.
+polynomial; the package must match them to 1e-14.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from kricci import acceptance as acc
@@ -18,6 +21,7 @@ from kricci.model import (
     CompactEnd,
     FanoFactor,
     derive_config,
+    validate,
 )
 from kricci.obstruction import (
     asymptotic_sign,
@@ -77,28 +81,98 @@ def test_integral_matches_direct_quadrature():
 def test_compact_roots_match_frozen_oracles():
     for name, builder in acc.COMPACT_SUITE.items():
         rr = find_kappa1_compact(builder())
-        assert abs(rr.kappa1 - ROOT_ORACLES[name]) <= 1e-10
+        assert abs(rr.kappa1 - ROOT_ORACLES[name]) <= 1e-14
         assert rr.residual <= 1e-9
+        assert rr.uniqueness_certificate == 1
+        assert all(math.isfinite(end) for end in rr.bracket)
         assert rr.bracket[0] < rr.kappa1 < rr.bracket[1]
         assert abs(futaki_integral(builder(), rr.kappa1).value) <= 1e-9
 
 
-def test_root_scan_records_the_bracket():
-    rr = find_kappa1_compact(acc.compact_mixed_charges())
-    assert rr.scan_sign_changes
-    lo, hi = rr.scan_sign_changes[0]
-    assert lo < ROOT_ORACLES["mixed-charges"] < hi
+def test_weight_changing_sign_has_no_certificate():
+    # the middle root p/q = -1/2 lies inside (-N0-1, N*+1) = (-1, 1)
+    cfg = derive_config(
+        epsilon=-1,
+        factors=[FanoFactor(0, 1, -1), FanoFactor(1, 1, -2), FanoFactor(0, 1, 1)],
+        boundary=BoundaryStructure(Collapse.FACTOR, CompactEnd(Collapse.FACTOR)),
+        kappa1=0,
+    )
+    with pytest.raises(ValueError, match="no uniqueness certificate"):
+        find_kappa1_compact(cfg)
+
+
+@st.composite
+def compact_shrinkers(draw):
+    """Admissible compact shrinkers: projective unit-charge ends of dimension
+    N0 and N* and 1-3 middle factors with p > max(-(N0+1)q, (N*+1)q).  Each
+    middle factor is a Fano manifold of dimension n <= 3 with c_1 = p a, a
+    indivisible, so p <= n + 1 (Kobayashi-Ochiai)."""
+    n0, n_star = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    options = [FanoFactor(n, p, q) for n in (1, 2, 3) for p in range(1, n + 2)
+               for q in (-3, -2, -1, 1, 2, 3) if p > max(-(n0 + 1) * q, (n_star + 1) * q)]
+    middle = draw(st.lists(st.sampled_from(options), min_size=1, max_size=3))
+    return derive_config(
+        epsilon=-1,
+        factors=[FanoFactor(n0, n0 + 1, -1), *middle, FanoFactor(n_star, n_star + 1, 1)],
+        boundary=BoundaryStructure(Collapse.FACTOR, CompactEnd(Collapse.FACTOR)),
+        kappa1=0,
+    )
+
+
+def _mp_obstruction(cfg, kappa):
+    """I(kappa) = int_0^L e^{-a y} P(y) dy, a = 2 kappa, with P the x-form in
+    y = x + N0 + 1, from its exact antiderivative
+    sum_k (P^(k)(0) - e^{-a L} P^(k)(L)) / a^(k+1), with enough extra digits
+    to absorb the cancellation of that sum at small a."""
+    coeffs = [Fraction(-(cfg.n_zero + 1)), Fraction(1)]  # x
+    for fac in cfg.factors:
+        for _ in range(fac.n):  # times (y - (N0 + 1) - p/q)
+            root = cfg.n_zero + 1 + fac.p / fac.q
+            coeffs = [b - root * a for a, b in zip(coeffs + [0], [0] + coeffs)]
+    upper = cfg.n_zero + cfg.n_star + 2
+    at_zero, at_upper = [], []
+    while coeffs:
+        at_zero.append(coeffs[0])
+        at_upper.append(sum(c * upper ** m for m, c in enumerate(coeffs)))
+        coeffs = [m * c for m, c in enumerate(coeffs)][1:]
+    rate = 2 * mp.mpf(kappa)
+    if rate == 0:
+        exact = sum((pl - p0) * Fraction(upper) ** (k + 1) / math.factorial(k + 1)
+                    for k, (p0, pl) in enumerate(zip(at_zero, at_upper)))
+        return mp.mpf(exact.numerator) / exact.denominator
+    extra = 10 + len(at_zero) * max(0, int(-mp.log10(abs(rate))))
+    with mp.extradps(extra):
+        decay = mp.exp(-rate * upper)
+        return +mp.fsum((mp.mpf(p0.numerator) / p0.denominator
+                         - decay * mp.mpf(pl.numerator) / pl.denominator) / rate ** (k + 1)
+                        for k, (p0, pl) in enumerate(zip(at_zero, at_upper)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(compact_shrinkers())
+def test_compact_root_is_certified_and_matches_mpmath(cfg):
+    assert validate(cfg).admissible
+    rr = find_kappa1_compact(cfg)
+    assert rr.uniqueness_certificate == 1
+    assert rr.bracket[0] <= rr.kappa1 <= rr.bracket[1]
+    with mp.workdps(30):
+        delta = 1e-6 * max(1.0, abs(rr.kappa1))
+        lo, hi = mp.mpf(rr.kappa1) - delta, mp.mpf(rr.kappa1) + delta
+        below = _mp_obstruction(cfg, lo)
+        assert below * _mp_obstruction(cfg, hi) < 0
+        for _ in range(64):  # bisect the 30-digit I down to 2^-64 of the bracket
+            mid = (lo + hi) / 2
+            if _mp_obstruction(cfg, mid) * below > 0:
+                lo = mid
+            else:
+                hi = mid
+        assert abs(lo - rr.kappa1) <= 1e-12 * max(1, abs(lo))
 
 
 def test_asymptotic_signs_are_opposite():
     for builder in acc.COMPACT_SUITE.values():
         cfg = builder()
         assert asymptotic_sign(cfg, "+inf") * asymptotic_sign(cfg, "-inf") == -1
-
-
-def test_scan_failure_is_reported():
-    with pytest.raises(RuntimeError, match="no sign change of the obstruction integral"):
-        find_kappa1_compact(acc.compact_mixed_charges(), search_halfwidth=1e-6)
 
 
 def test_reflection_identity():
