@@ -427,15 +427,15 @@ def criterion_11_detuned_conservation() -> CriterionResult:
 def _flow_grid_deviation(prof: Profile, taus: Sequence[float], ts: Sequence[float]) -> float:
     eps = float(prof.config.epsilon)
     h = 2.5e-4
+    ts = np.asarray(ts, dtype=float)
     worst = 0.0
-    for t in ts:
-        for tau in taus:
-            xi_plus = flow_trajectory(prof, tau + h, t)
-            xi_minus = flow_trajectory(prof, tau - h, t)
-            xi = flow_trajectory(prof, tau, t)
-            lhs = (xi_plus - xi_minus) / (2.0 * h)
-            rhs = potential_rate(prof, xi) / (1.0 + eps * tau)
-            worst = max(worst, abs(lhs - rhs))
+    for tau in taus:
+        xi_plus = flow_trajectory(prof, tau + h, ts)
+        xi_minus = flow_trajectory(prof, tau - h, ts)
+        xi = flow_trajectory(prof, tau, ts)
+        lhs = (xi_plus - xi_minus) / (2.0 * h)
+        rhs = potential_rate(prof, xi) / (1.0 + eps * tau)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 

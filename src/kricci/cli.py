@@ -341,10 +341,9 @@ def cmd_solve(args) -> int:
     comp = geometry.completeness_report(profile)
 
     csv_rows = []
-    for s in grid:
+    for s, t in zip(grid, geometry.t_of_s(profile, np.asarray(grid, dtype=float))):
         smp = sample(profile, float(s))
-        t = geometry.t_of_s(profile, float(s))
-        row = [float(s), t, smp.alpha]
+        row = [float(s), float(t), smp.alpha]
         row.extend(smp.beta)
         row.append(math.sqrt(max(smp.alpha, 0.0)))
         row.extend(math.sqrt(max(b, 0.0)) for b in smp.beta)
@@ -465,15 +464,12 @@ def cmd_flow(args) -> int:
     hi = profile.s_domain[1]
     s_hi = float(hi) * 0.95 if profile.is_compact else min(50.0, 1.0e4)
     s_lo = float(hi) * 0.05 if profile.is_compact else 0.05
-    rows = []
     try:
-        for s in np.linspace(s_lo, s_hi, n_grid):
-            t = geometry.t_of_s(profile, float(s))
-            xi = geometry.flow_trajectory(profile, args.tau, t)
-            rows.append([t, xi])
+        ts = geometry.t_of_s(profile, np.linspace(s_lo, s_hi, n_grid))
+        xis = geometry.flow_trajectory(profile, args.tau, ts)
     except ValueError as exc:
         raise NumericFailure(str(exc)) from exc
-    _write_csv(args.csv, ["t", "xi"], rows)
+    _write_csv(args.csv, ["t", "xi"], [[float(t), float(xi)] for t, xi in zip(ts, xis)])
     return EXIT_OK
 
 

@@ -1,23 +1,41 @@
 """Reconstruction of the t-coordinate metric data, completeness
 classification, and the self-similarity diffeomorphism of the flow.
 
-The transverse geodesic coordinate is t = int_0^s dx/sqrt(alpha).  The
-integrand behaves like 1/sqrt(2x) at a collapsed end.  Below the first
-table node (s < 1e-8) quadrature is done in the substituted variable
-x = w^2 from the s = 0 end; at a compact star end the last 1e-8 before s*
-is covered by a Taylor model of alpha instead (see _arclength).  Inversion
-s(t) is by bracketed monotone root-finding (Brent) on the quadrature itself
-— cumulative node tables only supply the initial bracket and are never
-interpolated.
+The transverse geodesic coordinate is t(s) = int_0^s dx/sqrt(alpha), and the
+flow diffeomorphism is Xi(tau, t) = F^{-1}(shift(tau) + F(t)) with
+F'(t) = 1/u_dot(t), shift = log(1+eps*tau)/eps (or tau when eps = 0); in s,
+F' = 1/(kappa1*alpha).  t(s) and F(s) are the same object, a cumulative
+integral of a power of alpha, and share one engine, _CumulativeIntegral,
+cached on the profile.  Both integrands are singular where alpha vanishes
+like 2*delta at a collapsed end, delta the distance from it.
 
-The flow diffeomorphism is Xi(tau, t) = F^{-1}(shift(tau) + F(t)) with
-F'(t) = 1/u_dot(t) and shift = log(1+eps*tau)/eps (or tau when eps = 0).
-In the s-coordinate F' = 1/(kappa1*alpha), so F is tabulated once on a
-fixed s-grid (anchored to 0 at the middle node: F diverges at both ends, so
-no endpoint anchor exists) and evaluated between nodes by local quadrature.
+Coordinates.  A table works in u = log(delta): delta = s from the s = 0 end,
+and delta = s* - s from the star end of a compact profile, which takes the
+half s > s*/2.  In u the integrand delta*rate is smooth up to the ends, the
+nodes are uniform (420 from delta = 1e-8, split between the halves of a
+compact profile), and a point near s* keeps the precision of its distance,
+which s itself cannot carry.
 
-t(s) and F(s) are two tables of one cumulative-integral type, cached on the
-profile; they differ in their rate and in the end models they carry.
+Quadrature.  Each interval between nodes is one 8-point Gauss-Legendre
+panel in u.  Its error is estimated by panel doubling, the rule on the
+panel against the rule on its two halves.  A panel that misses relative
+1e-14, above the rounding floor of its integrand (from the condition the
+alpha kernel reports), is bisected, which walks toward whichever end is
+singular; past a fixed depth ValueError is raised.  Panels are also cut
+where alpha changes evaluation route, so that none straddles the small step
+a route switch makes.  The prefix at a node is the sum of the panels below
+it, and a value between nodes is the prefix plus one panel from the node
+below; nothing is interpolated.  Past the nodes, t has the x = w^2 head at
+s = 0 and a closed-form sliver at a compact star end, and an open t table
+continues in u past its last node (s = 1e5); F continues in u past both
+collapsed ends, where it diverges like log(delta)/(2*kappa1).
+
+Inversion is safeguarded Newton in u over a whole batch of targets, with
+the exact derivative dG/du = +-delta*rate: a bracket of two nodes and a
+start from the cubic Hermite interpolant between them, a bisection
+whenever a step leaves the bracket, and a stop once the error left is
+below 1e-14 in u, a relative tolerance in delta.  t_of_s, s_of_t and
+flow_trajectory take arrays, and the flow composes its three maps in u.
 """
 
 from __future__ import annotations
@@ -28,23 +46,24 @@ from enum import Enum
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
+from kricci import profiles
 from kricci.profiles import Profile, sample
 
-_S_BISECT_TOL = 1.0e-12
-_F_BISECT_TOL = 1.0e-13
 _NODES = 420
-_S_MIN = 1.0e-8
+_D_MIN = 1.0e-8
 _S_MAX = 1.0e5
-
-
-def _quad(fn, a: float, b: float) -> float:
-    """Adaptive quadrature to relative tolerance 1e-11; an IntegrationWarning
-    from scipy is left to reach the caller."""
-    val, _ = quad(fn, a, b, epsabs=0.0, epsrel=1.0e-11, limit=200)
-    return val
+#: an open t table is inverted out to this s at most
+_S_REACH = 1.0e12
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+_PANEL_RTOL = 1.0e-14
+#: a rate's rounding error, in units of alpha's condition times 2^-52
+_FLOOR_ULPS = 4.0
+_MAX_DEPTH = 50
+#: failing panels at one depth beyond which the rule is given up
+_MAX_SPLITS = 4096
+_NEWTON_TOL = 1.0e-14
+_NEWTON_ITER = 100
 
 
 class CompletenessClass(str, Enum):
@@ -71,191 +90,411 @@ class CompletenessReport:
     note: str = ""
 
 
-def _alpha_at(profile: Profile, x: float) -> float:
-    a = sample(profile, x).alpha
-    if a <= 0.0:
-        raise ValueError(f"alpha({x}) = {a} <= 0 along the integration path")
-    return a
+def _as_input(like, values: np.ndarray):
+    """``values`` as a float when ``like`` was a scalar, else as an array."""
+    return float(values) if np.ndim(like) == 0 else values
 
 
-def _node_grid(profile: Profile) -> np.ndarray:
-    """Fixed s-nodes for cumulative tables: log-spaced from each collapsed end."""
-    hi = profile.s_domain[1]
-    if profile.is_compact:
-        hi = float(hi)
-        inner = np.geomspace(_S_MIN, 0.5 * hi, _NODES // 2)
-        outer = hi - np.geomspace(_S_MIN, 0.5 * hi, _NODES // 2)[::-1]
-        return np.unique(np.concatenate([inner, outer]))
-    return np.geomspace(_S_MIN, _S_MAX, _NODES)
+def _points(profile: Profile, side: np.ndarray, u: np.ndarray):
+    """s and s* - s at the table coordinates (side, u)."""
+    end = profile.s_domain[1]
+    delta = np.exp(u)
+    star = side == 1
+    return np.where(star, end - delta, delta), np.where(star, delta, end - delta)
+
+
+def _locate(profile: Profile, s: np.ndarray):
+    """The table coordinates (side, u) of the points s of the domain."""
+    end = profile.s_domain[1]
+    side = (s > 0.5 * end).astype(int)
+    delta = np.where(side == 1, np.maximum(end - s, 0.0), s)
+    return side, np.log(delta, out=np.full(delta.shape, -math.inf), where=delta > 0.0)
+
+
+def _rate(profile: Profile, power: float, factor: float):
+    """rate = factor * alpha^-power at (s, s* - s), with its relative
+    rounding floor; alpha must be positive."""
+    def rate(s, d):
+        a, cond = profiles.alpha_and_condition(profile, s, d)
+        bad = ~(a > 0.0)
+        if bad.any():
+            x = s[bad][0]
+            raise ValueError(f"alpha({x}) = {a[bad][0]} <= 0 along the integration path")
+        return factor * a ** -power, _FLOOR_ULPS * 2.0 ** -52 * power * cond
+    return rate
+
+
+def _integrate(q, side: np.ndarray, a: np.ndarray, b: np.ndarray, breaks=()):
+    """int_a^b q(side, x) dx for each entry, by 8-point Gauss-Legendre
+    panels, and q at each b, which the first evaluation takes along.
+
+    ``q`` returns the integrand and the relative rounding floor of its value;
+    the rounding of x adds to that floor.  A panel is first cut at the
+    ``breaks`` = (side, x) that lie inside it.  Its error is estimated by
+    doubling: a panel whose rule and halves differ by more than _PANEL_RTOL
+    of its value plus the rounding floor is bisected.  After _MAX_DEPTH
+    bisections, or with more than _MAX_SPLITS failing panels at one depth,
+    ValueError is raised.
+    """
+    shape = np.shape(a)
+    side, a, b = (np.ravel(x) for x in np.broadcast_arrays(side, a, b))
+    ends = (side, b)
+    at_ends = None
+    owner = np.arange(len(a))
+    total = np.zeros(len(a))
+    for cut_side, cut in breaks:
+        inside = (side == cut_side) & (np.minimum(a, b) < cut) & (cut < np.maximum(a, b))
+        if inside.any():
+            owner = np.concatenate([owner, owner[inside]])
+            side = np.concatenate([side, side[inside]])
+            b_inside = b[inside]
+            b = np.concatenate([np.where(inside, cut, b), b_inside])
+            a = np.concatenate([a, np.full(len(b_inside), cut)])
+    for _ in range(_MAX_DEPTH):
+        half = 0.5 * (b - a)
+        mid = a + half
+        centres = np.concatenate([mid, a + 0.5 * half, mid + 0.5 * half])
+        widths = np.concatenate([half, 0.5 * half, 0.5 * half])
+        x = centres[:, None] + widths[:, None] * _GL_X
+        points = np.repeat(np.tile(side, 3), len(_GL_X)), x.ravel()
+        if at_ends is None:
+            points = tuple(np.concatenate(pair) for pair in zip(points, ends))
+        f, floor = q(*points)
+        if at_ends is None:
+            at_ends, f, floor = f[x.size:].reshape(shape), f[:x.size], floor[:x.size]
+        f, floor = f.reshape(x.shape), floor.reshape(x.shape)
+        # rounding x moves the integrand by |d log f/dx| * ulp(x); the end
+        # nodes of the rule estimate that slope
+        first, last = np.abs(f[:, 0]), np.abs(f[:, -1])
+        ratio = np.divide(last, first, out=np.ones(len(f)), where=(first > 0.0) & (last > 0.0))
+        slope = np.abs(np.log(ratio)) / (np.abs(widths) * (_GL_X[-1] - _GL_X[0]) + 1e-300)
+        floor = floor + slope[:, None] * 2.0 ** -52 * np.abs(x)
+        sums = widths * (f @ _GL_W)
+        noise = np.abs(widths) * ((np.abs(f) * floor) @ _GL_W)
+        n = len(a)
+        coarse, fine = sums[:n], sums[n:2 * n] + sums[2 * n:]
+        slack = _PANEL_RTOL * np.abs(fine) + noise[:n] + noise[n:2 * n] + noise[2 * n:]
+        ok = np.abs(fine - coarse) <= slack
+        np.add.at(total, owner[ok], fine[ok])
+        if ok.all():
+            return total.reshape(shape), at_ends
+        bad = ~ok
+        if bad.sum() > _MAX_SPLITS:
+            break
+        owner, side = np.tile(owner[bad], 2), np.tile(side[bad], 2)
+        a, b = np.concatenate([a[bad], mid[bad]]), np.concatenate([mid[bad], b[bad]])
+    raise ValueError(f"quadrature on [{a[bad][0]}, {b[bad][0]}] missed its relative "
+                     f"tolerance {_PANEL_RTOL}")
+
+
+def _newton(residual, side: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            x: np.ndarray, curvature: np.ndarray) -> np.ndarray:
+    """The root in [lo, hi] of residual(side, x, entries) for each entry.
+
+    ``residual`` returns the value and its derivative, and changes sign in
+    the bracket.  Each step is Newton's, kept in the bracket of evaluated
+    points: a step that leaves it is a bisection.  An entry stops once its
+    step is at most _NEWTON_TOL, or once a Newton step d leaves an error of
+    at most _NEWTON_TOL, which is about curvature * d^2 / 2 with
+    ``curvature`` a bound on |residual'' / residual'| (1/_NEWTON_TOL makes
+    the two rules one).
+    """
+    x, lo, hi = x.copy(), lo.copy(), hi.copy()
+    live = np.arange(len(x))
+    for _ in range(_NEWTON_ITER):
+        if not live.size:
+            return x
+        xl = x[live]
+        g, dg = residual(side[live], xl, live)
+        past = (g > 0.0) == (dg > 0.0)
+        hi[live] = np.where(past, xl, hi[live])
+        lo[live] = np.where(past, lo[live], xl)
+        new = xl - np.divide(g, dg, out=np.full_like(g, math.inf), where=dg != 0.0)
+        outside = ~((new >= lo[live]) & (new <= hi[live]))
+        new[outside] = 0.5 * (lo[live] + hi[live])[outside]
+        x[live] = new
+        step = np.abs(new - xl)
+        settled = (step <= _NEWTON_TOL) | (g == 0.0) \
+            | (~outside & (0.5 * curvature[live] * step * step <= _NEWTON_TOL))
+        live = live[~settled]
+    raise ValueError(f"Newton inversion did not converge within {_NEWTON_ITER} steps")
 
 
 @dataclass(frozen=True)
 class _CumulativeIntegral:
-    """G(s) = int rate(x) dx, tabulated at fixed s-nodes: ``prefix[j]`` is G
-    at ``nodes[j]``, and between nodes G is the prefix plus one short
-    quadrature (exact by additivity of the integral).
+    """G(s) = int rate ds, tabulated in the coordinates (side, u) of the
+    module docstring.  ``integrand(side, u)`` is delta*rate with its
+    rounding floor; ``nodes`` are the u of the nodes, the same on each side;
+    ``prefix[side][j]`` is G at node j of that side, and the two sides of a
+    compact profile share their last node, s*/2; ``slopes`` holds dG/du
+    there.  ``breaks`` are the (side, u) where alpha changes route.
 
-    Beyond the nodes a table covers only what its end models cover: ``head``
-    is the integrand in w = sqrt(s) on [0, nodes[0]], where G(0) = 0;
-    without a head, G diverges at s = 0 and is the first prefix minus a
-    quadrature down from the first node; ``star`` = (s_star, G(s_star),
-    gamma) is the Taylor sliver at a compact end (see _arclength);
-    ``open_end`` continues the quadrature past the last node.  ``xtol`` is
-    the Brent tolerance of the inverse.
+    Past the nodes a table covers what its end models cover: ``head`` is
+    the integrand in w = sqrt(s) on [0, 1e-4], where G(0) = 0 (without it G
+    continues in u below the first node); ``sliver`` = (G(s*), gamma) is
+    the closed form of t within 1e-8 of s* (without it G continues in u
+    there too); ``open_end`` lets G continue in u past the last node of an
+    open profile.
     """
 
+    integrand: Callable
     nodes: np.ndarray
     prefix: np.ndarray
-    rate: Callable[[float], float]
-    xtol: float
-    head: Optional[Callable[[float], float]] = None
-    star: Optional[Tuple[float, float, float]] = None
+    slopes: np.ndarray
+    breaks: Tuple[Tuple[int, float], ...]
+    head: Optional[Callable] = None
+    sliver: Optional[Tuple[float, float]] = None
     open_end: bool = False
 
-    def value(self, s: float) -> float:
+    def value(self, side: np.ndarray, u: np.ndarray):
+        """G and dG/du at the points (side, u); u = -inf is s = 0 with a
+        head, or s* with a sliver."""
         nodes = self.nodes
-        if self.head is not None and s <= nodes[0]:
-            return _quad(self.head, 0.0, math.sqrt(s))
-        if 0.0 < s < nodes[0]:
-            return self.prefix[0] - _quad(self.rate, s, nodes[0])
-        if self.star is not None and s >= nodes[-1]:
-            s_star, total, gamma = self.star
-            delta = max(s_star - s, 0.0)
-            return total - math.sqrt(2.0 * delta) * (1.0 - gamma * delta / 6.0)
-        if self.open_end and s >= nodes[-1]:
-            return self.prefix[-1] + _quad(self.rate, nodes[-1], s)
-        if not (nodes[0] <= s <= nodes[-1]):
-            raise ValueError(
-                f"s = {s} outside the flow map's tabulated range "
-                f"[{nodes[0]}, {nodes[-1]}]"
-            )
-        j = min(max(int(np.searchsorted(nodes, s)) - 1, 0), len(nodes) - 2)
-        return self.prefix[j] + _quad(self.rate, nodes[j], float(s))
+        out = np.empty((2,) + u.shape)
+        below = u < nodes[0]
+        head = below & (side == 0) & (self.head is not None)
+        if head.any():
+            w = np.exp(0.5 * u[head])
+            out[0, head], at_w = _integrate(self.head, 0, np.zeros_like(w), w)
+            out[1, head] = 0.5 * w * at_w  # dG/du = dG/dw * w/2
+        sliver = below & (side == 1) & (self.sliver is not None)
+        if sliver.any():
+            total, gamma = self.sliver
+            delta = np.exp(u[sliver])
+            root = np.sqrt(2.0 * delta)
+            out[0, sliver] = total - root * (1.0 - gamma * delta / 6.0)
+            out[1, sliver] = -root * (0.5 - gamma * delta / 4.0)
+        beyond = (u > nodes[-1]) & (side == 0)
+        if beyond.any() and not self.open_end:
+            raise ValueError(f"s = {math.exp(u[beyond][0])} outside the flow map's "
+                             f"tabulated range [{_D_MIN}, {_S_MAX}]")
+        rest = ~(head | sliver)
+        side, u = side[rest], u[rest]
+        j = np.clip(np.searchsorted(nodes, u, side="right") - 1, 0, len(nodes) - 1)
+        sign = np.where(side == 1, -1.0, 1.0)
+        panel, at_u = _integrate(self.integrand, side, nodes[j], u, self.breaks)
+        out[0, rest] = self.prefix[side, j] + sign * panel
+        out[1, rest] = sign * at_u
+        return out
 
-    def invert(self, target: float, value: Callable[[float], float]) -> float:
-        """s with value(s) = target, by Brent iteration on ``value`` (the
-        public evaluation of this integral) in a bracket from the table."""
+    def invert(self, target: np.ndarray, what: str) -> Tuple[np.ndarray, np.ndarray]:
+        """The points (side, u) where G = target, for each target; ``what``
+        names G in error messages."""
         nodes, prefix = self.nodes, self.prefix
-        xtol = self.xtol
-        sign = 1.0 if prefix[-1] > prefix[0] else -1.0  # F falls if kappa1 < 0
-        if self.star is not None and target >= prefix[-1]:
-            s_star, total, gamma = self.star
-            if target > total + 1e-9:
-                raise ValueError(f"t = {target} beyond the end of the compact interval")
-            d = max(total - target, 0.0)
+        n, compact = len(nodes), len(prefix) > 1
+        # the node values in s order: up the zero side, then down the star side
+        ordered = np.concatenate([prefix[0], prefix[1][-2::-1]]) if compact else prefix[0]
+        sign = 1.0 if ordered[-1] > ordered[0] else -1.0  # F falls if kappa1 < 0
+        k = np.searchsorted(sign * ordered, sign * target)
+        side = ((k >= n) & compact).astype(int)
+        # the nodes a, b around each target in s order, and a start from the
+        # cubic Hermite interpolant of u(G) between them
+        a = np.where(side == 1, 2 * n - 1 - k, k - 1).clip(0, n - 1)
+        b = np.where(side == 1, 2 * n - 2 - k, k).clip(0, n - 1)
+        lo, hi = np.minimum(nodes[a], nodes[b]), np.maximum(nodes[a], nodes[b])
+        x, curvature = _hermite_start(nodes[a], nodes[b], prefix[side, a], prefix[side, b],
+                                      self.slopes[side, a], self.slopes[side, b], target)
+        u = np.empty(target.shape)
+        first, last = k == 0, k == len(ordered)
+        solve = np.ones(target.shape, dtype=bool)
+        if last.any() and self.sliver is not None:
+            # within 1e-8 of s*: invert the closed form of t
+            total, gamma = self.sliver
+            if target[last].max() > total + 1e-9:
+                raise ValueError(f"t = {target[last].max()} beyond the end of the compact interval")
+            d = np.maximum(total - target[last], 0.0)
             delta = 0.5 * d * d
             for _ in range(3):
                 delta = 0.5 * (d / (1.0 - gamma * delta / 6.0)) ** 2
-            return s_star - delta
-        if self.head is not None and target <= prefix[0]:
-            lo, hi = 0.0, float(nodes[0])
-        elif self.head is None and sign * (target - prefix[0]) < 0.0:
-            # G diverges at the s = 0 tip: halve the bracket toward it, and
-            # hold s to a relative tolerance there
-            lo, hi = 0.5 * float(nodes[0]), float(nodes[0])
-            while sign * (value(lo) - target) > 0.0:
-                lo, hi = 0.5 * lo, lo
-                if lo < 1.0e-300:
-                    raise ValueError(f"flow target F = {target} not reached above s = 0")
-            xtol *= hi
-        elif self.open_end and target >= prefix[-1]:
-            lo, hi = float(nodes[-1]), 2.0 * float(nodes[-1])
-            while value(hi) < target:
-                lo = hi
-                hi *= 2.0
-                if hi > 1.0e12:
-                    raise ValueError(f"t = {target} beyond the reachable range")
+            u[last] = np.log(delta, out=np.full(delta.shape, -math.inf), where=delta > 0.0)
+            solve = ~last
+        elif last.any() and not compact:
+            if not self.open_end:
+                lo_f, hi_f = sorted((ordered[0], ordered[-1]))
+                raise ValueError(f"{what} = {target[last][0]} outside the "
+                                 f"tabulated range [{lo_f}, {hi_f}]")
+            lo[last], hi[last], x[last] = nodes[-1], math.log(_S_REACH), nodes[-1]
+            curvature[last] = 1.0 / _NEWTON_TOL
+            reach = self.value(side[last], hi[last])[0]
+            if (sign * (reach - target[last]) < 0.0).any():
+                raise ValueError(f"{what} = {target[last].max()} beyond the reachable range")
+        # past a collapsed end G is linear in u with the end node's slope
+        # (t = sqrt(2 s) with a head), so one unit of u past that guess
+        # brackets the target
+        tail = first | (last & solve & compact)
+        if tail.any():
+            end_side = last[tail].astype(int)
+            ends = np.full(end_side.shape, nodes[0])
+            if self.head is not None:
+                guess = np.log(0.5 * target[tail] ** 2)
+            else:
+                g_end = np.where(end_side == 1, ordered[-1], ordered[0])
+                guess = ends + (target[tail] - g_end) / self.slopes[end_side, 0]
+            guess = np.minimum(guess, ends)
+            if guess.min() < math.log(1.0e-300) + 1.0:
+                where = "above s = 0" if end_side[np.argmin(guess)] == 0 else "below s_star"
+                raise ValueError(f"{what} = {target[tail][np.argmin(guess)]} not reached {where}")
+            side[tail], lo[tail], hi[tail], x[tail] = end_side, guess - 1.0, ends, guess
+            curvature[tail] = 1.0 / _NEWTON_TOL
+            miss = sign * (self.value(side[tail], lo[tail])[0] - target[tail])
+            if (np.where(end_side == 1, -miss, miss) > 0.0).any():
+                raise ValueError(f"{what} = {target[tail][0]} is not bracketed past the end node")
+
+        def residual(sd, xs, live):
+            g, dg = self.value(sd, xs)
+            return g - target[solve][live], dg
+
+        u[solve] = _newton(residual, side[solve], lo[solve], hi[solve], x[solve],
+                           curvature[solve])
+        return side, u
+
+
+def _hermite_start(u_a, u_b, g_a, g_b, slope_a, slope_b, target):
+    """A start for Newton in [u_a, u_b], from the cubic Hermite interpolant
+    of u(G) through the nodes (G = g, dG/du = slope at each), and a bound on
+    |G''/G'| there: four times the change of log G' across the panel.
+    Where a slope vanishes (alpha = inf) the start is linear and the bound
+    is 1/_NEWTON_TOL, which leaves Newton's plain stopping rule."""
+    h = g_b - g_a
+    tau = np.divide(target - g_a, h, out=np.full(h.shape, 0.5), where=h != 0.0)
+    smooth = slope_a * slope_b > 0.0
+    inv_a = np.divide(h, slope_a, out=np.zeros_like(h), where=smooth)
+    inv_b = np.divide(h, slope_b, out=np.zeros_like(h), where=smooth)
+    x = ((2.0 * tau - 3.0) * tau * tau + 1.0) * u_a + (3.0 - 2.0 * tau) * tau * tau * u_b \
+        + tau * (tau - 1.0) * ((tau - 1.0) * inv_a + tau * inv_b)
+    x = np.clip(x, np.minimum(u_a, u_b), np.maximum(u_a, u_b))
+    ratio = np.divide(slope_b, slope_a, out=np.ones_like(h), where=smooth)
+    curvature = np.where(smooth, 4.0 * np.abs(np.log(ratio)) / np.abs(u_b - u_a + 1e-300) + 1.0,
+                         1.0 / _NEWTON_TOL)
+    return x, curvature
+
+
+def _route_breaks(profile: Profile) -> Tuple[Tuple[int, float], ...]:
+    """The table coordinates of the points where alpha changes route."""
+    out = []
+    for end, delta in profiles.route_switches(profile):
+        if end == "star":
+            out.append((1, math.log(delta)))
         else:
-            fmin, fmax = sorted((prefix[0], prefix[-1]))
-            if not (fmin <= target <= fmax):
-                raise ValueError(
-                    f"flow target F = {target} outside the tabulated range "
-                    f"[{fmin}, {fmax}]"
-                )
-            j = int(np.searchsorted(sign * prefix, sign * target)) - 1
-            j = min(max(j, 0), len(nodes) - 2)
-            lo, hi = float(nodes[j]), float(nodes[j + 1])
-        return float(brentq(lambda x: value(x) - target, lo, hi,
-                            xtol=xtol, rtol=1.0e-15, maxiter=200))
+            side, u = _locate(profile, np.array([delta]))
+            if np.isfinite(u[0]):
+                out.append((int(side[0]), float(u[0])))
+    return tuple(out)
 
 
-def _accumulate(nodes: np.ndarray, rate, head=None) -> np.ndarray:
-    """The prefix values of a table.  Without a head model G has no finite
-    value at s = 0, so the table is anchored to 0 at its middle node."""
-    prefix = np.empty(len(nodes))
-    prefix[0] = 0.0 if head is None else _quad(head, 0.0, math.sqrt(nodes[0]))
-    for j in range(len(nodes) - 1):
-        prefix[j + 1] = prefix[j] + _quad(rate, nodes[j], nodes[j + 1])
-    if head is None:
-        prefix -= prefix[len(prefix) // 2]
-    return prefix
+def _table(profile: Profile, power: float, factor: float, head: bool) -> _CumulativeIntegral:
+    """The table of G = int factor * alpha^-power ds.  With ``head``, G(0) =
+    0 (and a compact table gets the star sliver); without it G is anchored
+    to 0 at its middle node."""
+    end = profile.s_domain[1]
+    sides = 2 if profile.is_compact else 1
+    top = 0.5 * end if profile.is_compact else _S_MAX
+    nodes = np.linspace(math.log(_D_MIN), math.log(top), _NODES // sides)
+    rate = _rate(profile, power, factor)
+
+    def integrand(side, u):
+        f, floor = rate(*_points(profile, side, u))
+        return np.exp(u) * f, floor
+
+    def head_integrand(side, w):
+        f, floor = rate(w * w, end - w * w)
+        return 2.0 * w * f, floor
+
+    breaks = _route_breaks(profile)
+    side = np.repeat(np.arange(sides), len(nodes) - 1)
+    panels, at_nodes = _integrate(integrand, side, np.tile(nodes[:-1], sides),
+                                  np.tile(nodes[1:], sides), breaks)
+    panels = panels.reshape(sides, -1)
+    at_first = integrand(np.arange(sides), np.full(sides, nodes[0]))[0]
+    slopes = np.column_stack([at_first, at_nodes.reshape(sides, -1)])
+    slopes[1:] *= -1.0  # s falls as u rises on the star side
+    start = 0.0
+    if head:
+        w0 = math.exp(0.5 * nodes[0])
+        start = float(_integrate(head_integrand, 0, np.zeros(1), np.array([w0]))[0][0])
+    prefix = [np.cumsum(np.concatenate([[start], panels[0]]))]
+    if sides == 2:
+        # toward s*, G grows by each star-side panel from the shared node s*/2
+        prefix.append(np.cumsum(np.concatenate([[prefix[0][-1]], panels[1][::-1]]))[::-1])
+    prefix = np.array(prefix)
+    sliver = None
+    if not head:
+        ordered = np.concatenate([prefix[0], prefix[1][-2::-1]]) if sides == 2 else prefix[0]
+        prefix -= ordered[len(ordered) // 2]
+    elif sides == 2:
+        # alpha = 2*delta*(1 + gamma*delta) within 1e-8 of s*, whose arclength
+        # sqrt(2*delta)*(1 - gamma*delta/6) is exact to O(delta^2) ~ 1e-16;
+        # gamma is measured once at delta = 1e-3
+        probe = 1.0e-3
+        gamma = (float(profiles.alpha(profile, end - probe, probe)) / (2.0 * probe) - 1.0) / probe
+        d0 = math.exp(nodes[0])
+        sliver = (prefix[1][0] + math.sqrt(2.0 * d0) * (1.0 - gamma * d0 / 6.0), gamma)
+    return _CumulativeIntegral(integrand, nodes, prefix, slopes, breaks,
+                               head=head_integrand if head else None, sliver=sliver,
+                               open_end=head and sides == 1)
 
 
 def _arclength(profile: Profile) -> _CumulativeIntegral:
-    """The geodesic distance table of the profile, built on first use.
-
-    The x = w^2 head handles the 1/sqrt(alpha) singularity at s = 0.
-
-    At a compact star end alpha is the star series, which vanishes exactly
-    at s_star with slope -2, so 1/sqrt(alpha) has the same 1/sqrt(2*delta)
-    singularity as at s = 0.  The table stops 1e-8 short of s_star and
-    covers the remainder with the Taylor model
-    alpha = 2*delta*(1 + gamma*delta), whose arclength is
-    sqrt(2*delta)*(1 - gamma*delta/6); gamma is measured once at
-    delta = 1e-3.  The model error within the sliver is O(delta^2) ~ 1e-16
-    relative, far below the quadrature tolerance.
-    """
+    """The geodesic distance table of the profile, built on first use: rate
+    1/sqrt(alpha), with the x = w^2 head at s = 0 and, at a compact star
+    end, the Taylor sliver alpha = 2*delta*(1 + gamma*delta) (see _table)."""
     table = profile._integrals.get("t")
-    if table is not None:
-        return table
-
-    def rate(x: float) -> float:
-        return 1.0 / math.sqrt(_alpha_at(profile, x))
-
-    def head(w: float) -> float:
-        return 2.0 * w / math.sqrt(_alpha_at(profile, w * w))
-
-    nodes = _node_grid(profile)
-    prefix = _accumulate(nodes, rate, head)
-    star = None
-    if profile.is_compact:
-        s_star = float(profile.s_domain[1])
-        probe = 1.0e-3
-        gamma = (_alpha_at(profile, s_star - probe) / (2.0 * probe) - 1.0) / probe
-        d_last = s_star - float(nodes[-1])
-        total = prefix[-1] + math.sqrt(2.0 * d_last) * (1.0 - gamma * d_last / 6.0)
-        star = (s_star, total, gamma)
-    table = _CumulativeIntegral(nodes, prefix, rate, _S_BISECT_TOL, head=head,
-                                star=star, open_end=star is None)
-    profile._integrals["t"] = table
+    if table is None:
+        table = profile._integrals["t"] = _table(profile, 0.5, 1.0, head=True)
     return table
 
 
-def t_of_s(profile: Profile, s: float) -> float:
-    """Geodesic distance from the s = 0 end, with relative tolerance ~1e-10."""
-    s = float(s)
-    hi = profile.s_domain[1]
-    if s < -1e-15 or s > float(hi) + 1e-12:
-        raise ValueError(f"s = {s} outside the profile domain")
-    if s <= 0.0:
-        return 0.0
-    return _arclength(profile).value(s)
-
-
-def s_of_t(profile: Profile, t: float) -> float:
-    """Invert the geodesic distance (to ~1e-12 in s).
-
-    Bracketed monotone root-finding on the quadrature itself: the cumulative
-    node table supplies the initial bracket (never an interpolated value),
-    and Brent iteration refines it.  Inside the star sliver of a compact
-    profile the distance is the closed Taylor model, inverted directly.
-    """
-    t = float(t)
-    if t < 0:
+def _t_points(profile: Profile, t: np.ndarray):
+    """The table coordinates of the points at geodesic distance t."""
+    if (t < 0.0).any():
         raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    return _arclength(profile).invert(t, lambda x: t_of_s(profile, x))
+    side = np.zeros(t.shape, dtype=int)
+    u = np.full(t.shape, -math.inf)
+    moving = t > 0.0
+    if moving.any():
+        side[moving], u[moving] = _arclength(profile).invert(t[moving], "t")
+    return side, u
+
+
+def _t_values(profile: Profile, side: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """t at the table coordinates (side, u)."""
+    out = np.zeros(u.shape)
+    away = (side == 1) | (u > -math.inf)
+    if away.any():
+        out[away] = _arclength(profile).value(side[away], u[away])[0]
+    return out
+
+
+def t_of_s(profile: Profile, s):
+    """Geodesic distance from the s = 0 end, for a float or an array of s.
+
+    Each panel is held to relative 1e-14 above the rounding floor of alpha,
+    so t is good to ~1e-14 relative where alpha is well conditioned, and to
+    the floor (~1e-12) where its route cancels.
+    """
+    s_arr = np.asarray(s, dtype=float)
+    hi = profile.s_domain[1]
+    bad = (s_arr < -1e-15) | (s_arr > float(hi) + 1e-12)
+    if bad.any():
+        raise ValueError(f"s = {s_arr[bad].flat[0]} outside the profile domain")
+    flat = s_arr.reshape(-1)
+    return _as_input(s, _t_values(profile, *_locate(profile, flat)).reshape(s_arr.shape))
+
+
+def s_of_t(profile: Profile, t):
+    """Invert the geodesic distance, for a float or an array of t.
+
+    Safeguarded Newton in u = log(delta) on t itself, from a bracket of
+    table nodes (never an interpolated value), to relative 1e-14 in delta =
+    s, or s* - s on the star half of a compact profile.  Inside the star
+    sliver of a compact profile the distance is the closed Taylor model,
+    inverted directly.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    flat = t_arr.reshape(-1)
+    side, u = _t_points(profile, flat)
+    s, _ = _points(profile, side, u)
+    return _as_input(t, s.reshape(t_arr.shape))
 
 
 def metric_functions(profile: Profile, t_grid: Sequence[float]) -> MetricFunctions:
@@ -265,11 +504,9 @@ def metric_functions(profile: Profile, t_grid: Sequence[float]) -> MetricFunctio
     f = np.empty(len(t_arr))
     u = np.empty(len(t_arr))
     g = np.empty((r, len(t_arr)))
-    s_vals = np.empty(len(t_arr))
-    for j, t in enumerate(t_arr):
-        s = s_of_t(profile, t)
-        smp = sample(profile, s)
-        s_vals[j] = s
+    s_vals = s_of_t(profile, t_arr)
+    for j, s in enumerate(s_vals):
+        smp = sample(profile, float(s))
         f[j] = math.sqrt(max(smp.alpha, 0.0))
         u[j] = smp.phi
         for i, b in enumerate(smp.beta):
@@ -386,37 +623,34 @@ def completeness_report(profile: Profile) -> CompletenessReport:
 def _flow_potential(profile: Profile) -> _CumulativeIntegral:
     """The table of F(s), F' = 1/(kappa1*alpha), built on first use."""
     table = profile._integrals.get("F")
-    if table is not None:
-        return table
-    k1 = profile.kappa1
-    if k1 == 0.0:
-        raise ValueError("the flow map needs kappa1 != 0 (otherwise Xi = t)")
-
-    def rate(x: float) -> float:
-        return 1.0 / (k1 * _alpha_at(profile, x))
-
-    nodes = _node_grid(profile)
-    table = _CumulativeIntegral(nodes, _accumulate(nodes, rate), rate, _F_BISECT_TOL)
-    profile._integrals["F"] = table
+    if table is None:
+        if profile.kappa1 == 0.0:
+            raise ValueError("the flow map needs kappa1 != 0 (otherwise Xi = t)")
+        table = profile._integrals["F"] = _table(profile, 1.0, 1.0 / profile.kappa1, head=False)
     return table
 
 
-def potential_rate(profile: Profile, t: float) -> float:
-    """u_dot(t) = sqrt(alpha) * kappa1 at the point a geodesic reaches at t."""
-    s = s_of_t(profile, t)
-    return math.sqrt(sample(profile, s).alpha) * profile.kappa1
+def potential_rate(profile: Profile, t):
+    """u_dot(t) = sqrt(alpha) * kappa1 at the point a geodesic reaches at t,
+    for a float or an array of t."""
+    t_arr = np.asarray(t, dtype=float)
+    s, d = _points(profile, *_t_points(profile, t_arr.reshape(-1)))
+    rate = np.sqrt(profiles.alpha(profile, s, d)) * profile.kappa1
+    return _as_input(t, rate.reshape(t_arr.shape))
 
 
-def flow_trajectory(profile: Profile, tau: float, t: float) -> float:
+def flow_trajectory(profile: Profile, tau: float, t):
     """Xi(tau, t): where the self-similarity diffeomorphism at flow time tau
-    moves the point at geodesic distance t.
+    moves the point at geodesic distance t, for a float or an array of t.
 
     For eps != 0 the flow exists for 1 + eps*tau > 0 (expanding: tau >
     -1/eps; shrinking: tau < 1/|eps|); tau = 0 is the identity.  kappa1 = 0
-    means a constant potential: the flow fixes every point and Xi = t.
+    means a constant potential: the flow fixes every point and Xi = t.  The
+    maps t -> s -> F -> s -> t are composed in the table coordinates, so a
+    point near s* keeps its precision.
     """
     tau = float(tau)
-    t = float(t)
+    t_arr = np.asarray(t, dtype=float)
     eps = float(profile.config.epsilon)
     if eps != 0.0:
         arg = 1.0 + eps * tau
@@ -425,10 +659,14 @@ def flow_trajectory(profile: Profile, tau: float, t: float) -> float:
         shift = math.log(arg) / eps
     else:
         shift = tau
-    if profile.kappa1 == 0.0 or t == 0.0:
-        return t  # the s = 0 tip is a fixed point of every flow
-    flow = _flow_potential(profile)
-    s_here = s_of_t(profile, t)
-    target = flow.value(s_here) + shift
-    s_there = flow.invert(target, flow.value)
-    return t_of_s(profile, s_there)
+    flat = t_arr.reshape(-1)
+    out = flat.copy()
+    if profile.kappa1 != 0.0:
+        side, u = _t_points(profile, flat)
+        # the s = 0 tip and the star end s* are fixed points of every flow
+        moving = u > -math.inf
+        if moving.any():
+            flow = _flow_potential(profile)
+            target = flow.value(side[moving], u[moving])[0] + shift
+            out[moving] = _t_values(profile, *flow.invert(target, "flow target F"))
+    return _as_input(t, out.reshape(t_arr.shape))

@@ -33,7 +33,7 @@ RationalPoly = list  # list[Fraction], ascending degree, trailing zeros trimmed
 _RationalLike = Union[int, str, Fraction]
 
 # Terms below this relative size no longer move a double-precision sum.
-_SERIES_EPS = 1e-18
+SERIES_EPS = 1e-18
 _MAX_SERIES_TERMS = 10_000
 
 
@@ -218,7 +218,7 @@ def moment(m: int, kappa: float, upper: float) -> float:
             total += term
             if math.isinf(total):
                 return math.inf
-            if term < _SERIES_EPS * total and j > -z:
+            if term < SERIES_EPS * total and j > -z:
                 break
         return _pow_or_inf(L, m + 1) * total if not math.isinf(total) else math.inf
     if z >= m + 25:
@@ -243,7 +243,7 @@ def moment(m: int, kappa: float, upper: float) -> float:
     for j in range(1, _MAX_SERIES_TERMS):
         t *= z / (m + 1 + j)
         total += t
-        if t < _SERIES_EPS * total:
+        if t < SERIES_EPS * total:
             break
     try:
         front = math.exp(-z) / (m + 1) * _pow_or_inf(L, m + 1)

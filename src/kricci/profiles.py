@@ -42,14 +42,22 @@ v does not vanish) and J carries the root's residual; the star series builds
 the vanishing in exactly.  It serves for s_star - s <= rho/30, capped at
 s_star/2, where rho, the series' radius of convergence, is the distance from
 s_star to the nearest other zero of v (Profile.star_window).
+
+sample() evaluates one point with its derivatives; alpha() and
+alpha_and_condition() evaluate a whole array by the same routes, and the
+latter also reports each value's condition, which bounds its rounding
+where a route cancels (the geometry tables use it as their noise floor).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from kricci import polyexp
 from kricci.model import SolitonConfig, validate
@@ -64,6 +72,8 @@ _MOMENT_Z_GENERAL = 30.0
 _EXP_OVERFLOW = 709.0
 _SNAP_REL = 1e-9
 _SERIES_TERMS = 14
+#: terms the array moment series adds at once, between convergence checks
+_SERIES_BLOCK = 8
 _SINGULAR_STAR = ("alpha is singular at s_star: the existence integral does not "
                   "vanish at this kappa1")
 
@@ -127,6 +137,9 @@ class Profile:
     cache (``None`` records a singular star end) and the geometry module's
     t and F tables in ``_integrals``.  ``star_window`` is the distance from
     s_star within which alpha comes from the star series (0.0 when open).
+    The float copies of the sigmas, the beta slopes -q_i, eps and E_eff,
+    and ``taylor_table`` (``taylor`` zero-padded to a matrix) are what
+    sample() and alpha() read, so neither converts a Fraction per call.
     """
 
     config: SolitonConfig
@@ -136,7 +149,7 @@ class Profile:
     E_eff: Fraction
     kappa1: float
     kappa0: float
-    psi_antideriv: list
+    psi_antideriv: Tuple[float, ...]
     taylor: Tuple[Tuple[float, ...], ...]   # Psi^(m)/m! as float coeffs
     p_alpha: Optional[Tuple[float, ...]]
     t0: float
@@ -146,6 +159,11 @@ class Profile:
     dv_float: Tuple[float, ...]
     d2v_float: Tuple[float, ...]
     star_window: float
+    sigma_float: Tuple[float, ...]
+    dbeta_float: Tuple[float, ...]
+    eps_float: float
+    e_eff_float: float
+    taylor_table: np.ndarray = field(repr=False, compare=False)
     _series: Dict[str, Optional[Tuple[float, ...]]] = field(default_factory=dict, repr=False)
     _integrals: Dict[str, Any] = field(default_factory=dict, repr=False, compare=False)
 
@@ -248,7 +266,7 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
         E_eff=e_eff,
         kappa1=k1,
         kappa0=float(config.kappa0),
-        psi_antideriv=polyexp.poly_antiderivative(psi_poly),
+        psi_antideriv=tuple(float(c) for c in polyexp.poly_antiderivative(psi_poly)),
         taylor=tuple(taylor),
         p_alpha=p_alpha,
         t0=t0,
@@ -258,6 +276,11 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
         dv_float=tuple(float(c) for c in dv_poly),
         d2v_float=tuple(float(c) for c in polyexp.poly_derivative(dv_poly)),
         star_window=star_window,
+        sigma_float=tuple(float(sig) for sig in config.sigmas),
+        dbeta_float=tuple(float(-fac.q) for fac in config.factors),
+        eps_float=float(config.epsilon),
+        e_eff_float=float(e_eff),
+        taylor_table=np.array([row + (0.0,) * (len(taylor[0]) - len(row)) for row in taylor]),
     )
 
 
@@ -265,7 +288,7 @@ def _eval_J(profile: Profile, s: float) -> float:
     """J(s) = v(s)*alpha(s) through the route table in the module docstring."""
     k = profile.kappa1
     if k == 0.0:
-        return polyexp.poly_eval(profile.psi_antideriv, float(s))
+        return _fhorner(profile.psi_antideriv, s)
     z = abs(k) * s
     threshold = _MOMENT_Z_SNAPPED if profile.t0_snapped else _MOMENT_Z_GENERAL
     if z <= threshold:
@@ -283,6 +306,186 @@ def _eval_J(profile: Profile, s: float) -> float:
     if zz > _EXP_OVERFLOW:
         return math.inf if profile.t0 > 0 else -math.inf
     return pa + math.exp(zz) * profile.t0
+
+
+def _abs_horner(coeffs: Sequence[float], x):
+    """Horner on |coefficients| at |x|: the scale of the terms Horner sums,
+    which bounds its rounding error."""
+    return _fhorner([abs(c) for c in coeffs], np.abs(x))
+
+
+def _ratio(scale: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """scale / |value|: inf where value is 0, and 0 where it is infinite
+    (alpha = inf makes every rate exactly 0)."""
+    out = np.divide(scale, np.abs(value), out=np.zeros_like(scale),
+                    where=(value != 0.0) & np.isfinite(value))
+    out[value == 0.0] = math.inf
+    return out
+
+
+def _moment_sum(profile: Profile, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """J on the moment route at every point of ``x``, as in _eval_J, with
+    the moments summed over an (m, x) array by the series polyexp.moment
+    uses: the all-positive one for kappa1 > 0, the Kummer one for
+    kappa1 < 0.  Also returns sum_m |Psi^(m)/m!| M_m, the size of the terms
+    that cancel in J.
+
+    A column's series runs longer the larger |kappa1| x, so the columns are
+    sorted by it and each leaves the sum once its term has passed its peak
+    and is below the series tolerance in every row.  Terms are added in
+    blocks, each a cumulative product of the term ratios.
+    """
+    k = profile.kappa1
+    table = profile.taylor_table
+    rows = np.arange(table.shape[0])[:, None]
+    order = np.argsort(x)
+    xs = x[order]
+    z = abs(k) * xs
+    if k > 0.0:
+        w = np.ones_like(z)
+        total = np.repeat(1.0 / (rows + 1.0), len(z), axis=1)
+    else:
+        term = np.ones((len(rows), len(z)))
+        total = term.copy()
+    start, j = 0, 0
+    block = np.arange(1, _SERIES_BLOCK + 1)[:, None, None]
+    while start < len(z):
+        live = slice(start, None)
+        zl = z[live]
+        js = j + block  # the next terms, j + 1 .. j + _SERIES_BLOCK
+        if k > 0.0:
+            ws = w[live] * np.cumprod(zl / js[:, 0], axis=0)
+            terms = ws[:, None, :] / (rows + js + 1)
+            w[live] = ws[-1]
+        else:
+            terms = term[:, live] * np.cumprod(zl / (rows + 1 + js), axis=0)
+            term[:, live] = terms[-1]
+        total[:, live] += terms.sum(axis=0)
+        j += _SERIES_BLOCK
+        done = (j > zl) & (terms[-1] < polyexp.SERIES_EPS * total[:, live]).all(axis=0)
+        start += len(done) if done.all() else int(done.argmin())
+    moments = total * xs ** (rows + 1)
+    if k < 0.0:
+        moments *= np.exp(-z) / (rows + 1)
+    coeffs = np.zeros(moments.shape)
+    scale = np.zeros(moments.shape)
+    for col in range(table.shape[1] - 1, -1, -1):
+        coeffs = coeffs * xs + table[:, col:col + 1]
+        scale = scale * xs + np.abs(table[:, col:col + 1])
+    coeffs[1::2] *= -1.0
+    out = np.empty((2, len(xs)))
+    out[0, order] = np.sum(coeffs * moments, axis=0)
+    out[1, order] = np.sum(scale * moments, axis=0)
+    return out[0], out[1]
+
+
+def _exp_cap(t0: float) -> float:
+    """The largest kappa1*s at which the split route's e^{kappa1 s} T0 is
+    evaluated: _EXP_OVERFLOW, or less where the product would overflow."""
+    return min(_EXP_OVERFLOW, math.log(sys.float_info.max / abs(t0)) - 1e-9)
+
+
+def _eval_J_array(profile: Profile, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """J at every point of ``x`` by the routes of _eval_J, and the size of
+    the terms summed for it.  Where _eval_J returns +-inf for the split
+    route's exponent, or e^{kappa1 s} T0 would overflow, the exponent is
+    capped and the value is +-inf."""
+    k = profile.kappa1
+    if k == 0.0:
+        return _fhorner(profile.psi_antideriv, x), _abs_horner(profile.psi_antideriv, x)
+    threshold = _MOMENT_Z_SNAPPED if profile.t0_snapped else _MOMENT_Z_GENERAL
+    moment = abs(k) * x <= threshold
+    out = np.empty((2, len(x)))
+    out[:, moment] = _moment_sum(profile, x[moment])
+    xs = x[~moment]
+    pa = _fhorner(profile.p_alpha, xs)
+    scale = _abs_horner(profile.p_alpha, xs)
+    if profile.t0 != 0.0:
+        zz = k * xs
+        cap = _exp_cap(profile.t0)
+        grown = np.exp(np.minimum(zz, cap)) * profile.t0
+        pa = np.where(zz > cap, math.copysign(math.inf, profile.t0), pa + grown)
+        scale = scale + np.abs(grown)
+    out[0, ~moment] = pa
+    out[1, ~moment] = scale
+    return out[0], out[1]
+
+
+def alpha_and_condition(profile: Profile, s, delta=None) -> Tuple[np.ndarray, np.ndarray]:
+    """alpha at every point of the array ``s``, with its condition: the
+    size of the terms summed for it over |alpha|, so that its rounding
+    error is a small multiple of condition * 2^-52 * |alpha|.
+
+    The routes, thresholds and windows are those of sample(), chosen by
+    mask: the zero series within SERIES_WINDOW, the star series within
+    ``star_window``, and J/v by the routes of _eval_J elsewhere.  Only the
+    moment route sums differently (see _moment_sum), so the two agree to
+    rounding.  sample() stays the evaluation of a single point, where an
+    array call costs more than it saves.
+
+    ``delta``, when given, is s_star - s to full relative precision, which
+    s itself cannot carry within a few ulps of s_star; the star series
+    reads it in place of s_star - s.
+    """
+    s = np.asarray(s, dtype=float)
+    lo, hi = profile.s_domain
+    outside = (s < lo - 1e-12) | (s > hi + 1e-12)
+    if outside.any():
+        raise ValueError(f"s = {s[outside].flat[0]} is outside the profile domain [{lo}, {hi}]")
+    out = np.empty(s.shape)
+    cond = np.empty(s.shape)
+    rest = np.ones(s.shape, dtype=bool)
+    if profile.zero_order > 0:
+        near = s <= SERIES_WINDOW
+        if near.any():
+            series = _series_coeffs(profile, "zero")
+            out[near] = _fhorner(series, s[near])
+            cond[near] = _ratio(_abs_horner(series, s[near]), out[near])
+            rest = ~near
+    dist = hi - s if delta is None else np.broadcast_to(delta, s.shape)
+    near = rest & (dist <= profile.star_window)
+    if near.any():
+        try:
+            series = _series_coeffs(profile, "star")
+        except ValueError:
+            pass  # genuinely singular end; J/v, as in sample()
+        else:
+            out[near] = _fhorner(series, dist[near])
+            cond[near] = _ratio(_abs_horner(series, dist[near]), out[near])
+            rest &= ~near
+    x = s[rest]
+    J, j_scale = _eval_J_array(profile, x)
+    v = _fhorner(profile.v_float, x)
+    ratio = np.divide(J, v, out=np.zeros_like(J), where=v != 0.0)
+    out[rest] = np.where((v == 0.0) & (J != 0.0), np.copysign(math.inf, J), ratio)
+    cond[rest] = _ratio(j_scale, J) + _ratio(_abs_horner(profile.v_float, x), v)
+    return out, cond
+
+
+def alpha(profile: Profile, s, delta=None) -> np.ndarray:
+    """alpha at every point of the array ``s``; see alpha_and_condition."""
+    return alpha_and_condition(profile, s, delta)[0]
+
+
+def route_switches(profile: Profile) -> List[Tuple[str, float]]:
+    """Where the evaluation of alpha changes route, as (end, distance from
+    that end): J/v between its moment and split routes at |kappa1| s = 10
+    or 30, the split route's e^{kappa1 s} T0 to +-inf where it overflows,
+    the zero series at SERIES_WINDOW, and the star series at the edge of
+    the star window.  alpha may step there by its rounding, to infinity, or
+    at a star end by the footprint of the root's residual."""
+    out = []
+    k = profile.kappa1
+    if k != 0.0:
+        threshold = _MOMENT_Z_SNAPPED if profile.t0_snapped else _MOMENT_Z_GENERAL
+        out.append(("zero", threshold / abs(k)))
+        if k > 0.0 and profile.t0 != 0.0:
+            out.append(("zero", _exp_cap(profile.t0) / k))
+    if profile.zero_order > 0:
+        out.append(("zero", SERIES_WINDOW))
+    if profile.star_window > 0.0:
+        out.append(("star", profile.star_window))
+    return out
 
 
 def _series_coeffs(profile: Profile, end: str) -> Tuple[float, ...]:
@@ -384,12 +587,8 @@ def sample(profile: Profile, s: float) -> ProfileSample:
         raise ValueError(f"s = {s} is outside the profile domain [{lo}, {hi}]")
 
     cfg = profile.config
-    beta = []
-    dbeta = []
-    for fac, sig in zip(cfg.factors, cfg.sigmas):
-        mq = float(-fac.q)
-        beta.append(mq * (s + float(sig)))
-        dbeta.append(mq)
+    dbeta = profile.dbeta_float
+    beta = [mq * (s + sig) for mq, sig in zip(dbeta, profile.sigma_float)]
 
     v_val = _fhorner(profile.v_float, s)
     dv_val = _fhorner(profile.dv_float, s)
@@ -424,8 +623,8 @@ def sample(profile: Profile, s: float) -> ProfileSample:
             d2alpha = math.nan
         else:
             alpha = J / v_val
-            eps_f = float(cfg.epsilon)
-            e_f = float(profile.E_eff)
+            eps_f = profile.eps_float
+            e_f = profile.e_eff_float
             k1 = profile.kappa1
             lv1 = 0.0
             lv2 = 0.0
@@ -444,7 +643,7 @@ def sample(profile: Profile, s: float) -> ProfileSample:
         dalpha=dalpha,
         d2alpha=d2alpha,
         beta=tuple(beta),
-        dbeta=tuple(dbeta),
+        dbeta=dbeta,
         v=v_val,
         dv=dv_val,
         d2v=d2v_val,

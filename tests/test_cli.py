@@ -250,3 +250,15 @@ def test_module_runs_as_a_script(tmp_path):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["validation"]["admissible"] is True
+
+
+def test_import_leaves_scipy_out():
+    """numpy is the only run-time dependency: a fresh import of the CLI,
+    and with it every kricci module, loads no scipy."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    code = "import sys, kricci.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

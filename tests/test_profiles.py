@@ -19,7 +19,15 @@ import pytest
 
 from kricci import acceptance as acc
 from kricci import polyexp
-from kricci.profiles import alpha_series_at_collapse, build_profile, sample
+from kricci.profiles import (
+    SERIES_WINDOW,
+    alpha,
+    alpha_and_condition,
+    alpha_series_at_collapse,
+    build_profile,
+    route_switches,
+    sample,
+)
 
 S_POINTS = (1e-3, 0.5, 2.0, 5.0, 50.0, 500.0, 5000.0)
 
@@ -195,14 +203,77 @@ def test_compact_alpha_vanishes_at_both_ends(mixed_profile):
 
 
 def test_sample_derivatives_match_finite_differences(steady_profile, mixed_profile):
-    h = 1e-5
-    for prof, pts in ((steady_profile, (0.5, 3.0, 20.0)), (mixed_profile, (0.5, 2.0, 3.5))):
+    """5-point stencils at h = 1e-3: truncation O(h^4) ~ 1e-12, and the
+    ~3e-14 rounding of alpha = J/v grows by 1/h^2 to ~1e-7 in the second
+    difference.  The mixed-charge shrinker is also rebuilt at the last
+    digits of two other roots, the frozen true one among them, where an
+    h = 1e-5 second difference missed 1e-4."""
+    cases = [(steady_profile, (0.5, 3.0, 20.0)), (mixed_profile, (0.5, 2.0, 3.5))]
+    for kappa1 in (0.39368379919727464, 0.3936837991972745):
+        cases.append((build_profile(acc.compact_mixed_charges(kappa1)), (0.5, 2.0, 3.5)))
+    h = 1e-3
+    for prof, pts in cases:
         for s in pts:
-            up, dn, mid = sample(prof, s + h), sample(prof, s - h), sample(prof, s)
-            fd1 = (up.alpha - dn.alpha) / (2.0 * h)
-            fd2 = (up.alpha - 2.0 * mid.alpha + dn.alpha) / (h * h)
-            assert mid.dalpha == pytest.approx(fd1, rel=1e-7, abs=1e-7)
-            assert mid.d2alpha == pytest.approx(fd2, rel=1e-4, abs=1e-4)
+            a = [sample(prof, s + j * h).alpha for j in (-2, -1, 0, 1, 2)]
+            fd1 = (a[0] - 8.0 * a[1] + 8.0 * a[3] - a[4]) / (12.0 * h)
+            fd2 = (-a[0] + 16.0 * a[1] - 30.0 * a[2] + 16.0 * a[3] - a[4]) / (12.0 * h * h)
+            mid = sample(prof, s)
+            assert mid.dalpha == pytest.approx(fd1, rel=1e-9, abs=1e-9)
+            assert mid.d2alpha == pytest.approx(fd2, rel=1e-6, abs=1e-6)
+
+
+def _route_probe_points(prof):
+    """Points on every side of every route switch of the profile, and a
+    spread over the domain."""
+    hi = prof.s_domain[1]
+    pts = list(np.geomspace(1e-8, 0.999 * hi if math.isfinite(hi) else 1e5, 60))
+    for end, dist in route_switches(prof):
+        edge = dist if end == "zero" else hi - dist
+        below = edge
+        for _ in range(3):
+            below = math.nextafter(below, -math.inf)
+        pts += [below, edge, math.nextafter(edge, math.inf), 0.9 * edge, 1.1 * edge]
+    return np.array([x for x in pts if 0.0 < x < hi])
+
+
+@pytest.mark.parametrize("fixture", [
+    "steady_profile", "expanding_profile", "noncompact_profile", "mixed_profile",
+    "two_blowdowns_profile", "flat_profile", "cigar_profile"])
+def test_alpha_kernel_matches_sample_on_every_route(request, fixture):
+    """The array kernel takes sample()'s route at every point, the moment
+    route summed in another order: the two agree to the kernel's own
+    rounding floor, its condition times a few ulps, and to 1e-14 where the
+    route does not cancel.  Switch points: |kappa1| s = 10 (snapped) or 30,
+    SERIES_WINDOW at a zero end where v vanishes, the star-window edge."""
+    prof = request.getfixturevalue(fixture)
+    s = _route_probe_points(prof)
+    values, cond = alpha_and_condition(prof, s)
+    assert np.array_equal(values, alpha(prof, s))
+    for x, a, c in zip(s, values, cond):
+        ref = sample(prof, float(x)).alpha
+        assert a == pytest.approx(ref, rel=1e-14 + 8.0 * c * 2.0 ** -52, abs=1e-300)
+    if prof.zero_order:
+        assert any(d == SERIES_WINDOW for _, d in route_switches(prof))
+
+
+def test_alpha_kernel_on_other_routes():
+    """kappa1 > 0 without a calibrated tail (the split route with
+    e^{kappa1 s} T0 up to overflow), and an uncalibrated compact profile,
+    whose star end is singular and left to J/v.  The kernel caps the
+    exponent 1e-9 short of where e^{kappa1 s} T0 overflows, so at that
+    switch alone it may return inf where sample() still has a value."""
+    for cfg in (acc.steady_representative(kappa1=1), acc.noncompact_shrinker_small(0.9),
+                acc.compact_two_blowdowns(0.25)):
+        prof = build_profile(cfg)
+        s = _route_probe_points(prof)
+        overflow = max(d for _, d in route_switches(prof))
+        values, cond = alpha_and_condition(prof, s)
+        for x, a, c in zip(s, values, cond):
+            ref = sample(prof, float(x)).alpha
+            if math.isinf(a):
+                assert a == ref or x * prof.kappa1 >= overflow * prof.kappa1 - 1e-9
+            else:
+                assert a == pytest.approx(ref, rel=1e-14 + 8.0 * c * 2.0 ** -52)
 
 
 def test_linear_data_is_exact(mixed_profile):
