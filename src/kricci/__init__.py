@@ -16,7 +16,7 @@ polyexp      exact rational polynomials and exp-weighted moment integrals
 model        problem data, derivation of constants, admissibility checks
 profiles     closed-form solution profiles alpha, beta_i, phi and derivatives
 residuals    ODE residuals, first integral, conservation quantity
-obstruction  the existence integral, asymptotics, and both root finders
+obstruction  the existence integral and both root finders
 geometry     arclength reconstruction, completeness, the flow diffeomorphism
 flagbundle   circle bundles over flag manifolds mapped onto the core model
 cli          command-line front end

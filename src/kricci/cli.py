@@ -311,7 +311,8 @@ def cmd_solve(args) -> int:
     profile = build_profile(config)
     s_max, n_grid = _grid_params(doc, args)
     grid = default_grid(profile, n=n_grid, s_max=s_max)
-    res = soliton_residuals(profile, grid)
+    smp = sample(profile, grid)
+    res = soliton_residuals(profile, smp)
     summary = {
         "r_t_max": float(np.max(np.abs(res.r_t))),
         "r_fibre_max": float(np.max(np.abs(res.r_fibre))),
@@ -340,15 +341,10 @@ def cmd_solve(args) -> int:
             }
     comp = geometry.completeness_report(profile)
 
-    csv_rows = []
-    for s, t in zip(grid, geometry.t_of_s(profile, np.asarray(grid, dtype=float))):
-        smp = sample(profile, float(s))
-        row = [float(s), float(t), smp.alpha]
-        row.extend(smp.beta)
-        row.append(math.sqrt(max(smp.alpha, 0.0)))
-        row.extend(math.sqrt(max(b, 0.0)) for b in smp.beta)
-        row.append(smp.phi)
-        csv_rows.append(row)
+    columns = np.vstack([grid, geometry.t_of_s(profile, grid), smp.alpha, smp.beta,
+                         np.sqrt(np.maximum(smp.alpha, 0.0)),
+                         np.sqrt(np.maximum(smp.beta, 0.0)), smp.phi])
+    csv_rows = columns.T.tolist()
     r = config.r
     header = (
         ["s", "t", "alpha"]

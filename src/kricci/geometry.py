@@ -500,47 +500,37 @@ def s_of_t(profile: Profile, t):
 def metric_functions(profile: Profile, t_grid: Sequence[float]) -> MetricFunctions:
     """Metric coefficients f, g_i and the potential u on a t-grid."""
     t_arr = np.asarray([float(t) for t in t_grid])
-    r = len(profile.config.factors)
-    f = np.empty(len(t_arr))
-    u = np.empty(len(t_arr))
-    g = np.empty((r, len(t_arr)))
     s_vals = s_of_t(profile, t_arr)
-    for j, s in enumerate(s_vals):
-        smp = sample(profile, float(s))
-        f[j] = math.sqrt(max(smp.alpha, 0.0))
-        u[j] = smp.phi
-        for i, b in enumerate(smp.beta):
-            g[i, j] = math.sqrt(max(b, 0.0))
-    return MetricFunctions(t_grid=t_arr, f=f, u=u, g=g, s_of_t=s_vals)
+    smp = sample(profile, s_vals)
+    return MetricFunctions(t_grid=t_arr, f=np.sqrt(np.maximum(smp.alpha, 0.0)), u=smp.phi,
+                           g=np.sqrt(np.maximum(smp.beta, 0.0)), s_of_t=s_vals)
 
 
 def _alpha_zero_crossing(profile: Profile, s_cap: float = 1.0e6) -> Optional[float]:
-    """First s > 0 with alpha(s) <= 0, or None if alpha stays positive."""
-    prev = 1.0e-3
-    prev_val = sample(profile, prev).alpha
-    for s in np.geomspace(2.0e-3, s_cap, 400):
-        val = sample(profile, float(s)).alpha
-        if val <= 0.0:
-            lo, hi = prev, float(s)
-            for _ in range(120):
-                mid = 0.5 * (lo + hi)
-                if sample(profile, mid).alpha > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-        prev, prev_val = float(s), val
-    return None
+    """First s > 0 with alpha(s) <= 0, or None if alpha stays positive: a
+    scan of 400 geometric points from 2e-3, then 31 interior points of the
+    bracket at a time, down to adjacent floats."""
+    xs = np.geomspace(2.0e-3, s_cap, 400)
+    down = np.flatnonzero(profiles.alpha(profile, xs) <= 0.0)
+    if not down.size:
+        return None
+    lo, hi = (xs[down[0] - 1] if down[0] else 1.0e-3), xs[down[0]]
+    while True:
+        inner = np.linspace(lo, hi, 33)[1:-1]
+        inner = inner[(inner > lo) & (inner < hi)]
+        if not inner.size:
+            return float(0.5 * (lo + hi))
+        down = np.flatnonzero(profiles.alpha(profile, inner) <= 0.0)
+        k = down[0] if down.size else inner.size
+        lo = inner[k - 1] if k else lo
+        hi = inner[k] if k < inner.size else hi
 
 
 def volume_growth_exponent(profile: Profile, t_large: float = 1.0e3) -> float:
     """Two-point log-log slope of the hypersurface volume f*v against t."""
-    out = []
-    for t in (0.1 * t_large, t_large):
-        s = s_of_t(profile, t)
-        smp = sample(profile, s)
-        out.append(math.log(math.sqrt(smp.alpha) * smp.v))
-    return (out[1] - out[0]) / (math.log(t_large) - math.log(0.1 * t_large))
+    smp = sample(profile, s_of_t(profile, np.array([0.1 * t_large, t_large])))
+    lo, hi = np.log(np.sqrt(smp.alpha) * smp.v)
+    return float(hi - lo) / (math.log(t_large) - math.log(0.1 * t_large))
 
 
 def completeness_report(profile: Profile) -> CompletenessReport:
@@ -563,8 +553,7 @@ def completeness_report(profile: Profile) -> CompletenessReport:
         return CompletenessReport(CompletenessClass.COMPACT, slopes, length)
 
     def tail_diag() -> None:
-        a3 = sample(profile, 1.0e3).alpha
-        a4 = sample(profile, 1.0e4).alpha
+        a3, a4 = profiles.alpha(profile, np.array([1.0e3, 1.0e4])).tolist()
         slopes["alpha_1e3"] = a3
         slopes["alpha_1e4"] = a4
         slopes["alpha_over_s_1e4"] = a4 / 1.0e4

@@ -97,45 +97,6 @@ def futaki_integral(config: SolitonConfig, kappa1: float) -> FutakiEvaluation:
     return FutakiEvaluation(kappa1=float(kappa1), value=value, exact_value=None)
 
 
-def _mid_sign(config: SolitonConfig, at_star: bool) -> int:
-    """Sign of prod over non-collapsing factors of sigma_i^{n_i} (or of
-    (s* + sigma_i)^{n_i} when at_star)."""
-    s_star = config.s_star
-    zero_set = set(config.collapsing_zero_indices())
-    star_set = set(config.collapsing_star_indices())
-    sign = 1
-    for i, fac in enumerate(config.factors):
-        if fac.n == 0 or i in zero_set or i in star_set:
-            continue
-        val = config.sigmas[i] + (s_star if at_star else 0)
-        if val == 0:
-            return 0
-        if val < 0 and fac.n % 2 == 1:
-            sign = -sign
-    return sign
-
-
-def asymptotic_sign(config: SolitonConfig, direction) -> int:
-    """Sign of I(kappa1) as kappa1 -> +inf or -inf.
-
-    +inf: the lower endpoint dominates, giving (-1)^{N*+1} prod sigma_i^{n_i};
-    -inf: the upper endpoint dominates, giving (-1)^{N*} prod (s*+sigma_i)^{n_i};
-    products over the non-collapsing factors.  The two are always opposite
-    for admissible data.
-    """
-    _require_compact_shrinker(config)
-    if direction in ("+inf", "+oo") or direction == math.inf:
-        plus = True
-    elif direction in ("-inf", "-oo") or direction == -math.inf:
-        plus = False
-    else:
-        raise ValueError("direction must be '+inf' or '-inf'")
-    n_star = config.n_star
-    if plus:
-        return (-1) ** (n_star + 1) * _mid_sign(config, at_star=False)
-    return (-1) ** n_star * _mid_sign(config, at_star=True)
-
-
 def find_kappa1_compact(config: SolitonConfig) -> RootResult:
     """The unique zero of the obstruction integral, by safeguarded Newton.
 

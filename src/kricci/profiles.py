@@ -27,11 +27,16 @@ closed evaluation routes cover the parameter space (Psi = (E_star + eps*x)*v):
 
 T0 is snapped to exactly zero when it is below 1e-9 of its term-magnitude
 scale: at a numerically solved kappa1 the true value is an exact zero and the
-residue is root-finder noise.  When T0 is snapped the moment route is left
-behind already at |kappa1|*s = 10: beyond that the moment sum reconstructs a
-polynomial-sized answer out of e^{kappa1 s}-sized terms and loses digits,
-while P(s) is exact.  With T0 nonzero the split form itself cancels at small
-s, so the moment route is kept up to |kappa1|*s = 30.
+residue is root-finder noise.  Since P = J - e^{kappa1 s} T0, the residue
+also sits in every coefficient of P, as -T0 kappa1^j/j!.  So a snapped P is
+P at the root, which one Newton step on T0 reaches from the float kappa1,
+and its coefficients below the order zero_order + 1 of J's zero at s = 0
+are exactly zero.  With T0 nonzero the split form itself cancels at small
+s, so the moment route is kept up to |kappa1|*s = 30.  With T0 snapped, the
+moment sum reconstructs a polynomial-sized answer out of e^{kappa1 s}-sized
+terms and loses digits as |kappa1|*s grows, while P does not; build_profile
+measures where P's condition falls below the moment sum's and switches there
+(Profile.split_from).
 
 Near a collapsed end alpha = J/v is evaluated as a Taylor series in the
 distance from the end, obtained by power-series division (see
@@ -43,10 +48,11 @@ the vanishing in exactly.  It serves for s_star - s <= rho/30, capped at
 s_star/2, where rho, the series' radius of convergence, is the distance from
 s_star to the nearest other zero of v (Profile.star_window).
 
-sample() evaluates one point with its derivatives; alpha() and
-alpha_and_condition() evaluate a whole array by the same routes, and the
-latter also reports each value's condition, which bounds its rounding
-where a route cancels (the geometry tables use it as their noise floor).
+One kernel evaluates alpha at a whole array of points.  sample() adds the
+derivatives and the linear data; alpha() and alpha_and_condition() return
+alpha alone, the latter with each value's condition, which bounds its
+rounding where a route cancels (the geometry tables use it as their noise
+floor).
 """
 
 from __future__ import annotations
@@ -67,13 +73,20 @@ SERIES_WINDOW = 1e-3
 #: the star series is used within this fraction of its radius of convergence
 _STAR_WINDOW_FRACTION = 1.0 / 30.0
 
-_MOMENT_Z_SNAPPED = 10.0
-_MOMENT_Z_GENERAL = 30.0
+#: |kappa1| s up to which the moment route serves when T0 is not snapped,
+#: and the end of the crossover search when it is
+_MOMENT_Z = 30.0
+#: the |kappa1| s of that search
+_CROSSOVER_Z = np.geomspace(1e-2, _MOMENT_Z, 24)
 _EXP_OVERFLOW = 709.0
 _SNAP_REL = 1e-9
 _SERIES_TERMS = 14
-#: terms the array moment series adds at once, between convergence checks
+#: terms the array moment series adds at once, between convergence checks:
+#: at least _SERIES_BLOCK, and on a batch of n points up to _BLOCK_TERMS / n
+#: (at most _SERIES_BLOCK_MAX), since a small batch's cost is per block
 _SERIES_BLOCK = 8
+_SERIES_BLOCK_MAX = 128
+_BLOCK_TERMS = 4096
 _SINGULAR_STAR = ("alpha is singular at s_star: the existence integral does not "
                   "vanish at this kappa1")
 
@@ -111,20 +124,23 @@ def _low_order_zeros(p: Sequence[Fraction]) -> int:
 
 @dataclass
 class ProfileSample:
-    """Pointwise profile data: the metric coefficients and the derivatives
-    entering the curvature equations, all in the s-coordinate."""
+    """Profile data at the points s: the metric coefficients and the
+    derivatives entering the curvature equations, in the s-coordinate.
 
-    s: float
-    alpha: float
-    dalpha: float
-    d2alpha: float
-    beta: Tuple[float, ...]
-    dbeta: Tuple[float, ...]
-    v: float
-    dv: float
-    d2v: float
-    phi: float
-    dphi: float
+    Every field has the shape of s (numpy floats when s is a float), except
+    beta and dbeta, which carry one more, leading axis over the factors."""
+
+    s: np.ndarray
+    alpha: np.ndarray
+    dalpha: np.ndarray
+    d2alpha: np.ndarray
+    beta: np.ndarray
+    dbeta: np.ndarray
+    v: np.ndarray
+    dv: np.ndarray
+    d2v: np.ndarray
+    phi: np.ndarray
+    dphi: np.ndarray
 
 
 @dataclass
@@ -137,9 +153,11 @@ class Profile:
     cache (``None`` records a singular star end) and the geometry module's
     t and F tables in ``_integrals``.  ``star_window`` is the distance from
     s_star within which alpha comes from the star series (0.0 when open).
-    The float copies of the sigmas, the beta slopes -q_i, eps and E_eff,
-    and ``taylor_table`` (``taylor`` zero-padded to a matrix) are what
-    sample() and alpha() read, so neither converts a Fraction per call.
+    ``split_from`` is the s beyond which J takes the split route (inf when
+    kappa1 = 0).  The float copies of the sigmas, the beta slopes -q_i, eps
+    and E_eff, and ``taylor_table`` (the float coefficients of Psi^(m)/m!,
+    one zero-padded row per m) are what the kernel reads, so it converts no
+    Fraction per call.
     """
 
     config: SolitonConfig
@@ -150,10 +168,10 @@ class Profile:
     kappa1: float
     kappa0: float
     psi_antideriv: Tuple[float, ...]
-    taylor: Tuple[Tuple[float, ...], ...]   # Psi^(m)/m! as float coeffs
     p_alpha: Optional[Tuple[float, ...]]
     t0: float
     t0_snapped: bool
+    split_from: float
     zero_order: int
     v_float: Tuple[float, ...]
     dv_float: Tuple[float, ...]
@@ -207,7 +225,7 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
         degree = sum(f.n for f in config.factors) + 1
         assert polyexp.poly_degree(psi_poly) == degree
 
-    taylor: List[Tuple[float, ...]] = []
+    taylor: List[Tuple[float, ...]] = []   # Psi^(m)/m! as float coeffs
     der = list(psi_poly)
     fact = 1
     m = 0
@@ -216,10 +234,13 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
         der = polyexp.poly_derivative(der)
         m += 1
         fact *= m
+    taylor_table = np.array([row + (0.0,) * (len(taylor[0]) - len(row)) for row in taylor])
 
+    zero_order = _low_order_zeros(v_poly)
     p_alpha: Optional[Tuple[float, ...]] = None
     t0 = 0.0
     t0_snapped = False
+    split_from = math.inf
     if k1 != 0.0:
         kr = Fraction(k1)
         # particular polynomial P = -sum_m Psi^(m)/kappa1^(m+1), exact then floated
@@ -227,6 +248,7 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
         der = list(psi_poly)
         power = kr
         t0_exact = Fraction(0)
+        dt0_exact = Fraction(0)   # dT0/dkappa1
         t0_scale = 0.0
         fact = 1
         m = 0
@@ -234,18 +256,29 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
             pa = polyexp.poly_add(pa, polyexp.poly_scale(der, Fraction(-1) / power))
             term = fact * psi_poly[m] / power if m < len(psi_poly) else Fraction(0)
             t0_exact += term
+            dt0_exact -= (m + 1) * term / kr
             t0_scale += abs(float(term))
             der = polyexp.poly_derivative(der)
             power *= kr
             m += 1
             fact *= m
-        p_alpha = tuple(float(c) for c in pa)
         t0 = float(t0_exact)
-        if abs(t0) <= _SNAP_REL * t0_scale:
-            t0 = 0.0
-            t0_snapped = True
+        t0_snapped = abs(t0) <= _SNAP_REL * t0_scale
+        p_float = np.array([float(c) for c in pa])
+        if t0_snapped:
+            # P at the root is P + dk dP/dkappa1 to O(dk^2), with the Newton
+            # step dk = -T0/T0' and dP/dkappa1 = sum_m (m+1)! Psi^(m)/m! /
+            # kappa1^(m+2); there its coefficients below the order of J's
+            # zero at s = 0 vanish (module docstring)
+            if dt0_exact:
+                weights = np.cumprod(np.arange(1, len(taylor_table) + 1) / k1) / k1
+                p_float += float(-t0_exact / dt0_exact) * (weights @ taylor_table)
+            p_float[:zero_order + 1] = 0.0
+            split_from = _split_crossover(k1, taylor_table, p_float)
+        else:
+            split_from = _MOMENT_Z / abs(k1)
+        p_alpha = tuple(p_float.tolist())
 
-    zero_order = _low_order_zeros(v_poly)
     star_window = 0.0
     if config.is_compact:
         s_star = config.s_star
@@ -267,10 +300,10 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
         kappa1=k1,
         kappa0=float(config.kappa0),
         psi_antideriv=tuple(float(c) for c in polyexp.poly_antiderivative(psi_poly)),
-        taylor=tuple(taylor),
         p_alpha=p_alpha,
-        t0=t0,
+        t0=0.0 if t0_snapped else t0,
         t0_snapped=t0_snapped,
+        split_from=split_from,
         zero_order=zero_order,
         v_float=tuple(float(c) for c in v_poly),
         dv_float=tuple(float(c) for c in dv_poly),
@@ -280,32 +313,24 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
         dbeta_float=tuple(float(-fac.q) for fac in config.factors),
         eps_float=float(config.epsilon),
         e_eff_float=float(e_eff),
-        taylor_table=np.array([row + (0.0,) * (len(taylor[0]) - len(row)) for row in taylor]),
+        taylor_table=taylor_table,
     )
 
 
-def _eval_J(profile: Profile, s: float) -> float:
-    """J(s) = v(s)*alpha(s) through the route table in the module docstring."""
-    k = profile.kappa1
-    if k == 0.0:
-        return _fhorner(profile.psi_antideriv, s)
-    z = abs(k) * s
-    threshold = _MOMENT_Z_SNAPPED if profile.t0_snapped else _MOMENT_Z_GENERAL
-    if z <= threshold:
-        total = 0.0
-        for m, dm in enumerate(profile.taylor):
-            cm = _fhorner(dm, s)
-            if m & 1:
-                cm = -cm
-            total += cm * polyexp.moment(m, -k, s)
-        return total
-    pa = _fhorner(profile.p_alpha, s)
-    if profile.t0 == 0.0:
-        return pa
-    zz = k * s
-    if zz > _EXP_OVERFLOW:
-        return math.inf if profile.t0 > 0 else -math.inf
-    return pa + math.exp(zz) * profile.t0
+def _split_crossover(k: float, table: np.ndarray, p_alpha: Sequence[float]) -> float:
+    """Where J leaves the moment route for the polynomial P on a profile
+    whose T0 was snapped: the first s of a geometric grid in |kappa1| s, up
+    to _MOMENT_Z, from which on P's condition is at most the moment sum's.
+
+    Far out the moment sum builds a polynomial-sized J out of
+    e^{kappa1 s}-sized terms; near s = 0 P may cancel instead.
+    """
+    x = _CROSSOVER_Z / abs(k)
+    J, j_scale = _moment_sum(k, table, x)
+    P = _fhorner(p_alpha, x)
+    misses = np.flatnonzero(_ratio(_abs_horner(p_alpha, x), P) > _ratio(j_scale, J))
+    first = misses[-1] + 1 if misses.size else 0
+    return float(x[min(first, len(x) - 1)])
 
 
 def _abs_horner(coeffs: Sequence[float], x):
@@ -323,20 +348,19 @@ def _ratio(scale: np.ndarray, value: np.ndarray) -> np.ndarray:
     return out
 
 
-def _moment_sum(profile: Profile, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """J on the moment route at every point of ``x``, as in _eval_J, with
-    the moments summed over an (m, x) array by the series polyexp.moment
-    uses: the all-positive one for kappa1 > 0, the Kummer one for
-    kappa1 < 0.  Also returns sum_m |Psi^(m)/m!| M_m, the size of the terms
-    that cancel in J.
+def _moment_sum(k: float, table: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """J on the moment route at every point of ``x``, for kappa1 = ``k``
+    and the rows Psi^(m)/m! of ``table``:
+    J = sum_m (-1)^m Psi^(m)(x)/m! * M_m(-kappa1, x), with the moments
+    summed over an (m, x) array by the series polyexp.moment uses: the
+    all-positive one for kappa1 > 0, the Kummer one for kappa1 < 0.  Also
+    returns sum_m |Psi^(m)/m!| M_m, the size of the terms that cancel in J.
 
     A column's series runs longer the larger |kappa1| x, so the columns are
     sorted by it and each leaves the sum once its term has passed its peak
     and is below the series tolerance in every row.  Terms are added in
     blocks, each a cumulative product of the term ratios.
     """
-    k = profile.kappa1
-    table = profile.taylor_table
     rows = np.arange(table.shape[0])[:, None]
     order = np.argsort(x)
     xs = x[order]
@@ -348,11 +372,12 @@ def _moment_sum(profile: Profile, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray
         term = np.ones((len(rows), len(z)))
         total = term.copy()
     start, j = 0, 0
-    block = np.arange(1, _SERIES_BLOCK + 1)[:, None, None]
+    size = min(_SERIES_BLOCK_MAX, max(_SERIES_BLOCK, _BLOCK_TERMS // max(len(z), 1)))
+    block = np.arange(1, size + 1)[:, None, None]
     while start < len(z):
         live = slice(start, None)
         zl = z[live]
-        js = j + block  # the next terms, j + 1 .. j + _SERIES_BLOCK
+        js = j + block  # the next terms, j + 1 .. j + size
         if k > 0.0:
             ws = w[live] * np.cumprod(zl / js[:, 0], axis=0)
             terms = ws[:, None, :] / (rows + js + 1)
@@ -361,17 +386,18 @@ def _moment_sum(profile: Profile, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray
             terms = term[:, live] * np.cumprod(zl / (rows + 1 + js), axis=0)
             term[:, live] = terms[-1]
         total[:, live] += terms.sum(axis=0)
-        j += _SERIES_BLOCK
+        j += size
         done = (j > zl) & (terms[-1] < polyexp.SERIES_EPS * total[:, live]).all(axis=0)
         start += len(done) if done.all() else int(done.argmin())
     moments = total * xs ** (rows + 1)
     if k < 0.0:
         moments *= np.exp(-z) / (rows + 1)
-    coeffs = np.zeros(moments.shape)
-    scale = np.zeros(moments.shape)
+    # Psi^(m)(x)/m! and its majorant, by one Horner pass over both tables
+    both = np.vstack((table, np.abs(table)))
+    acc = np.zeros((len(both), len(xs)))
     for col in range(table.shape[1] - 1, -1, -1):
-        coeffs = coeffs * xs + table[:, col:col + 1]
-        scale = scale * xs + np.abs(table[:, col:col + 1])
+        acc = acc * xs + both[:, col:col + 1]
+    coeffs, scale = acc[:len(table)], acc[len(table):]
     coeffs[1::2] *= -1.0
     out = np.empty((2, len(xs)))
     out[0, order] = np.sum(coeffs * moments, axis=0)
@@ -385,18 +411,16 @@ def _exp_cap(t0: float) -> float:
     return min(_EXP_OVERFLOW, math.log(sys.float_info.max / abs(t0)) - 1e-9)
 
 
-def _eval_J_array(profile: Profile, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """J at every point of ``x`` by the routes of _eval_J, and the size of
-    the terms summed for it.  Where _eval_J returns +-inf for the split
-    route's exponent, or e^{kappa1 s} T0 would overflow, the exponent is
-    capped and the value is +-inf."""
+def _J_and_scale(profile: Profile, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """J at every point of ``x`` by the routes of the module docstring, and
+    the size of the terms summed for it.  Where e^{kappa1 s} T0 would
+    overflow, the split route's exponent is capped and the value is +-inf."""
     k = profile.kappa1
     if k == 0.0:
         return _fhorner(profile.psi_antideriv, x), _abs_horner(profile.psi_antideriv, x)
-    threshold = _MOMENT_Z_SNAPPED if profile.t0_snapped else _MOMENT_Z_GENERAL
-    moment = abs(k) * x <= threshold
+    moment = x <= profile.split_from
     out = np.empty((2, len(x)))
-    out[:, moment] = _moment_sum(profile, x[moment])
+    out[:, moment] = _moment_sum(k, profile.taylor_table, x[moment])
     xs = x[~moment]
     pa = _fhorner(profile.p_alpha, xs)
     scale = _abs_horner(profile.p_alpha, xs)
@@ -411,21 +435,40 @@ def _eval_J_array(profile: Profile, x: np.ndarray) -> Tuple[np.ndarray, np.ndarr
     return out[0], out[1]
 
 
-def alpha_and_condition(profile: Profile, s, delta=None) -> Tuple[np.ndarray, np.ndarray]:
-    """alpha at every point of the array ``s``, with its condition: the
-    size of the terms summed for it over |alpha|, so that its rounding
-    error is a small multiple of condition * 2^-52 * |alpha|.
+def _log_v_rates(profile: Profile, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(log v)' and (log v)'' at every point of ``x``."""
+    lv1 = np.zeros(x.shape)
+    lv2 = np.zeros(x.shape)
+    for fac, db, sig in zip(profile.config.factors, profile.dbeta_float, profile.sigma_float):
+        if fac.n:
+            ratio = db / (db * (x + sig))
+            lv1 += fac.n * ratio
+            lv2 -= fac.n * ratio * ratio
+    return lv1, lv2
 
-    The routes, thresholds and windows are those of sample(), chosen by
-    mask: the zero series within SERIES_WINDOW, the star series within
-    ``star_window``, and J/v by the routes of _eval_J elsewhere.  Only the
-    moment route sums differently (see _moment_sum), so the two agree to
-    rounding.  sample() stays the evaluation of a single point, where an
-    array call costs more than it saves.
 
-    ``delta``, when given, is s_star - s to full relative precision, which
-    s itself cannot carry within a few ulps of s_star; the star series
-    reads it in place of s_star - s.
+def _fill_series(profile: Profile, end: str, near, x, sign: float, out, cond, derivs) -> None:
+    """alpha, its condition and, when ``derivs`` holds two arrays, its
+    first two derivatives in s at the points ``near`` from the series at
+    ``end``; ``x`` is their distance from that end, ``sign`` d(x)/ds."""
+    series = _series_coeffs(profile, end)
+    out[near] = _fhorner(series, x)
+    cond[near] = _ratio(_abs_horner(series, x), out[near])
+    if derivs is not None:
+        d1 = _fderiv(series)
+        derivs[0][near] = sign * _fhorner(d1, x)
+        derivs[1][near] = _fhorner(_fderiv(d1), x)
+
+
+def _kernel(profile: Profile, s, delta=None, derivatives: bool = False):
+    """alpha and its condition at every point of the array ``s`` (see
+    alpha_and_condition), and with ``derivatives`` also alpha' and alpha''.
+
+    The zero series serves within SERIES_WINDOW, the star series within
+    ``star_window``, and J/v by the routes of _J_and_scale elsewhere, each
+    chosen by mask.  On a series route the derivatives are the series' own;
+    on J/v they come from the defining equation and its derivative, and are
+    NaN where v vanishes.
     """
     s = np.asarray(s, dtype=float)
     lo, hi = profile.s_domain
@@ -434,32 +477,53 @@ def alpha_and_condition(profile: Profile, s, delta=None) -> Tuple[np.ndarray, np
         raise ValueError(f"s = {s[outside].flat[0]} is outside the profile domain [{lo}, {hi}]")
     out = np.empty(s.shape)
     cond = np.empty(s.shape)
+    derivs = (np.empty(s.shape), np.empty(s.shape)) if derivatives else None
     rest = np.ones(s.shape, dtype=bool)
     if profile.zero_order > 0:
         near = s <= SERIES_WINDOW
         if near.any():
-            series = _series_coeffs(profile, "zero")
-            out[near] = _fhorner(series, s[near])
-            cond[near] = _ratio(_abs_horner(series, s[near]), out[near])
+            _fill_series(profile, "zero", near, s[near], 1.0, out, cond, derivs)
             rest = ~near
     dist = hi - s if delta is None else np.broadcast_to(delta, s.shape)
     near = rest & (dist <= profile.star_window)
     if near.any():
         try:
-            series = _series_coeffs(profile, "star")
+            _fill_series(profile, "star", near, dist[near], -1.0, out, cond, derivs)
         except ValueError:
-            pass  # genuinely singular end; J/v, as in sample()
+            pass  # genuinely singular end; J/v
         else:
-            out[near] = _fhorner(series, dist[near])
-            cond[near] = _ratio(_abs_horner(series, dist[near]), out[near])
             rest &= ~near
     x = s[rest]
-    J, j_scale = _eval_J_array(profile, x)
+    J, j_scale = _J_and_scale(profile, x)
     v = _fhorner(profile.v_float, x)
     ratio = np.divide(J, v, out=np.zeros_like(J), where=v != 0.0)
-    out[rest] = np.where((v == 0.0) & (J != 0.0), np.copysign(math.inf, J), ratio)
+    a = np.where((v == 0.0) & (J != 0.0), np.copysign(math.inf, J), ratio)
+    out[rest] = a
     cond[rest] = _ratio(j_scale, J) + _ratio(_abs_horner(profile.v_float, x), v)
-    return out, cond
+    if derivs is None:
+        return out, cond
+    da = np.full(x.shape, math.nan)
+    d2a = np.full(x.shape, math.nan)
+    ok = v != 0.0
+    lv1, lv2 = _log_v_rates(profile, x[ok])
+    rate = lv1 - profile.kappa1
+    da[ok] = profile.eps_float * x[ok] + profile.e_eff_float - a[ok] * rate
+    d2a[ok] = profile.eps_float - da[ok] * rate - a[ok] * lv2
+    derivs[0][rest] = da
+    derivs[1][rest] = d2a
+    return out, cond, derivs[0], derivs[1]
+
+
+def alpha_and_condition(profile: Profile, s, delta=None) -> Tuple[np.ndarray, np.ndarray]:
+    """alpha at every point of the array ``s``, with its condition: the
+    size of the terms summed for it over |alpha|, so that its rounding
+    error is a small multiple of condition * 2^-52 * |alpha|.
+
+    ``delta``, when given, is s_star - s to full relative precision, which
+    s itself cannot carry within a few ulps of s_star; the star series
+    reads it in place of s_star - s.
+    """
+    return _kernel(profile, s, delta)
 
 
 def alpha(profile: Profile, s, delta=None) -> np.ndarray:
@@ -469,16 +533,15 @@ def alpha(profile: Profile, s, delta=None) -> np.ndarray:
 
 def route_switches(profile: Profile) -> List[Tuple[str, float]]:
     """Where the evaluation of alpha changes route, as (end, distance from
-    that end): J/v between its moment and split routes at |kappa1| s = 10
-    or 30, the split route's e^{kappa1 s} T0 to +-inf where it overflows,
+    that end): J/v between its moment and split routes at ``split_from``,
+    the split route's e^{kappa1 s} T0 to +-inf where it overflows,
     the zero series at SERIES_WINDOW, and the star series at the edge of
     the star window.  alpha may step there by its rounding, to infinity, or
     at a star end by the footprint of the root's residual."""
     out = []
     k = profile.kappa1
     if k != 0.0:
-        threshold = _MOMENT_Z_SNAPPED if profile.t0_snapped else _MOMENT_Z_GENERAL
-        out.append(("zero", threshold / abs(k)))
+        out.append(("zero", profile.split_from))
         if k > 0.0 and profile.t0 != 0.0:
             out.append(("zero", _exp_cap(profile.t0) / k))
     if profile.zero_order > 0:
@@ -575,78 +638,34 @@ def alpha_series_at_collapse(profile: Profile, end: str) -> List[float]:
     return list(_series_coeffs(profile, end))
 
 
-def sample(profile: Profile, s: float) -> ProfileSample:
-    """Evaluate the profile and the derivatives the curvature system uses.
+def sample(profile: Profile, s) -> ProfileSample:
+    """Evaluate the profile and the derivatives the curvature system uses,
+    at a float or at every point of an array ``s``, in one kernel pass.
 
     alpha' and alpha'' come from the defining first-order equation and its
-    derivative, never from numerical differentiation.
+    derivative (from the series itself within a series window), never from
+    numerical differentiation.
     """
-    s = float(s)
-    lo, hi = profile.s_domain
-    if s < lo - 1e-12 or s > hi + 1e-12:
-        raise ValueError(f"s = {s} is outside the profile domain [{lo}, {hi}]")
+    s = np.asarray(s, dtype=float)
+    alpha, _, dalpha, d2alpha = _kernel(profile, s, derivatives=True)
+    column = (-1,) + (1,) * s.ndim
+    dbeta = np.reshape(profile.dbeta_float, column)
+    beta = dbeta * (s + np.reshape(profile.sigma_float, column))
+    k = profile.kappa1
 
-    cfg = profile.config
-    dbeta = profile.dbeta_float
-    beta = [mq * (s + sig) for mq, sig in zip(dbeta, profile.sigma_float)]
-
-    v_val = _fhorner(profile.v_float, s)
-    dv_val = _fhorner(profile.dv_float, s)
-    d2v_val = _fhorner(profile.d2v_float, s)
-    phi = profile.kappa1 * (s + profile.kappa0)
-    dphi = profile.kappa1
-
-    series = None
-    delta = 0.0
-    sign = 1.0
-    if profile.zero_order > 0 and s <= SERIES_WINDOW:
-        series = _series_coeffs(profile, "zero")
-        delta = s
-    elif hi - s <= profile.star_window:
-        try:
-            series = _series_coeffs(profile, "star")
-            delta = hi - s
-            sign = -1.0
-        except ValueError:
-            series = None  # genuinely singular end; fall through to J/v
-
-    if series is not None:
-        d1 = _fderiv(series)
-        alpha = _fhorner(series, delta)
-        dalpha = sign * _fhorner(d1, delta)
-        d2alpha = _fhorner(_fderiv(d1), delta)
-    else:
-        J = _eval_J(profile, s)
-        if v_val == 0.0:
-            alpha = math.copysign(math.inf, J) if J != 0.0 else 0.0
-            dalpha = math.nan
-            d2alpha = math.nan
-        else:
-            alpha = J / v_val
-            eps_f = profile.eps_float
-            e_f = profile.e_eff_float
-            k1 = profile.kappa1
-            lv1 = 0.0
-            lv2 = 0.0
-            for fac, b, db in zip(cfg.factors, beta, dbeta):
-                if fac.n == 0:
-                    continue
-                ratio = db / b
-                lv1 += fac.n * ratio
-                lv2 -= fac.n * ratio * ratio
-            dalpha = eps_f * s + e_f - alpha * (lv1 - k1)
-            d2alpha = eps_f - dalpha * (lv1 - k1) - alpha * lv2
+    def on_s(x):
+        return np.broadcast_to(x, s.shape)[()]
 
     return ProfileSample(
-        s=s,
-        alpha=alpha,
-        dalpha=dalpha,
-        d2alpha=d2alpha,
-        beta=tuple(beta),
-        dbeta=dbeta,
-        v=v_val,
-        dv=dv_val,
-        d2v=d2v_val,
-        phi=phi,
-        dphi=dphi,
+        s=s[()],
+        alpha=alpha[()],
+        dalpha=dalpha[()],
+        d2alpha=d2alpha[()],
+        beta=beta,
+        dbeta=np.broadcast_to(dbeta, beta.shape),
+        v=on_s(_fhorner(profile.v_float, s)),
+        dv=on_s(_fhorner(profile.dv_float, s)),
+        d2v=on_s(_fhorner(profile.d2v_float, s)),
+        phi=on_s(k * (s + profile.kappa0)),
+        dphi=on_s(k),
     )

@@ -19,35 +19,37 @@ from typing import Sequence
 
 import numpy as np
 
-from kricci.profiles import Profile, ProfileSample, sample as _profile_sample
+from kricci.profiles import Profile, ProfileSample
 
 DEFAULT_GRID_POINTS = 200
 DEFAULT_S_MAX = 1.0e4
 
 
-def _sample_of(profile, s: float) -> ProfileSample:
-    """Sample through the object's own method when it has one.
-
-    This lets tests wrap a profile with a deliberately corrupted sampler and
-    feed it to every checker unchanged.
-    """
-    fn = getattr(profile, "sample", None)
-    if callable(fn):
-        return fn(s)
-    return _profile_sample(profile, s)
+def _propagating():
+    """Let overflow and inf - inf pass as non-finite values, as plain floats
+    did: alpha blowing up on an uncalibrated profile, or the weight
+    alpha*v^2 at large dimension.  The caller's finiteness gate (solve's)
+    reports them."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
-def _log_v_derivatives(config, smp: ProfileSample):
-    """(log v)' and (log v)'' from the per-factor data (skipping points)."""
-    lv1 = 0.0
-    lv2 = 0.0
-    for fac, b, db in zip(config.factors, smp.beta, smp.dbeta):
-        if fac.n == 0:
-            continue
-        ratio = db / b
-        lv1 += fac.n * ratio
-        lv2 -= fac.n * ratio * ratio
-    return lv1, lv2
+def _factor_columns(profile, smp: ProfileSample):
+    """n_i, p_i and q_i as columns against the samples' (factor, point)
+    arrays."""
+    col = (-1,) + (1,) * np.ndim(smp.s)
+    factors = profile.config.factors
+    return (np.reshape([float(f.n) for f in factors], col),
+            np.reshape([float(f.p) for f in factors], col),
+            np.reshape([float(f.q) for f in factors], col))
+
+
+def _log_v_derivatives(profile, smp: ProfileSample):
+    """(log v)' and sum n_i (beta_i'/beta_i)^2 = -(log v)'', over the
+    factors that v carries (n_i > 0)."""
+    n = _factor_columns(profile, smp)[0]
+    live = n.reshape(-1) > 0
+    ratio = smp.dbeta[live] / smp.beta[live]
+    return np.sum(n[live] * ratio, axis=0), np.sum(n[live] * ratio * ratio, axis=0)
 
 
 @dataclass
@@ -75,126 +77,94 @@ def default_grid(profile: Profile, n: int = DEFAULT_GRID_POINTS,
     return np.geomspace(lower, upper, n)
 
 
-def soliton_residuals(profile, s_values: Sequence[float]) -> ResidualGrid:
+@_propagating()
+def soliton_residuals(profile, smp: ProfileSample) -> ResidualGrid:
     """Evaluate the three equation families (and the other diagnostics) at
-    each grid point, as residuals LHS - eps/2.
+    every point of the samples ``smp``, as residuals LHS - eps/2.
 
-    The t-equation, fibre equation, and per-factor base equations are
-    evaluated exactly as printed, with beta'' = 0 and phi'' = 0 from the
-    linear ansatz.
+    The samples are an argument, so a check can be fed data from any
+    sampler.  The t-equation, fibre equation, and per-factor base equations
+    are evaluated exactly as printed, with beta'' = 0 and phi'' = 0 from the
+    linear ansatz, as array expressions over (factor, point).
     """
-    cfg = profile.config
-    eps = float(cfg.epsilon)
-    r = len(cfg.factors)
-    npts = len(s_values)
+    eps = float(profile.config.epsilon)
+    n, p, q = _factor_columns(profile, smp)
+    q2 = q * q
+    a, da, d2a, dphi = smp.alpha, smp.dalpha, smp.d2alpha, smp.dphi
+    b = smp.beta
+    ratio = smp.dbeta / b
+    lv1, sq_sum = _log_v_derivatives(profile, smp)
+    live = n.reshape(-1) > 0
+    fib_sum = np.sum((n * q2 / (b * b))[live], axis=0)   # sum n_i q_i^2 / beta_i^2
 
-    s_arr = np.asarray([float(s) for s in s_values])
-    r_t = np.empty(npts)
-    r_fibre = np.empty(npts)
-    r_base = np.empty((r, npts))
-    c_values = np.empty(npts)
-    mu = np.empty((r, npts))
-    bianchi = np.empty(npts)
-
-    for j, s in enumerate(s_arr):
-        smp = _sample_of(profile, s)
-        a, da, d2a = smp.alpha, smp.dalpha, smp.d2alpha
-        dphi = smp.dphi
-        lv1, lv2 = _log_v_derivatives(cfg, smp)
-
-        sq_sum = 0.0       # sum n_i (beta_i'/beta_i)^2
-        fib_sum = 0.0      # sum n_i q_i^2 / beta_i^2
-        for fac, b, db in zip(cfg.factors, smp.beta, smp.dbeta):
-            if fac.n == 0:
-                continue
-            ratio = db / b
-            sq_sum += fac.n * ratio * ratio
-            fib_sum += fac.n * float(fac.q) ** 2 / (b * b)
-
-        r_t[j] = (0.5 * d2a + 0.5 * da * lv1 - 0.5 * a * sq_sum
-                  - 0.5 * da * dphi - 0.5 * eps)
-        r_fibre[j] = (0.5 * d2a + 0.5 * da * lv1 - 0.5 * da * dphi
-                      - 0.5 * a * fib_sum - 0.5 * eps)
-        for i, (fac, b, db) in enumerate(zip(cfg.factors, smp.beta, smp.dbeta)):
-            ratio = db / b
-            q2 = float(fac.q) ** 2
-            r_base[i, j] = (0.5 * da * ratio - 0.5 * a * ratio * ratio
-                            + 0.5 * a * ratio * lv1 - 0.5 * a * ratio * dphi
-                            - float(fac.p) / b + 0.5 * q2 * a / (b * b)
-                            - 0.5 * eps)
-
-        c_values[j] = _first_integral_from(smp, lv1, eps)
-        for i, (fac, b, db) in enumerate(zip(cfg.factors, smp.beta, smp.dbeta)):
-            mu[i, j] = mu_general(b, db, 0.0, float(fac.q))
-        bianchi[j] = _bianchi_from(smp, lv1, lv2, sq_sum, eps)
-
+    r_t = 0.5 * d2a + 0.5 * da * lv1 - 0.5 * a * sq_sum - 0.5 * da * dphi - 0.5 * eps
+    r_fibre = 0.5 * d2a + 0.5 * da * lv1 - 0.5 * da * dphi - 0.5 * a * fib_sum - 0.5 * eps
+    r_base = (0.5 * da * ratio - 0.5 * a * ratio * ratio
+              + 0.5 * a * ratio * lv1 - 0.5 * a * ratio * dphi
+              - p / b + 0.5 * q2 * a / (b * b) - 0.5 * eps)
     return ResidualGrid(
-        s_values=s_arr,
+        s_values=smp.s,
         r_t=r_t,
         r_fibre=r_fibre,
         r_base=r_base,
-        c_values=c_values,
-        mu=mu,
-        bianchi=bianchi,
+        c_values=_first_integral_from(smp, lv1, eps),
+        mu=mu_general(b, smp.dbeta, 0.0, q),
+        bianchi=_bianchi_from(smp, lv1, sq_sum, eps),
     )
 
 
-def _first_integral_from(smp: ProfileSample, lv1: float, eps: float) -> float:
+def _first_integral_from(smp: ProfileSample, lv1, eps: float):
     # alpha*phi'' + alpha'*phi' + alpha*phi'*(log v)' - alpha*phi'^2 - eps*phi,
     # with phi'' = 0 for the ansatz
     a, da, dphi, phi = smp.alpha, smp.dalpha, smp.dphi, smp.phi
     return da * dphi + a * dphi * lv1 - a * dphi * dphi - eps * phi
 
 
-def first_integral(profile, s: float) -> float:
-    """The conserved combination; equals kappa1*(E_star - eps*kappa0) on
-    solutions, independent of s."""
-    smp = _sample_of(profile, s)
-    cfg = profile.config
-    lv1, _ = _log_v_derivatives(cfg, smp)
-    return _first_integral_from(smp, lv1, float(cfg.epsilon))
+@_propagating()
+def first_integral(profile, smp: ProfileSample):
+    """The conserved combination at the samples ``smp``; equals
+    kappa1*(E_star - eps*kappa0) on solutions, independent of s."""
+    lv1, _ = _log_v_derivatives(profile, smp)
+    return _first_integral_from(smp, lv1, float(profile.config.epsilon))
 
 
-def mu_general(beta: float, dbeta: float, d2beta: float, q: float) -> float:
+def mu_general(beta, dbeta, d2beta, q):
     """mu = beta''/beta - (beta'/beta)^2/2 + q^2/(2 beta^2) for arbitrary
     injected values; the quantity the admissible beta branches annihilate."""
     return d2beta / beta - 0.5 * (dbeta / beta) ** 2 + 0.5 * q * q / (beta * beta)
 
 
-def mu_values(profile, s: float) -> list:
-    """Per-factor mu at s (beta'' = 0 on the linear ansatz)."""
-    smp = _sample_of(profile, s)
-    return [mu_general(b, db, 0.0, float(fac.q))
-            for fac, b, db in zip(profile.config.factors, smp.beta, smp.dbeta)]
+def mu_values(profile, smp: ProfileSample) -> np.ndarray:
+    """Per-factor mu at the samples ``smp``, one row per factor (beta'' = 0
+    on the linear ansatz)."""
+    return mu_general(smp.beta, smp.dbeta, 0.0, _factor_columns(profile, smp)[2])
 
 
-def _bianchi_from(smp: ProfileSample, lv1: float, lv2: float,
-                  sq_sum: float, eps: float) -> float:
+def _bianchi_from(smp: ProfileSample, lv1, sq_sum, eps: float):
     # v_full^2 * (-tr(Ldot) - tr(L^2) + u_ddot + eps/2) with v_full = f*v,
     # so v_full^2 = alpha*v^2.  All t-derivatives converted via d/dt = f d/ds:
     #   tr L      = alpha'/(2 sqrt a) + sqrt(a) * (log v)'
     #   tr(Ldot)  = alpha''/2 - alpha'^2/(4 alpha) + (alpha'/2)(log v)' + alpha*(log v)''
     #   tr(L^2)   = alpha'^2/(4 alpha) + (alpha/2) * sum n_i (beta_i'/beta_i)^2
     #   u_ddot    = alpha'*phi'/2   (phi'' = 0)
+    # and (log v)'' = -sum n_i (beta_i'/beta_i)^2 on the linear ansatz
     a, da, d2a = smp.alpha, smp.dalpha, smp.d2alpha
     quarter = da * da / (4.0 * a)
-    tr_ldot = 0.5 * d2a - quarter + 0.5 * da * lv1 + a * lv2
+    tr_ldot = 0.5 * d2a - quarter + 0.5 * da * lv1 - a * sq_sum
     tr_lsq = quarter + 0.5 * a * sq_sum
     u_ddot = 0.5 * da * smp.dphi
     return a * smp.v * smp.v * (-tr_ldot - tr_lsq + u_ddot + 0.5 * eps)
 
 
-def bianchi_quantity(profile, s: float) -> float:
-    """The contracted-Bianchi conservation quantity at s.
+@_propagating()
+def bianchi_quantity(profile, smp: ProfileSample):
+    """The contracted-Bianchi conservation quantity at the samples ``smp``.
 
     Vanishes on solutions of the full system; for a profile solving only the
     fibre/base families it is still constant in s (that constancy is the
     conservation law being checked)."""
-    smp = _sample_of(profile, s)
-    cfg = profile.config
-    lv1, lv2 = _log_v_derivatives(cfg, smp)
-    sq_sum = -lv2
-    return _bianchi_from(smp, lv1, lv2, sq_sum, float(cfg.epsilon))
+    lv1, sq_sum = _log_v_derivatives(profile, smp)
+    return _bianchi_from(smp, lv1, sq_sum, float(profile.config.epsilon))
 
 
 @dataclass

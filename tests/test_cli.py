@@ -8,9 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from kricci import acceptance
+from kricci import acceptance, profiles
 from kricci.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,6 +85,29 @@ def test_reports_are_byte_deterministic(tmp_path, capsys):
     out_b = capsys.readouterr().out
     assert out_a == out_b
     assert bytes_a == csv_path.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["compact-shrinker.json", "noncompact-shrinker.json"])
+def test_solve_samples_its_grid_in_one_call(tmp_path, capsys, monkeypatch, name):
+    """One batched profiles.sample feeds both the residuals and the CSV,
+    wherever a kricci module holds the function."""
+    calls = []
+    real = profiles.sample
+
+    def counted(profile, s):
+        calls.append(np.shape(s))
+        return real(profile, s)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("kricci"):
+            for attr, obj in list(vars(module).items()):
+                if obj is real:
+                    monkeypatch.setattr(module, attr, counted)
+    csv_path = tmp_path / "samples.csv"
+    assert main(["solve", str(CONFIGS / name), "--csv", str(csv_path), "--grid", "40"]) == 0
+    capsys.readouterr()
+    assert calls == [(40,)]
+    assert len(csv_path.read_text().splitlines()) == 41
 
 
 def test_csv_values_round_trip_to_doubles(tmp_path):

@@ -24,7 +24,6 @@ from kricci.model import (
     validate,
 )
 from kricci.obstruction import (
-    asymptotic_sign,
     chi_poly,
     find_kappa1_compact,
     find_kappa1_noncompact,
@@ -167,12 +166,6 @@ def test_compact_root_is_certified_and_matches_mpmath(cfg):
             else:
                 hi = mid
         assert abs(lo - rr.kappa1) <= 1e-12 * max(1, abs(lo))
-
-
-def test_asymptotic_signs_are_opposite():
-    for builder in acc.COMPACT_SUITE.values():
-        cfg = builder()
-        assert asymptotic_sign(cfg, "+inf") * asymptotic_sign(cfg, "-inf") == -1
 
 
 def test_reflection_identity():

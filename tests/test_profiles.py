@@ -13,12 +13,15 @@ both signs of kappa1 and far out on the domain.
 """
 
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from kricci import acceptance as acc
 from kricci import polyexp
+from kricci.obstruction import find_kappa1_noncompact
 from kricci.profiles import (
     SERIES_WINDOW,
     alpha,
@@ -236,22 +239,99 @@ def _route_probe_points(prof):
     return np.array([x for x in pts if 0.0 < x < hi])
 
 
+def _mpq(c):
+    return mp.mpf(c.numerator) / c.denominator
+
+
+def _closed_form_alpha(prof, points):
+    """alpha = J/v at each point, at 50 digits, from the exact rational
+    v_poly and psi_poly and the exact value of the float kappa1.
+
+    J is the integral of Psi(x) e^{kappa1 (s - x)} from the end the route
+    anchors the solution at: s* inside the star window (the solution that
+    vanishes there), infinity on the split route of a snapped profile, s = 0
+    elsewhere.  With Q = sum_m Psi^(m)/kappa1^(m+1), whose
+    d/dx [-e^{-kappa1 x} Q] is Psi e^{-kappa1 x}, those are
+    Q(a) e^{kappa1 (s - a)} - Q(s) for a = s*, 0, and -Q(s).  A snapped
+    profile is calibrated: its -Q is taken at the root of T0 = Q(0) that one
+    exact Newton step from the float kappa1 reaches, where the coefficients
+    of Q below the order to which J vanishes at s = 0 are zero.  For
+    kappa1 = 0, Q is minus the antiderivative of Psi and the exponential
+    is 1."""
+    try:
+        alpha_series_at_collapse(prof, "star")
+        star_window = prof.star_window
+    except ValueError:
+        star_window = 0.0   # open, or a singular star end left to J/v
+    def q_poly(k):
+        Q, der, power = [Fraction(0)] * len(prof.psi_poly), list(prof.psi_poly), k
+        while der:
+            for j, c in enumerate(der):
+                Q[j] += c / power
+            der, power = [j * c for j, c in enumerate(der)][1:], power * k
+        return Q
+
+    k = Fraction(prof.kappa1)
+    if k == 0:
+        Q = [Fraction(0)] + [-c / (j + 1) for j, c in enumerate(prof.psi_poly)]
+        calibrated = Q
+    else:
+        Q = q_poly(k)
+        # Q(0) = sum_m m! psi_m / k^(m+1), so dQ(0)/dk = -sum_m (m+1)! psi_m / k^(m+2)
+        dq0 = -sum(math.factorial(m + 1) * c / k ** (m + 2) for m, c in enumerate(prof.psi_poly))
+        calibrated = [Fraction(0) if j <= prof.zero_order else c
+                      for j, c in enumerate(q_poly(k - Q[0] / dq0))]
+    hi = prof.s_domain[1]
+    with mp.workdps(50):
+        def horner(coeffs, x):
+            acc = mp.mpf(0)
+            for c in reversed(coeffs):
+                acc = acc * x + _mpq(c)
+            return acc
+
+        out = []
+        for x in map(float, points):
+            xs = mp.mpf(x)
+            if hi - x <= star_window:
+                anchor = _mpq(prof.config.s_star)
+                j = horner(Q, anchor) * mp.exp(_mpq(k) * (xs - anchor)) - horner(Q, xs)
+            elif prof.t0_snapped and x > prof.split_from:
+                j = -horner(calibrated, xs)
+            else:
+                j = horner(Q, 0) * mp.exp(_mpq(k) * xs) - horner(Q, xs)
+            out.append(j / horner(prof.v_poly, xs))
+        return out
+
+
+@pytest.fixture(scope="module")
+def steep_shrinker_profile():
+    """A snapped noncompact shrinker whose float root leaves a large residue
+    T0: uncorrected, its P read 3.5e-14 off alpha at small |kappa1| s."""
+    from kricci.model import BoundaryStructure, Collapse, FanoFactor, derive_config
+
+    def config(kappa1):
+        return derive_config(epsilon=-1, factors=[FanoFactor(1, 2, -1), FanoFactor(5, 5, -2)],
+                             boundary=BoundaryStructure(Collapse.FACTOR), kappa1=kappa1,
+                             kappa0=1)
+    return build_profile(config(find_kappa1_noncompact(config(0)).kappa1))
+
+
 @pytest.mark.parametrize("fixture", [
     "steady_profile", "expanding_profile", "noncompact_profile", "mixed_profile",
-    "two_blowdowns_profile", "flat_profile", "cigar_profile"])
-def test_alpha_kernel_matches_sample_on_every_route(request, fixture):
-    """The array kernel takes sample()'s route at every point, the moment
-    route summed in another order: the two agree to the kernel's own
-    rounding floor, its condition times a few ulps, and to 1e-14 where the
-    route does not cancel.  Switch points: |kappa1| s = 10 (snapped) or 30,
-    SERIES_WINDOW at a zero end where v vanishes, the star-window edge."""
+    "two_blowdowns_profile", "flat_profile", "cigar_profile", "steep_shrinker_profile"])
+def test_sample_alpha_matches_the_mpmath_closed_form(request, fixture):
+    """sample()'s alpha on every side of every route switch (|kappa1| s =
+    30, or the measured split_from of a snapped profile, SERIES_WINDOW at a
+    zero end where v vanishes, the star-window edge) is the closed form to
+    1e-14 plus 8 ulps times the condition the kernel reports."""
     prof = request.getfixturevalue(fixture)
     s = _route_probe_points(prof)
     values, cond = alpha_and_condition(prof, s)
+    assert np.array_equal(values, sample(prof, s).alpha)
     assert np.array_equal(values, alpha(prof, s))
-    for x, a, c in zip(s, values, cond):
-        ref = sample(prof, float(x)).alpha
-        assert a == pytest.approx(ref, rel=1e-14 + 8.0 * c * 2.0 ** -52, abs=1e-300)
+    for x, a, c, ref in zip(s, values, cond, _closed_form_alpha(prof, s)):
+        tol = 1e-14 + 8.0 * c * 2.0 ** -52
+        assert abs(a - ref) <= tol * abs(ref), (x, a, mp.nstr(ref, 20), c)
     if prof.zero_order:
         assert any(d == SERIES_WINDOW for _, d in route_switches(prof))
 
@@ -259,21 +339,36 @@ def test_alpha_kernel_matches_sample_on_every_route(request, fixture):
 def test_alpha_kernel_on_other_routes():
     """kappa1 > 0 without a calibrated tail (the split route with
     e^{kappa1 s} T0 up to overflow), and an uncalibrated compact profile,
-    whose star end is singular and left to J/v.  The kernel caps the
-    exponent 1e-9 short of where e^{kappa1 s} T0 overflows, so at that
-    switch alone it may return inf where sample() still has a value."""
+    whose star end is singular and left to J/v, against the closed form.
+    The kernel caps the exponent 1e-9 short of where e^{kappa1 s} T0
+    overflows and reads inf from there on.  Up there the rounding of the
+    exponent kappa1*s alone moves e^{kappa1 s} by up to |kappa1 s| ulps,
+    which the tolerance adds."""
     for cfg in (acc.steady_representative(kappa1=1), acc.noncompact_shrinker_small(0.9),
                 acc.compact_two_blowdowns(0.25)):
         prof = build_profile(cfg)
         s = _route_probe_points(prof)
         overflow = max(d for _, d in route_switches(prof))
         values, cond = alpha_and_condition(prof, s)
-        for x, a, c in zip(s, values, cond):
-            ref = sample(prof, float(x)).alpha
+        for x, a, c, ref in zip(s, values, cond, _closed_form_alpha(prof, s)):
             if math.isinf(a):
-                assert a == ref or x * prof.kappa1 >= overflow * prof.kappa1 - 1e-9
+                assert x * prof.kappa1 >= overflow * prof.kappa1 - 1e-9
             else:
-                assert a == pytest.approx(ref, rel=1e-14 + 8.0 * c * 2.0 ** -52)
+                tol = 1e-14 + (8.0 * c + abs(prof.kappa1 * x)) * 2.0 ** -52
+                assert abs(a - ref) <= tol * abs(ref), (x, a, ref)
+
+
+def test_snapped_split_route_starts_where_it_is_better_conditioned(noncompact_profile):
+    """On a snapped noncompact shrinker the moment route hands over to the
+    polynomial P, whose coefficients below the order of J's zero at s = 0
+    are snapped with T0, at the measured crossover below |kappa1| s = 10,
+    and alpha's condition stays small on both sides."""
+    prof = noncompact_profile
+    assert prof.t0_snapped and prof.kappa1 * prof.split_from < 10.0
+    assert prof.p_alpha[:prof.zero_order + 1] == (0.0,) * (prof.zero_order + 1)
+    assert ("zero", prof.split_from) in route_switches(prof)
+    _, cond = alpha_and_condition(prof, np.geomspace(1e-3, 1e4, 4000))
+    assert cond.max() <= 10.0
 
 
 def test_linear_data_is_exact(mixed_profile):

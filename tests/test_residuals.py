@@ -30,8 +30,7 @@ def _max_eq_residual(res):
 def test_residuals_vanish_on_every_class(steady_profile, expanding_profile,
                                          mixed_profile, noncompact_profile):
     for prof in (steady_profile, expanding_profile, mixed_profile, noncompact_profile):
-        grid = default_grid(prof)
-        res = soliton_residuals(prof, grid)
+        res = soliton_residuals(prof, sample(prof, default_grid(prof)))
         assert _max_eq_residual(res) < 1e-9
         assert float(np.max(res.c_values) - np.min(res.c_values)) < 1e-9
 
@@ -41,7 +40,9 @@ def test_first_integral_equals_the_derived_constant(steady_profile, mixed_profil
     for prof in (steady_profile, mixed_profile, noncompact_profile):
         c = float(prof.config.c)
         for s in (0.3, 1.0, 2.5):
-            assert first_integral(prof, s) == pytest.approx(c, rel=1e-10, abs=1e-10)
+            assert first_integral(prof, sample(prof, s)) == pytest.approx(c, rel=1e-10, abs=1e-10)
+        values = first_integral(prof, sample(prof, np.array([0.3, 1.0, 2.5])))
+        assert values == pytest.approx([c] * 3, rel=1e-10, abs=1e-10)
 
 
 def test_mu_vanishes_for_the_linear_family():
@@ -66,16 +67,20 @@ def test_mu_general_reference_value():
 
 
 def test_mu_values_on_a_profile(steady_profile):
-    vals = mu_values(steady_profile, 1.7)
+    vals = mu_values(steady_profile, sample(steady_profile, 1.7))
     assert len(vals) == len(steady_profile.config.factors)
     for v in vals:
         assert v == pytest.approx(0.0, abs=1e-12)
+    grid = mu_values(steady_profile, sample(steady_profile, np.array([0.5, 1.7, 9.0])))
+    assert grid.shape == (len(steady_profile.config.factors), 3)
+    assert np.abs(grid).max() < 1e-12
 
 
 def test_bianchi_quantity_vanishes(steady_profile, mixed_profile):
     for prof, pts in ((steady_profile, (0.5, 2.0, 10.0)), (mixed_profile, (0.5, 2.0, 3.5))):
         for s in pts:
-            assert bianchi_quantity(prof, s) == pytest.approx(0.0, abs=1e-8)
+            assert bianchi_quantity(prof, sample(prof, s)) == pytest.approx(0.0, abs=1e-8)
+        assert np.abs(bianchi_quantity(prof, sample(prof, np.array(pts)))).max() < 1e-8
 
 
 def test_detuned_profile_shifts_the_first_integral():
@@ -84,33 +89,31 @@ def test_detuned_profile_shifts_the_first_integral():
     shift = 0.25
     prof = build_profile(acc.steady_representative(), e_star_shift=shift)
     expected = float(prof.config.c) + prof.kappa1 * shift
-    vals = [first_integral(prof, s) for s in np.linspace(0.4, 9.0, 25)]
+    vals = first_integral(prof, sample(prof, np.linspace(0.4, 9.0, 25)))
     assert max(vals) - min(vals) < 1e-10
     assert vals[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_detuned_profile_fails_the_field_equations():
     prof = build_profile(acc.steady_representative(), e_star_shift=0.25)
-    res = soliton_residuals(prof, default_grid(prof))
+    res = soliton_residuals(prof, sample(prof, default_grid(prof)))
     assert _max_eq_residual(res) > 1e-4
 
 
 class _CorruptedSampler:
-    """Wraps a profile but reports alpha with a constant bump."""
+    """A sampler that reports alpha with a constant bump."""
 
-    def __init__(self, profile, bump):
-        self._profile = profile
-        self.config = profile.config
+    def __init__(self, bump):
         self._bump = bump
 
-    def sample(self, s):
-        smp = sample(self._profile, s)
+    def __call__(self, profile, s):
+        smp = sample(profile, s)
         return dataclasses.replace(smp, alpha=smp.alpha + self._bump)
 
 
 def test_checkers_detect_a_corrupted_sampler(steady_profile):
-    grid = default_grid(steady_profile)
-    res = soliton_residuals(_CorruptedSampler(steady_profile, 0.01), grid)
+    corrupted = _CorruptedSampler(0.01)
+    res = soliton_residuals(steady_profile, corrupted(steady_profile, default_grid(steady_profile)))
     assert float(np.max(np.abs(res.r_t))) > 1e-4
     assert float(np.max(np.abs(res.r_base))) > 1e-4
 
