@@ -76,8 +76,8 @@ _STAR_WINDOW_FRACTION = 1.0 / 30.0
 #: |kappa1| s up to which the moment route serves when T0 is not snapped,
 #: and the end of the crossover search when it is
 _MOMENT_Z = 30.0
-#: the |kappa1| s of that search
-_CROSSOVER_Z = np.geomspace(1e-2, _MOMENT_Z, 24)
+#: the |kappa1| s of that search, geometric over [0.01, _MOMENT_Z]
+_CROSSOVER_Z = tuple(0.01 * (_MOMENT_Z / 0.01) ** (i / 23) for i in range(24))
 _EXP_OVERFLOW = 709.0
 _SNAP_REL = 1e-9
 _SERIES_TERMS = 14
@@ -325,7 +325,7 @@ def _split_crossover(k: float, table: np.ndarray, p_alpha: Sequence[float]) -> f
     Far out the moment sum builds a polynomial-sized J out of
     e^{kappa1 s}-sized terms; near s = 0 P may cancel instead.
     """
-    x = _CROSSOVER_Z / abs(k)
+    x = np.array(_CROSSOVER_Z) / abs(k)
     J, j_scale = _moment_sum(k, table, x)
     P = _fhorner(p_alpha, x)
     misses = np.flatnonzero(_ratio(_abs_horner(p_alpha, x), P) > _ratio(j_scale, J))
