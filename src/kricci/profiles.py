@@ -248,16 +248,17 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
         der = list(psi_poly)
         power = kr
         t0_exact = Fraction(0)
-        dt0_exact = Fraction(0)   # dT0/dkappa1
         t0_scale = 0.0
+        dt0 = 0.0   # dT0/dkappa1, which does not cancel at a simple root
         fact = 1
         m = 0
         while der:
             pa = polyexp.poly_add(pa, polyexp.poly_scale(der, Fraction(-1) / power))
             term = fact * psi_poly[m] / power if m < len(psi_poly) else Fraction(0)
             t0_exact += term
-            dt0_exact -= (m + 1) * term / kr
-            t0_scale += abs(float(term))
+            t_float = float(term)
+            t0_scale += abs(t_float)
+            dt0 -= (m + 1) * t_float / k1
             der = polyexp.poly_derivative(der)
             power *= kr
             m += 1
@@ -270,9 +271,9 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
             # step dk = -T0/T0' and dP/dkappa1 = sum_m (m+1)! Psi^(m)/m! /
             # kappa1^(m+2); there its coefficients below the order of J's
             # zero at s = 0 vanish (module docstring)
-            if dt0_exact:
+            if dt0:
                 weights = np.cumprod(np.arange(1, len(taylor_table) + 1) / k1) / k1
-                p_float += float(-t0_exact / dt0_exact) * (weights @ taylor_table)
+                p_float += -t0 / dt0 * (weights @ taylor_table)
             p_float[:zero_order + 1] = 0.0
             split_from = _split_crossover(k1, taylor_table, p_float)
         else:
