@@ -274,15 +274,10 @@ def _emit_json(obj: Any, out_path: Optional[str]) -> None:
         print(text)
 
 
-def _csv_cell(x: Any) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
-def _write_csv(path: Optional[str], header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+def _write_csv(path: Optional[str], header: Sequence[str], rows: Sequence[Sequence[float]]) -> None:
+    """Write rows of Python floats (an array's tolist()), each by repr."""
     lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(x) for x in row) for row in rows)
+    lines.extend(",".join(map(repr, row)) for row in rows)
     text = "\n".join(lines) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -397,8 +392,7 @@ def cmd_futaki(args) -> int:
         raise SchemaError("--steps must be at least 2")
     ks = np.linspace(args.kappa_min, args.kappa_max, args.steps)
     values = [futaki_integral(config, float(k)).value for k in ks]
-    rows = [[float(k), v] for k, v in zip(ks, values)]
-    _write_csv(None, ["kappa1", "integral"], rows)
+    _write_csv(None, ["kappa1", "integral"], np.column_stack([ks, values]).tolist())
     for i in range(len(values) - 1):
         if values[i] == 0.0 or (values[i] < 0.0) != (values[i + 1] < 0.0):
             print(f"# sign change in [{float(ks[i])!r}, {float(ks[i+1])!r}]")
@@ -443,12 +437,7 @@ def cmd_reconstruct(args) -> int:
         raise NumericFailure(str(exc)) from exc
     r = profile.config.r
     header = ["t", "s", "f"] + [f"g_{i+1}" for i in range(r)] + ["u"]
-    rows = []
-    for j in range(len(mf.t_grid)):
-        row = [float(mf.t_grid[j]), float(mf.s_of_t[j]), float(mf.f[j])]
-        row.extend(float(mf.g[i, j]) for i in range(r))
-        row.append(float(mf.u[j]))
-        rows.append(row)
+    rows = np.vstack([mf.t_grid, mf.s_of_t, mf.f, mf.g, mf.u]).T.tolist()
     _write_csv(args.csv, header, rows)
     return EXIT_OK
 
@@ -465,7 +454,7 @@ def cmd_flow(args) -> int:
         xis = geometry.flow_trajectory(profile, args.tau, ts)
     except ValueError as exc:
         raise NumericFailure(str(exc)) from exc
-    _write_csv(args.csv, ["t", "xi"], [[float(t), float(xi)] for t, xi in zip(ts, xis)])
+    _write_csv(args.csv, ["t", "xi"], np.column_stack([ts, xis]).tolist())
     return EXIT_OK
 
 

@@ -14,7 +14,9 @@ and delta = s* - s from the star end of a compact profile, which takes the
 half s > s*/2.  In u the integrand delta*rate is smooth up to the ends, the
 nodes are uniform (420 from delta = 1e-8, split between the halves of a
 compact profile), and a point near s* keeps the precision of its distance,
-which s itself cannot carry.
+which s itself cannot carry.  On a glued compact profile (see profiles)
+alpha on the star half is the mirror's, so there t(s) = T - t_mirror(delta)
+and F(s) = F_mirror(delta) + const, and each end is an s = 0 end.
 
 Quadrature.  Each interval between nodes is one 8-point Gauss-Legendre
 panel in u.  Its error is estimated by panel doubling, the rule on the
@@ -25,10 +27,10 @@ singular; past a fixed depth ValueError is raised.  Panels are also cut
 where alpha changes evaluation route, so that none straddles the small step
 a route switch makes.  The prefix at a node is the sum of the panels below
 it, and a value between nodes is the prefix plus one panel from the node
-below; nothing is interpolated.  Past the nodes, t has the x = w^2 head at
-s = 0 and a closed-form sliver at a compact star end, and an open t table
-continues in u past its last node (s = 1e5); F continues in u past both
-collapsed ends, where it diverges like log(delta)/(2*kappa1).
+below; nothing is interpolated.  Past the nodes, t has the delta = w^2
+head at each collapsed end, and an open t table continues in u past its
+last node (s = 1e5); F continues in u past both collapsed ends, where it
+diverges like log(delta)/(2*kappa1).
 
 Inversion is safeguarded Newton in u over a whole batch of targets, with
 the exact derivative dG/du = +-delta*rate: a bracket of two nodes and a
@@ -230,11 +232,10 @@ class _CumulativeIntegral:
     there.  ``breaks`` are the (side, u) where alpha changes route.
 
     Past the nodes a table covers what its end models cover: ``head`` is
-    the integrand in w = sqrt(s) on [0, 1e-4], where G(0) = 0 (without it G
-    continues in u below the first node); ``sliver`` = (G(s*), gamma) is
-    the closed form of t within 1e-8 of s* (without it G continues in u
-    there too); ``open_end`` lets G continue in u past the last node of an
-    open profile.
+    the integrand in w = sqrt(delta) on [0, 1e-4] at each collapsed end,
+    where G is ``ends`` = (G(0) = 0, G(s*)) (without it G continues in u
+    below the first node); ``open_end`` lets G continue in u past the last
+    node of an open profile.
     """
 
     integrand: Callable
@@ -243,32 +244,31 @@ class _CumulativeIntegral:
     slopes: np.ndarray
     breaks: Tuple[Tuple[int, float], ...]
     head: Optional[Callable] = None
-    sliver: Optional[Tuple[float, float]] = None
+    ends: Tuple[float, ...] = (0.0,)
     open_end: bool = False
 
     def value(self, side: np.ndarray, u: np.ndarray):
-        """G and dG/du at the points (side, u); u = -inf is s = 0 with a
-        head, or s* with a sliver."""
+        """G and dG/du at the points (side, u); with a head, u = -inf is
+        the collapsed end of that side."""
         nodes = self.nodes
         out = np.empty((2,) + u.shape)
-        below = u < nodes[0]
-        head = below & (side == 0) & (self.head is not None)
+        head = (u < nodes[0]) & (self.head is not None)
         if head.any():
+            hs = side[head]
             w = np.exp(0.5 * u[head])
-            out[0, head], at_w = _integrate(self.head, 0, np.zeros_like(w), w)
-            out[1, head] = 0.5 * w * at_w  # dG/du = dG/dw * w/2
-        sliver = below & (side == 1) & (self.sliver is not None)
-        if sliver.any():
-            total, gamma = self.sliver
-            delta = np.exp(u[sliver])
-            root = np.sqrt(2.0 * delta)
-            out[0, sliver] = total - root * (1.0 - gamma * delta / 6.0)
-            out[1, sliver] = -root * (0.5 - gamma * delta / 4.0)
+            sign = np.where(hs == 1, -1.0, 1.0)
+            g, dg = np.zeros_like(w), np.zeros_like(w)
+            inner = w > 0.0  # w = 0 is the end itself
+            if inner.any():
+                g[inner], at_w = _integrate(self.head, hs[inner], g[inner], w[inner])
+                dg[inner] = 0.5 * w[inner] * at_w  # dG/du = dG/dw * w/2
+            out[0, head] = np.take(self.ends, hs) + sign * g
+            out[1, head] = sign * dg
         beyond = (u > nodes[-1]) & (side == 0)
         if beyond.any() and not self.open_end:
             raise ValueError(f"s = {math.exp(u[beyond][0])} outside the flow map's "
                              f"tabulated range [{_D_MIN}, {_S_MAX}]")
-        rest = ~(head | sliver)
+        rest = ~head
         side, u = side[rest], u[rest]
         j = np.clip(np.searchsorted(nodes, u, side="right") - 1, 0, len(nodes) - 1)
         sign = np.where(side == 1, -1.0, 1.0)
@@ -297,17 +297,12 @@ class _CumulativeIntegral:
         u = np.empty(target.shape)
         first, last = k == 0, k == len(ordered)
         solve = np.ones(target.shape, dtype=bool)
-        if last.any() and self.sliver is not None:
-            # within 1e-8 of s*: invert the closed form of t
-            total, gamma = self.sliver
-            if target[last].max() > total + 1e-9:
+        if last.any() and compact and self.head is not None:
+            # within 1e-8 of s*: the star head below, s* itself at t = G(s*)
+            if target[last].max() > self.ends[1] + 1e-9:
                 raise ValueError(f"t = {target[last].max()} beyond the end of the compact interval")
-            d = np.maximum(total - target[last], 0.0)
-            delta = 0.5 * d * d
-            for _ in range(3):
-                delta = 0.5 * (d / (1.0 - gamma * delta / 6.0)) ** 2
-            u[last] = np.log(delta, out=np.full(delta.shape, -math.inf), where=delta > 0.0)
-            solve = ~last
+            solve = ~(last & (target >= self.ends[1]))
+            u[~solve] = -math.inf
         elif last.any() and not compact:
             if not self.open_end:
                 lo_f, hi_f = sorted((ordered[0], ordered[-1]))
@@ -319,14 +314,14 @@ class _CumulativeIntegral:
             if (sign * (reach - target[last]) < 0.0).any():
                 raise ValueError(f"{what} = {target[last].max()} beyond the reachable range")
         # past a collapsed end G is linear in u with the end node's slope
-        # (t = sqrt(2 s) with a head), so one unit of u past that guess
-        # brackets the target
+        # (G = G(end) +- sqrt(2 delta) with a head), so one unit of u past
+        # that guess brackets the target
         tail = first | (last & solve & compact)
         if tail.any():
             end_side = last[tail].astype(int)
             ends = np.full(end_side.shape, nodes[0])
             if self.head is not None:
-                guess = np.log(0.5 * target[tail] ** 2)
+                guess = np.log(0.5 * (target[tail] - np.take(self.ends, end_side)) ** 2)
             else:
                 g_end = np.where(end_side == 1, ordered[-1], ordered[0])
                 guess = ends + (target[tail] - g_end) / self.slopes[end_side, 0]
@@ -384,8 +379,8 @@ def _route_breaks(profile: Profile) -> Tuple[Tuple[int, float], ...]:
 
 def _table(profile: Profile, power: float, factor: float, head: bool) -> _CumulativeIntegral:
     """The table of G = int factor * alpha^-power ds.  With ``head``, G(0) =
-    0 (and a compact table gets the star sliver); without it G is anchored
-    to 0 at its middle node."""
+    0 and each collapsed end gets the head in w = sqrt(delta); without it G
+    is anchored to 0 at its middle node."""
     end = profile.s_domain[1]
     sides = 2 if profile.is_compact else 1
     top = 0.5 * end if profile.is_compact else _S_MAX
@@ -397,7 +392,8 @@ def _table(profile: Profile, power: float, factor: float, head: bool) -> _Cumula
         return np.exp(u) * f, floor
 
     def head_integrand(side, w):
-        f, floor = rate(w * w, end - w * w)
+        d = w * w  # the distance from the end of the side
+        f, floor = rate(np.where(side == 1, end - d, d), np.where(side == 1, d, end - d))
         return 2.0 * w * f, floor
 
     breaks = _route_breaks(profile)
@@ -408,36 +404,28 @@ def _table(profile: Profile, power: float, factor: float, head: bool) -> _Cumula
     at_first = integrand(np.arange(sides), np.full(sides, nodes[0]))[0]
     slopes = np.column_stack([at_first, at_nodes.reshape(sides, -1)])
     slopes[1:] *= -1.0  # s falls as u rises on the star side
-    start = 0.0
+    heads = np.zeros(sides)
     if head:
         w0 = math.exp(0.5 * nodes[0])
-        start = float(_integrate(head_integrand, 0, np.zeros(1), np.array([w0]))[0][0])
-    prefix = [np.cumsum(np.concatenate([[start], panels[0]]))]
+        heads = _integrate(head_integrand, np.arange(sides), np.zeros(sides),
+                           np.full(sides, w0))[0]
+    prefix = [np.cumsum(np.concatenate([[heads[0]], panels[0]]))]
     if sides == 2:
         # toward s*, G grows by each star-side panel from the shared node s*/2
         prefix.append(np.cumsum(np.concatenate([[prefix[0][-1]], panels[1][::-1]]))[::-1])
     prefix = np.array(prefix)
-    sliver = None
     if not head:
         ordered = np.concatenate([prefix[0], prefix[1][-2::-1]]) if sides == 2 else prefix[0]
         prefix -= ordered[len(ordered) // 2]
-    elif sides == 2:
-        # alpha = 2*delta*(1 + gamma*delta) within 1e-8 of s*, whose arclength
-        # sqrt(2*delta)*(1 - gamma*delta/6) is exact to O(delta^2) ~ 1e-16;
-        # gamma is measured once at delta = 1e-3
-        probe = 1.0e-3
-        gamma = (float(profiles.alpha(profile, end - probe, probe)) / (2.0 * probe) - 1.0) / probe
-        d0 = math.exp(nodes[0])
-        sliver = (prefix[1][0] + math.sqrt(2.0 * d0) * (1.0 - gamma * d0 / 6.0), gamma)
+    ends = (0.0, float(prefix[1][0] + heads[1])) if sides == 2 else (0.0,)
     return _CumulativeIntegral(integrand, nodes, prefix, slopes, breaks,
-                               head=head_integrand if head else None, sliver=sliver,
+                               head=head_integrand if head else None, ends=ends,
                                open_end=head and sides == 1)
 
 
 def _arclength(profile: Profile) -> _CumulativeIntegral:
     """The geodesic distance table of the profile, built on first use: rate
-    1/sqrt(alpha), with the x = w^2 head at s = 0 and, at a compact star
-    end, the Taylor sliver alpha = 2*delta*(1 + gamma*delta) (see _table)."""
+    1/sqrt(alpha), with the delta = w^2 head at each collapsed end."""
     table = profile._integrals.get("t")
     if table is None:
         table = profile._integrals["t"] = _table(profile, 0.5, 1.0, head=True)
@@ -458,11 +446,7 @@ def _t_points(profile: Profile, t: np.ndarray):
 
 def _t_values(profile: Profile, side: np.ndarray, u: np.ndarray) -> np.ndarray:
     """t at the table coordinates (side, u)."""
-    out = np.zeros(u.shape)
-    away = (side == 1) | (u > -math.inf)
-    if away.any():
-        out[away] = _arclength(profile).value(side[away], u[away])[0]
-    return out
+    return _arclength(profile).value(side, u)[0]
 
 
 def t_of_s(profile: Profile, s):
@@ -486,9 +470,7 @@ def s_of_t(profile: Profile, t):
 
     Safeguarded Newton in u = log(delta) on t itself, from a bracket of
     table nodes (never an interpolated value), to relative 1e-14 in delta =
-    s, or s* - s on the star half of a compact profile.  Inside the star
-    sliver of a compact profile the distance is the closed Taylor model,
-    inverted directly.
+    s, or s* - s on the star half of a compact profile.
     """
     t_arr = np.asarray(t, dtype=float)
     flat = t_arr.reshape(-1)

@@ -38,15 +38,20 @@ terms and loses digits as |kappa1|*s grows, while P does not; build_profile
 measures where P's condition falls below the moment sum's and switches there
 (Profile.split_from).
 
-Near a collapsed end alpha = J/v is evaluated as a Taylor series in the
-distance from the end, obtained by power-series division (see
-alpha_series_at_collapse).  At s = 0, where v vanishes, the series serves
-within SERIES_WINDOW.  At a compact star end alpha vanishes only because
-the existence integral does, so J/v is 0/0 there (also at a point end, where
-v does not vanish) and J carries the root's residual; the star series builds
-the vanishing in exactly.  It serves for s_star - s <= rho/30, capped at
-s_star/2, where rho, the series' radius of convergence, is the distance from
-s_star to the nearest other zero of v (Profile.star_window).
+Near s = 0, where v vanishes, alpha = J/v is evaluated as a Taylor series
+in s, obtained by power-series division (see alpha_series_at_collapse); it
+serves within SERIES_WINDOW.
+
+A compact profile has a second collapsed end at s_star, where J/v is 0/0
+(also at a point end, where v does not vanish) and J carries the root's
+residual.  Reflection (factors reversed, charges negated, kappa1 ->
+-kappa1) swaps the ends, so at a calibrated kappa1 the star half s >
+s_star/2 takes alpha from the mirror profile (Profile.mirror) at delta =
+s_star - s, by its ordinary s = 0 routes.  The halves meet at s_star/2 with
+a step of the root's footprint e^{kappa1 s} I/v.  The mirror's zero series
+serves for delta <= rho/30, capped at s_star/2, rho being the distance from
+s_star to the nearest other zero of v.  At an uncalibrated kappa1 J/v serves
+the whole domain.
 
 One kernel evaluates alpha at a whole array of points.  sample() adds the
 derivatives and the linear data; alpha() and alpha_and_condition() return
@@ -59,19 +64,17 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from kricci import polyexp
-from kricci.model import SolitonConfig, validate
+from kricci.model import SolitonConfig, mirror_config, validate
 
 #: distance from the s = 0 end (with vanishing v) below which its series is used
 SERIES_WINDOW = 1e-3
-#: the star series is used within this fraction of its radius of convergence
-_STAR_WINDOW_FRACTION = 1.0 / 30.0
 
 #: |kappa1| s up to which the moment route serves when T0 is not snapped,
 #: and the end of the crossover search when it is
@@ -87,8 +90,6 @@ _SERIES_TERMS = 14
 _SERIES_BLOCK = 8
 _SERIES_BLOCK_MAX = 128
 _BLOCK_TERMS = 4096
-_SINGULAR_STAR = ("alpha is singular at s_star: the existence integral does not "
-                  "vanish at this kappa1")
 
 
 def _fhorner(coeffs: Sequence[float], x: float) -> float:
@@ -149,10 +150,12 @@ class Profile:
 
     ``v_poly`` and ``psi_poly`` are exact rational polynomials; everything
     else is float machinery derived from them once at build time.  The object
-    is immutable after construction apart from the lazy caches: the series
-    cache (``None`` records a singular star end) and the geometry module's
-    t and F tables in ``_integrals``.  ``star_window`` is the distance from
-    s_star within which alpha comes from the star series (0.0 when open).
+    is immutable after construction apart from the lazy caches: the zero
+    series in ``_zero_series`` and the geometry module's t and F tables in
+    ``_integrals``.  ``series_window`` is the distance from s = 0 within
+    which alpha comes from the zero series (0.0 where there is none).
+    ``mirror`` is the reflected profile that serves the star half of a
+    compact profile at a calibrated kappa1, and None otherwise.
     ``split_from`` is the s beyond which J takes the split route (inf when
     kappa1 = 0).  The float copies of the sigmas, the beta slopes -q_i, eps
     and E_eff, and ``taylor_table`` (the float coefficients of Psi^(m)/m!,
@@ -176,13 +179,14 @@ class Profile:
     v_float: Tuple[float, ...]
     dv_float: Tuple[float, ...]
     d2v_float: Tuple[float, ...]
-    star_window: float
+    series_window: float
     sigma_float: Tuple[float, ...]
     dbeta_float: Tuple[float, ...]
     eps_float: float
     e_eff_float: float
     taylor_table: np.ndarray = field(repr=False, compare=False)
-    _series: Dict[str, Optional[Tuple[float, ...]]] = field(default_factory=dict, repr=False)
+    mirror: Optional["Profile"] = field(default=None, repr=False, compare=False)
+    _zero_series: Optional[Tuple[float, ...]] = field(default=None, repr=False, compare=False)
     _integrals: Dict[str, Any] = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -225,18 +229,9 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
         degree = sum(f.n for f in config.factors) + 1
         assert polyexp.poly_degree(psi_poly) == degree
 
-    taylor: List[Tuple[float, ...]] = []   # Psi^(m)/m! as float coeffs
-    der = list(psi_poly)
-    fact = 1
-    m = 0
-    while der:
-        taylor.append(tuple(float(c / fact) for c in der))
-        der = polyexp.poly_derivative(der)
-        m += 1
-        fact *= m
-    taylor_table = np.array([row + (0.0,) * (len(taylor[0]) - len(row)) for row in taylor])
-
+    taylor_table = _taylor_table(psi_poly)
     zero_order = _low_order_zeros(v_poly)
+    pa: list = []
     p_alpha: Optional[Tuple[float, ...]] = None
     t0 = 0.0
     t0_snapped = False
@@ -244,7 +239,6 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
     if k1 != 0.0:
         kr = Fraction(k1)
         # particular polynomial P = -sum_m Psi^(m)/kappa1^(m+1), exact then floated
-        pa: list = []
         der = list(psi_poly)
         power = kr
         t0_exact = Fraction(0)
@@ -280,17 +274,74 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
             split_from = _MOMENT_Z / abs(k1)
         p_alpha = tuple(p_float.tolist())
 
-    star_window = 0.0
+    s_hi = math.inf
+    mirror = None
     if config.is_compact:
-        s_star = config.s_star
-        s_hi = float(s_star)
-        zeros = (-polyexp.as_rational(sig)
-                 for fac, sig in zip(config.factors, config.sigmas) if fac.n)
-        rho = min((abs(s_star - z) for z in zeros if z != s_star), default=math.inf)
-        star_window = min(_STAR_WINDOW_FRACTION * float(rho), 0.5 * s_hi)
-    else:
-        s_hi = math.inf
+        s_hi = float(config.s_star)
+        # the existence condition: the weighted integral of Psi over
+        # [0, s_star] vanishes to 1e-9 of its majorant
+        i_star = polyexp.exp_poly_integral(psi_poly, k1, 0, config.s_star)
+        scale = polyexp.exp_poly_integral([abs(c) for c in psi_poly], k1, 0, config.s_star)
+        if abs(i_star) <= _SNAP_REL * max(1e-300, scale):
+            mirror = _mirror(config, v_poly, psi_poly, e_eff, pa)
+    return _assemble(config, v_poly, psi_poly, e_eff, k1, s_hi, taylor_table,
+                     p_alpha, 0.0 if t0_snapped else t0, t0_snapped, split_from,
+                     SERIES_WINDOW if zero_order else 0.0, mirror)
 
+
+def _taylor_table(psi_poly: list) -> np.ndarray:
+    """The float coefficients of Psi^(m)/m!, one zero-padded row per m:
+    row m holds binom(m + j, m) psi_{m+j}, each rounded once."""
+    n = len(psi_poly)
+    table = np.zeros((n, n))
+    for m in range(n):
+        for j, c in enumerate(psi_poly[m:]):
+            table[m, j] = c.numerator * math.comb(m + j, m) / c.denominator
+    return table
+
+
+def _mirror(config: SolitonConfig, v_poly: list, psi_poly: list, e_eff: Fraction,
+            pa: list) -> Profile:
+    """The mirror of a calibrated compact profile, in delta = s_star - s:
+    the parent's polynomials p reflected to p(s_star - delta), Psi negated
+    with d/ds (E_eff becomes -(eps s_star + E_eff)), and P as it is (the
+    signs of Psi and kappa1 cancel).  Its T0 = -P(s_star) is not snapped.
+    """
+    s_star = config.s_star
+    h = int(s_star)  # validate holds s_star to 2 (N0 + N* + 2)
+    assert h == s_star
+
+    def reflect(p: list) -> list:
+        # a Taylor shift in integers over the common denominator of p
+        den = math.lcm(*(c.denominator for c in p))
+        out = [c.numerator * (den // c.denominator) for c in p]
+        for i in range(len(out) - 1):
+            for j in range(len(out) - 2, i - 1, -1):
+                out[j] += h * out[j + 1]
+        return [Fraction(c if j % 2 == 0 else -c, den) for j, c in enumerate(out)]
+
+    psi_hat = polyexp.poly_neg(reflect(psi_poly))
+    k = -float(config.kappa1)
+    pa_hat = reflect(pa)  # empty when kappa1 = 0
+    # the zero series serves within 1/30 of its radius of convergence
+    zeros = (-polyexp.as_rational(sig)
+             for fac, sig in zip(config.factors, config.sigmas) if fac.n)
+    rho = min((abs(s_star - z) for z in zeros if z != s_star), default=math.inf)
+    window = min(float(rho) / 30.0, 0.5 * float(s_star))
+    e_hat = -(polyexp.as_rational(config.epsilon) * s_star + e_eff)
+    return _assemble(mirror_config(replace(config, kappa1=-config.kappa1)),
+                     reflect(v_poly), psi_hat, e_hat, k, float(s_star), _taylor_table(psi_hat),
+                     tuple(float(c) for c in pa_hat) if k else None,
+                     -float(pa_hat[0]) if k else 0.0, False,
+                     _MOMENT_Z / abs(k) if k else math.inf, window, None)
+
+
+def _assemble(config: SolitonConfig, v_poly: list, psi_poly: list, e_eff: Fraction,
+              k1: float, s_hi: float, taylor_table: np.ndarray,
+              p_alpha: Optional[Tuple[float, ...]], t0: float, t0_snapped: bool,
+              split_from: float, series_window: float,
+              mirror: Optional[Profile]) -> Profile:
+    """The Profile of these polynomials and routes, and its float copies."""
     dv_poly = polyexp.poly_derivative(v_poly)
     return Profile(
         config=config,
@@ -302,19 +353,20 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
         kappa0=float(config.kappa0),
         psi_antideriv=tuple(float(c) for c in polyexp.poly_antiderivative(psi_poly)),
         p_alpha=p_alpha,
-        t0=0.0 if t0_snapped else t0,
+        t0=t0,
         t0_snapped=t0_snapped,
         split_from=split_from,
-        zero_order=zero_order,
+        zero_order=_low_order_zeros(v_poly),
         v_float=tuple(float(c) for c in v_poly),
         dv_float=tuple(float(c) for c in dv_poly),
         d2v_float=tuple(float(c) for c in polyexp.poly_derivative(dv_poly)),
-        star_window=star_window,
+        series_window=series_window,
         sigma_float=tuple(float(sig) for sig in config.sigmas),
         dbeta_float=tuple(float(-fac.q) for fac in config.factors),
         eps_float=float(config.epsilon),
         e_eff_float=float(e_eff),
         taylor_table=taylor_table,
+        mirror=mirror,
     )
 
 
@@ -448,52 +500,47 @@ def _log_v_rates(profile: Profile, x: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     return lv1, lv2
 
 
-def _fill_series(profile: Profile, end: str, near, x, sign: float, out, cond, derivs) -> None:
-    """alpha, its condition and, when ``derivs`` holds two arrays, its
-    first two derivatives in s at the points ``near`` from the series at
-    ``end``; ``x`` is their distance from that end, ``sign`` d(x)/ds."""
-    series = _series_coeffs(profile, end)
-    out[near] = _fhorner(series, x)
-    cond[near] = _ratio(_abs_horner(series, x), out[near])
-    if derivs is not None:
-        d1 = _fderiv(series)
-        derivs[0][near] = sign * _fhorner(d1, x)
-        derivs[1][near] = _fhorner(_fderiv(d1), x)
-
-
 def _kernel(profile: Profile, s, delta=None, derivatives: bool = False):
     """alpha and its condition at every point of the array ``s`` (see
     alpha_and_condition), and with ``derivatives`` also alpha' and alpha''.
 
-    The zero series serves within SERIES_WINDOW, the star series within
-    ``star_window``, and J/v by the routes of _J_and_scale elsewhere, each
-    chosen by mask.  On a series route the derivatives are the series' own;
-    on J/v they come from the defining equation and its derivative, and are
-    NaN where v vanishes.
+    The mirror serves the star half of a glued profile, at delta = s_star -
+    s.  Elsewhere the zero series serves within ``series_window`` and J/v by
+    the routes of _J_and_scale beyond, each chosen by mask.  On a series
+    route the derivatives are the series' own; on J/v they come from the
+    defining equation and its derivative, and are NaN where v vanishes.
     """
     s = np.asarray(s, dtype=float)
     lo, hi = profile.s_domain
     outside = (s < lo - 1e-12) | (s > hi + 1e-12)
     if outside.any():
         raise ValueError(f"s = {s[outside].flat[0]} is outside the profile domain [{lo}, {hi}]")
+    if profile.mirror is not None:
+        star = s > 0.5 * hi
+        if star.any():
+            dist = hi - s if delta is None else np.broadcast_to(delta, s.shape)
+            parts = [np.empty(s.shape) for _ in range(4 if derivatives else 2)]
+            for half, prof, x in ((~star, profile, s), (star, profile.mirror, dist)):
+                for part, values in zip(parts, _kernel(prof, x[half], derivatives=derivatives)):
+                    part[half] = values
+            if derivatives:
+                parts[2][star] *= -1.0  # d/ds = -d/d(delta)
+            return tuple(parts)
     out = np.empty(s.shape)
     cond = np.empty(s.shape)
     derivs = (np.empty(s.shape), np.empty(s.shape)) if derivatives else None
     rest = np.ones(s.shape, dtype=bool)
-    if profile.zero_order > 0:
-        near = s <= SERIES_WINDOW
+    if profile.series_window > 0.0:
+        near = s <= profile.series_window
         if near.any():
-            _fill_series(profile, "zero", near, s[near], 1.0, out, cond, derivs)
+            series, x = _series_coeffs(profile), s[near]
+            out[near] = _fhorner(series, x)
+            cond[near] = _ratio(_abs_horner(series, x), out[near])
+            if derivs is not None:
+                d1 = _fderiv(series)
+                derivs[0][near] = _fhorner(d1, x)
+                derivs[1][near] = _fhorner(_fderiv(d1), x)
             rest = ~near
-    dist = hi - s if delta is None else np.broadcast_to(delta, s.shape)
-    near = rest & (dist <= profile.star_window)
-    if near.any():
-        try:
-            _fill_series(profile, "star", near, dist[near], -1.0, out, cond, derivs)
-        except ValueError:
-            pass  # genuinely singular end; J/v
-        else:
-            rest &= ~near
     x = s[rest]
     J, j_scale = _J_and_scale(profile, x)
     v = _fhorner(profile.v_float, x)
@@ -521,8 +568,8 @@ def alpha_and_condition(profile: Profile, s, delta=None) -> Tuple[np.ndarray, np
     error is a small multiple of condition * 2^-52 * |alpha|.
 
     ``delta``, when given, is s_star - s to full relative precision, which
-    s itself cannot carry within a few ulps of s_star; the star series
-    reads it in place of s_star - s.
+    s itself cannot carry within a few ulps of s_star; the mirror reads it
+    in place of s_star - s.
     """
     return _kernel(profile, s, delta)
 
@@ -535,84 +582,55 @@ def alpha(profile: Profile, s, delta=None) -> np.ndarray:
 def route_switches(profile: Profile) -> List[Tuple[str, float]]:
     """Where the evaluation of alpha changes route, as (end, distance from
     that end): J/v between its moment and split routes at ``split_from``,
-    the split route's e^{kappa1 s} T0 to +-inf where it overflows,
-    the zero series at SERIES_WINDOW, and the star series at the edge of
-    the star window.  alpha may step there by its rounding, to infinity, or
-    at a star end by the footprint of the root's residual."""
+    the split route's e^{kappa1 s} T0 to +-inf where it overflows, and the
+    zero series at ``series_window``.  On a glued profile these are the
+    parent's below s_star/2 and the mirror's, from the star end, beyond it,
+    and the glue s_star/2 itself.  alpha may step there by its rounding, to
+    infinity, or at the glue by the footprint of the root's residual."""
     out = []
     k = profile.kappa1
     if k != 0.0:
         out.append(("zero", profile.split_from))
         if k > 0.0 and profile.t0 != 0.0:
             out.append(("zero", _exp_cap(profile.t0) / k))
-    if profile.zero_order > 0:
-        out.append(("zero", SERIES_WINDOW))
-    if profile.star_window > 0.0:
-        out.append(("star", profile.star_window))
+    if profile.series_window > 0.0:
+        out.append(("zero", profile.series_window))
+    if profile.mirror is not None:
+        half = 0.5 * profile.s_domain[1]
+        out = [(end, d) for end, d in out if d < half] + [("zero", half)]
+        out += [("star", d) for _, d in route_switches(profile.mirror) if d < half]
     return out
 
 
-def _series_coeffs(profile: Profile, end: str) -> Tuple[float, ...]:
-    """Taylor coefficients of alpha in the inward distance from a collapsed
-    end: delta = s at the zero end, delta = s_star - s at the star end.
+def _series_coeffs(profile: Profile) -> Tuple[float, ...]:
+    """Taylor coefficients of alpha in s about s = 0, cached.
 
-    Both ends reduce to the same computation: J(delta) =
-    e^{k delta} int_0^delta P(x) e^{-k x} dx for a local polynomial P and
-    local rate k, divided by the local expansion of v.  The convolution is
-    done in floats; the vanishing orders are exact because the rational
-    polynomials carry exact zero coefficients.  At a point star end v does
-    not vanish and the division has the lead v(s_star).  A star end found
-    singular is recorded as ``None`` and raises again without recomputing.
+    J(s) = e^{k s} int_0^s Psi(x) e^{-k x} dx is expanded by convolution
+    and divided by the expansion of v.  The convolution is done in floats;
+    the vanishing orders are exact because the rational polynomials carry
+    exact zero coefficients.  At the point end of a mirror v does not
+    vanish and the division has the lead v(0).
     """
-    if end in profile._series:
-        cached = profile._series[end]
-        if cached is None:
-            raise ValueError(_SINGULAR_STAR)
-        return cached
-
-    if end == "zero":
-        if profile.zero_order == 0:
-            raise ValueError("v nonvanishing at s = 0; plain evaluation suffices")
-        P = list(profile.psi_poly)
-        V = list(profile.v_poly)
-        k = profile.kappa1
-    elif end == "star":
-        if not profile.is_compact:
-            raise ValueError("profile has no second collapsed end")
-        s_star = profile.config.s_star
-        # smoothness at s_star needs the weighted integral of Psi to vanish
-        i_star = polyexp.exp_poly_integral(profile.psi_poly, profile.kappa1, 0, s_star)
-        scale = polyexp.exp_poly_integral(
-            [abs(c) for c in profile.psi_poly], profile.kappa1, 0, s_star
-        )
-        if abs(i_star) > _SNAP_REL * max(1e-300, scale):
-            profile._series[end] = None
-            raise ValueError(_SINGULAR_STAR)
-        # reflect about s_star: p_hat(delta) = p(s_star - delta)
-        P = [c if j % 2 == 0 else -c
-             for j, c in enumerate(polyexp.poly_shift(profile.psi_poly, s_star))]
-        P = polyexp.poly_neg(P)
-        V = [c if j % 2 == 0 else -c
-             for j, c in enumerate(polyexp.poly_shift(profile.v_poly, s_star))]
-        k = -profile.kappa1
-    else:
-        raise ValueError("end must be 'zero' or 'star'")
-
-    order = _low_order_zeros(V)
+    if profile._zero_series is not None:
+        return profile._zero_series
+    if profile.series_window == 0.0:
+        raise ValueError("v nonvanishing at s = 0; plain evaluation suffices")
+    k = profile.kappa1
+    order = profile.zero_order
     length = order + _SERIES_TERMS + 2
-    p_f = [float(c) for c in P]
-    v_f = [float(c) for c in V] + [0.0] * length
+    p_f = [float(c) for c in profile.psi_poly]
+    v_f = list(profile.v_float) + [0.0] * length
 
     e_minus = [1.0]
     e_plus = [1.0]
     for j in range(1, length):
         e_minus.append(e_minus[-1] * (-k) / j)
         e_plus.append(e_plus[-1] * k / j)
-    w = _fconv(p_f, e_minus, length)          # P(x)*e^{-kx}
+    w = _fconv(p_f, e_minus, length)          # Psi(x)*e^{-kx}
     integ = [0.0] * length
     for j in range(1, length):
-        integ[j] = w[j - 1] / j               # int_0^delta
-    j_series = _fconv(e_plus, integ, length)  # * e^{+k delta}
+        integ[j] = w[j - 1] / j               # int_0^s
+    j_series = _fconv(e_plus, integ, length)  # * e^{+k s}
 
     lead = v_f[order]
     coeffs = [0.0] * _SERIES_TERMS
@@ -622,21 +640,30 @@ def _series_coeffs(profile: Profile, end: str) -> Tuple[float, ...]:
             tot -= v_f[order + i] * coeffs[j - i]
         coeffs[j] = tot / lead
 
-    out = tuple(coeffs)
-    profile._series[end] = out
-    return out
+    profile._zero_series = tuple(coeffs)
+    return profile._zero_series
 
 
 def alpha_series_at_collapse(profile: Profile, end: str) -> List[float]:
-    """Series coefficients of alpha about a collapsed end where v vanishes.
+    """Series coefficients of alpha about a collapsed end.
 
     The expansion variable is the inward distance from the end (s at the
-    zero end, s_star - s at the star end), so the linear coefficient is the
-    inward slope: +2 at both ends for calibrated profiles.  Raises ValueError
-    when v does not vanish at s = 0 for the zero end, and at the star end
-    when the configuration's kappa1 does not satisfy the existence condition.
+    zero end, s_star - s at the star end, where the series is the mirror's
+    zero series), so the linear coefficient is the inward slope: +2 at both
+    ends for calibrated profiles.  Raises ValueError when v does not vanish
+    at s = 0 for the zero end, and at the star end when the configuration's
+    kappa1 does not satisfy the existence condition.
     """
-    return list(_series_coeffs(profile, end))
+    if end == "zero":
+        return list(_series_coeffs(profile))
+    if end != "star":
+        raise ValueError("end must be 'zero' or 'star'")
+    if not profile.is_compact:
+        raise ValueError("profile has no second collapsed end")
+    if profile.mirror is None:
+        raise ValueError("alpha is singular at s_star: the existence integral does not "
+                         "vanish at this kappa1")
+    return list(_series_coeffs(profile.mirror))
 
 
 def sample(profile: Profile, s) -> ProfileSample:

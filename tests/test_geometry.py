@@ -2,9 +2,10 @@
 
 Arclength oracles were frozen from 60-digit tanh-sinh quadrature of
 1/sqrt(alpha) with the exact closed-form alpha (quadrature error estimates
-below 1e-30).  The compact diameter is held to 1e-10: near s* alpha comes
-from the star series, which vanishes exactly at s* whatever the residual of
-the solved kappa1, and the computed diameter is within ~1e-14 of the oracle.
+below 1e-30).  The compact diameter is held to 2e-15, about two ulps: on
+the star half alpha comes from the mirror profile, which vanishes exactly at
+s* whatever the residual of the solved kappa1, and the computed diameter is
+within one ulp (8.9e-16) of the oracle.
 scipy's adaptive quadrature, which the program does not use, is the
 independent oracle of t(s) on every admissible config.
 """
@@ -53,7 +54,7 @@ def test_cigar_arclength_oracles(cigar_profile):
 def test_compact_arclength_oracles(mixed_profile):
     assert t_of_s(mixed_profile, 2.0) == pytest.approx(T_AT_2, abs=1e-10)
     s_star = float(mixed_profile.s_domain[1])
-    assert t_of_s(mixed_profile, s_star) == pytest.approx(T_AT_STAR, abs=1e-10)
+    assert t_of_s(mixed_profile, s_star) == pytest.approx(T_AT_STAR, abs=2e-15)
 
 
 def test_arclength_round_trips(steady_profile, expanding_profile, mixed_profile,
@@ -150,7 +151,7 @@ def test_completeness_classes(steady_profile, expanding_profile, mixed_profile,
         is CompletenessClass.ASYMPTOTICALLY_CONICAL
     rep = completeness_report(mixed_profile)
     assert rep.completeness_class is CompletenessClass.COMPACT
-    assert rep.geodesic_length == pytest.approx(T_AT_STAR, abs=1e-10)
+    assert rep.geodesic_length == pytest.approx(T_AT_STAR, abs=2e-15)
     assert completeness_report(noncompact_profile).completeness_class \
         is CompletenessClass.ASYMPTOTICALLY_CONICAL
     flat = completeness_report(flat_profile)
@@ -222,8 +223,9 @@ def test_flow_composes_like_a_group_in_the_steady_case(steady_profile):
 
 def test_cold_compact_tables_stay_cheap(mixed_profile, monkeypatch):
     """One 8-point Gauss-Legendre panel per node interval, checked by
-    doubling, costs 24 alpha points a panel: about 10.9k for each cold table
-    of the mixed-charge shrinker, counted at the alpha kernel."""
+    doubling, costs 24 alpha points a panel: about 10.5k for each cold table
+    of the mixed-charge shrinker, counted at the public
+    alpha_and_condition, inside which the mirror serves the star half."""
     points = []
     kernel = profiles.alpha_and_condition
     monkeypatch.setattr(profiles, "alpha_and_condition",
@@ -237,8 +239,9 @@ def test_cold_compact_tables_stay_cheap(mixed_profile, monkeypatch):
 def test_flow_near_the_compact_diameter(mixed_profile):
     """Past the last node F continues in u = log(s* - s), so the flow works
     up to the diameter T, which it fixes.  At tau = 0.2 the flow relation
-    F(Xi) - F(t) = shift is checked against an oracle on the star series,
-    alpha = sum c_k delta^k, with delta from s* found by quadrature."""
+    F(Xi) - F(t) = shift is checked against an oracle on the star series
+    (the mirror's zero series), alpha = sum c_k delta^k, with delta from s*
+    found by quadrature."""
     prof = mixed_profile
     k1 = prof.kappa1
     diameter = t_of_s(prof, prof.s_domain[1])

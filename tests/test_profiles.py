@@ -131,13 +131,13 @@ def test_star_series_rejects_an_uncalibrated_kappa1():
         alpha_series_at_collapse(prof, "star")
 
 
-def test_star_window_is_sized_by_the_radius_of_convergence(
+def test_mirror_window_is_sized_by_the_radius_of_convergence(
         mixed_profile, two_blowdowns_profile, flat_profile, steady_profile):
     from kricci.model import BoundaryStructure, Collapse, CompactEnd, FanoFactor, derive_config
 
     # rho = distance from s* to the nearest other zero of v
-    assert mixed_profile.star_window == pytest.approx(4.0 / 30.0, rel=1e-15)
-    assert two_blowdowns_profile.star_window == pytest.approx(8.0 / 30.0, rel=1e-15)
+    assert mixed_profile.mirror.series_window == pytest.approx(4.0 / 30.0, rel=1e-15)
+    assert two_blowdowns_profile.mirror.series_window == pytest.approx(8.0 / 30.0, rel=1e-15)
     # v without zeros: the window is capped at half the interval
     sym = build_profile(derive_config(
         epsilon=-1,
@@ -145,48 +145,91 @@ def test_star_window_is_sized_by_the_radius_of_convergence(
         boundary=BoundaryStructure(Collapse.FACTOR, compact_end=CompactEnd(Collapse.FACTOR)),
         kappa1=0,
     ))
-    assert sym.star_window == 0.5 * float(sym.s_domain[1])
+    assert sym.mirror.series_window == 0.5 * float(sym.s_domain[1])
     for prof in (flat_profile, steady_profile):
-        assert prof.star_window == 0.0
+        assert prof.mirror is None
 
 
-def _across_star_window_edge(prof):
-    """The last s inside the star window and the first one outside it."""
-    hi, width = float(prof.s_domain[1]), prof.star_window
-    s_in = hi - width
-    while hi - s_in > width:
-        s_in = math.nextafter(s_in, math.inf)
-    s_out = math.nextafter(s_in, -math.inf)
-    assert hi - s_out > width
-    return s_in, s_out
+def test_mirror_is_the_reflected_configuration(mixed_profile, two_blowdowns_profile):
+    """The mirror's polynomials, reflected from the parent's, are those of
+    the mirrored configuration at -kappa1, and its P is the parent's
+    reflected."""
+    from kricci.profiles import v_psi_polys
+
+    for prof in (mixed_profile, two_blowdowns_profile):
+        mirror = prof.mirror
+        assert mirror.kappa1 == -prof.kappa1
+        assert mirror.s_domain == prof.s_domain
+        assert (mirror.v_poly, mirror.psi_poly) == v_psi_polys(mirror.config, mirror.E_eff)
+        s_star = float(prof.s_domain[1])
+        for delta in (0.5, 1.5):
+            p_here = sum(c * (s_star - delta) ** j for j, c in enumerate(prof.p_alpha))
+            p_there = sum(c * delta ** j for j, c in enumerate(mirror.p_alpha))
+            assert p_there == pytest.approx(p_here, rel=1e-13)
 
 
-@pytest.mark.parametrize(("fixture", "rel"), [
-    ("mixed_profile", 1e-12),          # point star end
-    ("two_blowdowns_profile", 1e-9),   # CP^1 star end
-])
-def test_alpha_is_continuous_across_the_star_window_edge(request, fixture, rel):
-    """Inside the window alpha is the star series, the solution that vanishes
-    at s_star; outside it is J/v, the one that vanishes at s = 0.  At a
-    numerically solved kappa1 the two differ by exactly the footprint of the
-    root's residual, e^{kappa1 s} I(kappa1)/v(s); what is left is evaluation
-    error.  J/v sums moment terms far larger than J near a CP^1 star end and
-    keeps only ~1e-10 there."""
+@pytest.mark.parametrize("fixture", ["mixed_profile", "two_blowdowns_profile"])
+def test_alpha_steps_by_the_footprint_at_the_glue(request, fixture):
+    """Up to s*/2 alpha is J/v, the solution that vanishes at s = 0; past
+    it, the mirror's, the one that vanishes at s*.  At a numerically solved
+    kappa1 the two differ by exactly the footprint of the root's residual,
+    e^{kappa1 s} I(kappa1)/v(s), to 1e-14 plus the rounding each side
+    reports (its condition times 2^-52)."""
     prof = request.getfixturevalue(fixture)
-    s_in, s_out = _across_star_window_edge(prof)
-    inner, outer = sample(prof, s_in), sample(prof, s_out)
+    half = 0.5 * float(prof.s_domain[1])
+    s = np.array([half, math.nextafter(half, math.inf)])
+    values, cond = alpha_and_condition(prof, s)
     residual = polyexp.exp_poly_integral(prof.psi_poly, prof.kappa1, 0, prof.config.s_star)
-    footprint = math.exp(prof.kappa1 * s_out) * residual / outer.v
-    assert outer.alpha - inner.alpha == pytest.approx(footprint, abs=rel * inner.alpha)
+    footprint = math.exp(prof.kappa1 * half) * residual / sample(prof, half).v
+    tol = (1e-14 + cond.sum() * 2.0 ** -52) * values[0]
+    assert values[0] - values[1] == pytest.approx(footprint, abs=tol)
     assert sample(prof, float(prof.s_domain[1])).alpha == 0.0
 
 
+@pytest.mark.parametrize("fixture", ["mixed_profile", "two_blowdowns_profile"])
+def test_star_half_matches_the_mpmath_closed_form(request, fixture):
+    """On (s*/2, s*) alpha is the 50-digit closed form anchored at s* to
+    1e-13 relative, at a point star end (mixed charges) and at a CP^1 one."""
+    prof = request.getfixturevalue(fixture)
+    hi = float(prof.s_domain[1])
+    s = np.concatenate([np.linspace(0.5 * hi, hi, 200)[1:-1],
+                        hi - np.geomspace(1e-8, 1e-2, 20), [math.nextafter(0.5 * hi, hi)]])
+    for x, a, ref in zip(s, alpha(prof, s), _closed_form_alpha(prof, s)):
+        assert abs(a - ref) <= 1e-13 * abs(ref), (x, a, mp.nstr(ref, 20))
+
+
+@pytest.mark.parametrize("middle, ends", [
+    ([(2, 3, 1), (2, 3, -2)], (0, 0)),   # mixed charges, point ends
+    ([(3, 4, -1)], (0, 1)),              # a CP^1 star end under a negative charge
+    ([(1, 2, 1)], (1, 0)),               # a CP^1 at s = 0 under a positive charge
+], ids=["mixed-charges", "cp1-star-end", "cp1-zero-end"])
+def test_star_half_is_well_conditioned(middle, ends):
+    """The terms summed for alpha on (s*/2, s*) stay within 100 times
+    |alpha|: J/v, anchored at s = 0, summed terms thousands of times larger
+    there on these shrinkers."""
+    from kricci.model import BoundaryStructure, Collapse, CompactEnd, FanoFactor, derive_config
+    from kricci.obstruction import find_kappa1_compact
+
+    n0, n_star = ends
+    factors = [FanoFactor(n0, n0 + 1, -1)] + [FanoFactor(*f) for f in middle] \
+        + [FanoFactor(n_star, n_star + 1, 1)]
+
+    def config(kappa1):
+        return derive_config(epsilon=-1, factors=factors, kappa1=kappa1, boundary=BoundaryStructure(
+            Collapse.FACTOR, compact_end=CompactEnd(Collapse.FACTOR)))
+    prof = build_profile(config(find_kappa1_compact(config(0)).kappa1))
+    hi = float(prof.s_domain[1])
+    _, cond = alpha_and_condition(prof, np.linspace(0.5 * hi, hi, 4002)[1:-1])
+    assert cond.max() <= 100.0
+
+
 def test_singular_star_end_is_recorded_once(monkeypatch):
-    prof = build_profile(acc.compact_two_blowdowns(0.25))
     calls = []
     real = polyexp.exp_poly_integral
     monkeypatch.setattr(polyexp, "exp_poly_integral",
                         lambda *a: calls.append(a) or real(*a))
+    prof = build_profile(acc.compact_two_blowdowns(0.25))
+    assert prof.mirror is None
     s_star = float(prof.s_domain[1])
     values = [sample(prof, s_star - d).alpha for d in (0.2, 0.1, 0.01)]
     assert len(calls) == 2  # the existence integral and its majorant, once
@@ -248,9 +291,9 @@ def _closed_form_alpha(prof, points):
     v_poly and psi_poly and the exact value of the float kappa1.
 
     J is the integral of Psi(x) e^{kappa1 (s - x)} from the end the route
-    anchors the solution at: s* inside the star window (the solution that
-    vanishes there), infinity on the split route of a snapped profile, s = 0
-    elsewhere.  With Q = sum_m Psi^(m)/kappa1^(m+1), whose
+    anchors the solution at: s* on the star half of a glued profile (the
+    solution that vanishes there), infinity on the split route of a snapped
+    profile, s = 0 elsewhere.  With Q = sum_m Psi^(m)/kappa1^(m+1), whose
     d/dx [-e^{-kappa1 x} Q] is Psi e^{-kappa1 x}, those are
     Q(a) e^{kappa1 (s - a)} - Q(s) for a = s*, 0, and -Q(s).  A snapped
     profile is calibrated: its -Q is taken at the root of T0 = Q(0) that one
@@ -258,11 +301,8 @@ def _closed_form_alpha(prof, points):
     of Q below the order to which J vanishes at s = 0 are zero.  For
     kappa1 = 0, Q is minus the antiderivative of Psi and the exponential
     is 1."""
-    try:
-        alpha_series_at_collapse(prof, "star")
-        star_window = prof.star_window
-    except ValueError:
-        star_window = 0.0   # open, or a singular star end left to J/v
+    glued = prof.mirror is not None
+
     def q_poly(k):
         Q, der, power = [Fraction(0)] * len(prof.psi_poly), list(prof.psi_poly), k
         while der:
@@ -292,7 +332,7 @@ def _closed_form_alpha(prof, points):
         out = []
         for x in map(float, points):
             xs = mp.mpf(x)
-            if hi - x <= star_window:
+            if glued and x > 0.5 * hi:
                 anchor = _mpq(prof.config.s_star)
                 j = horner(Q, anchor) * mp.exp(_mpq(k) * (xs - anchor)) - horner(Q, xs)
             elif prof.t0_snapped and x > prof.split_from:
@@ -322,7 +362,8 @@ def steep_shrinker_profile():
 def test_sample_alpha_matches_the_mpmath_closed_form(request, fixture):
     """sample()'s alpha on every side of every route switch (|kappa1| s =
     30, or the measured split_from of a snapped profile, SERIES_WINDOW at a
-    zero end where v vanishes, the star-window edge) is the closed form to
+    zero end where v vanishes, the glue and the mirror's switches) is the
+    closed form to
     1e-14 plus 8 ulps times the condition the kernel reports."""
     prof = request.getfixturevalue(fixture)
     s = _route_probe_points(prof)
