@@ -131,15 +131,21 @@ def poly_eval(a: RationalPoly, x):
 
 
 def poly_shift(a: RationalPoly, h: _RationalLike) -> RationalPoly:
-    """Return the coefficients of a(x + h), exactly (Taylor shift)."""
+    """Return the coefficients of a(x + h), exactly (Taylor shift), in
+    integers: with h = p/q, D the common denominator of a and n its degree,
+    a(x + h) = B(q x + p) / (D q^n), where B(z) = D q^n a(z/q)."""
     h = as_rational(h)
-    out = list(a)
-    n = len(out)
-    # repeated synthetic division by (x - (-h)) accumulates the shifted coeffs
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            out[j] += h * out[j + 1]
-    return _trim(out)
+    if not a or h == 0:
+        return _trim([Fraction(c) for c in a])
+    p, q = h.numerator, h.denominator
+    n = len(a) - 1
+    den = math.lcm(*(c.denominator for c in a))
+    out = [c.numerator * (den // c.denominator) * q ** (n - j) for j, c in enumerate(a)]
+    # repeated synthetic division by (z + p) accumulates B(z + p)
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            out[j] += p * out[j + 1]
+    return _trim([Fraction(c, den * q ** (n - j)) for j, c in enumerate(out)])
 
 
 def build_shifted_product(shifts: Sequence[tuple]) -> RationalPoly:

@@ -286,7 +286,7 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
             mirror = _mirror(config, v_poly, psi_poly, e_eff, pa)
     return _assemble(config, v_poly, psi_poly, e_eff, k1, s_hi, taylor_table,
                      p_alpha, 0.0 if t0_snapped else t0, t0_snapped, split_from,
-                     SERIES_WINDOW if zero_order else 0.0, mirror)
+                     zero_order, SERIES_WINDOW if zero_order else 0.0, mirror)
 
 
 def _taylor_table(psi_poly: list) -> np.ndarray:
@@ -308,18 +308,11 @@ def _mirror(config: SolitonConfig, v_poly: list, psi_poly: list, e_eff: Fraction
     signs of Psi and kappa1 cancel).  Its T0 = -P(s_star) is not snapped.
     """
     s_star = config.s_star
-    h = int(s_star)  # validate holds s_star to 2 (N0 + N* + 2)
-    assert h == s_star
 
     def reflect(p: list) -> list:
-        # a Taylor shift in integers over the common denominator of p
-        den = math.lcm(*(c.denominator for c in p))
-        out = [c.numerator * (den // c.denominator) for c in p]
-        for i in range(len(out) - 1):
-            for j in range(len(out) - 2, i - 1, -1):
-                out[j] += h * out[j + 1]
-        return [Fraction(c if j % 2 == 0 else -c, den) for j, c in enumerate(out)]
+        return [c if j % 2 == 0 else -c for j, c in enumerate(polyexp.poly_shift(p, s_star))]
 
+    v_hat = reflect(v_poly)
     psi_hat = polyexp.poly_neg(reflect(psi_poly))
     k = -float(config.kappa1)
     pa_hat = reflect(pa)  # empty when kappa1 = 0
@@ -330,16 +323,17 @@ def _mirror(config: SolitonConfig, v_poly: list, psi_poly: list, e_eff: Fraction
     window = min(float(rho) / 30.0, 0.5 * float(s_star))
     e_hat = -(polyexp.as_rational(config.epsilon) * s_star + e_eff)
     return _assemble(mirror_config(replace(config, kappa1=-config.kappa1)),
-                     reflect(v_poly), psi_hat, e_hat, k, float(s_star), _taylor_table(psi_hat),
+                     v_hat, psi_hat, e_hat, k, float(s_star), _taylor_table(psi_hat),
                      tuple(float(c) for c in pa_hat) if k else None,
                      -float(pa_hat[0]) if k else 0.0, False,
-                     _MOMENT_Z / abs(k) if k else math.inf, window, None)
+                     _MOMENT_Z / abs(k) if k else math.inf,
+                     _low_order_zeros(v_hat), window, None)
 
 
 def _assemble(config: SolitonConfig, v_poly: list, psi_poly: list, e_eff: Fraction,
               k1: float, s_hi: float, taylor_table: np.ndarray,
               p_alpha: Optional[Tuple[float, ...]], t0: float, t0_snapped: bool,
-              split_from: float, series_window: float,
+              split_from: float, zero_order: int, series_window: float,
               mirror: Optional[Profile]) -> Profile:
     """The Profile of these polynomials and routes, and its float copies."""
     dv_poly = polyexp.poly_derivative(v_poly)
@@ -356,7 +350,7 @@ def _assemble(config: SolitonConfig, v_poly: list, psi_poly: list, e_eff: Fracti
         t0=t0,
         t0_snapped=t0_snapped,
         split_from=split_from,
-        zero_order=_low_order_zeros(v_poly),
+        zero_order=zero_order,
         v_float=tuple(float(c) for c in v_poly),
         dv_float=tuple(float(c) for c in dv_poly),
         d2v_float=tuple(float(c) for c in polyexp.poly_derivative(dv_poly)),
