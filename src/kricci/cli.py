@@ -17,8 +17,9 @@ Config files are JSON documents with the keys
 Rationals may be written as numbers or strings like "3/2".  Unknown keys
 anywhere in the document are rejected.  Exit codes: 0 success, 2 schema
 error (the document does not conform to the dialect above), 3 inadmissible
-configuration (it conforms but fails validation, or has the wrong class for
-the command), 4 numeric failure.
+configuration (it conforms but fails validation, has the wrong class for
+the command, or is compact with a kappa1 that misses the existence
+condition), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -303,7 +304,7 @@ def _grid_params(doc: Dict[str, Any], args) -> Tuple[float, int]:
 def cmd_solve(args) -> int:
     doc = load_config(args.config)
     config, root, report_v = _admissible_config(doc, doc["kappa1"] == "solve")
-    profile = build_profile(config)
+    profile = _profile(config)
     s_max, n_grid = _grid_params(doc, args)
     grid = default_grid(profile, n=n_grid, s_max=s_max)
     smp = sample(profile, grid)
@@ -414,9 +415,21 @@ def cmd_find_kappa(args) -> int:
     return EXIT_OK
 
 
+def _profile(config: SolitonConfig):
+    """The profile of an admissible config.  On a compact one, alpha is
+    regular at s_star only at a kappa1 that satisfies the existence
+    condition, where build_profile glues the mirror profile on."""
+    profile = build_profile(config)
+    if profile.is_compact and profile.mirror is None:
+        raise InadmissibleError(
+            f"kappa1 = {config.kappa1} misses the compact existence condition, so alpha "
+            f'is singular at s_star; set "kappa1": "solve"')
+    return profile
+
+
 def _admissible_profile(doc: Dict[str, Any]):
     config, _, _ = _admissible_config(doc, doc["kappa1"] == "solve")
-    return build_profile(config)
+    return _profile(config)
 
 
 def cmd_reconstruct(args) -> int:

@@ -9,17 +9,19 @@ integral of a power of alpha, and share one engine, _CumulativeIntegral,
 cached on the profile.  Both integrands are singular where alpha vanishes
 like 2*delta at a collapsed end, delta the distance from it.
 
-Coordinates.  A table works in u = log(delta): delta = s from the s = 0 end,
-and delta = s* - s from the star end of a compact profile, which takes the
-half s > s*/2.  In u the integrand delta*rate is smooth up to the ends, the
-nodes are uniform (420 from delta = 1e-8, split between the halves of a
-compact profile), and a point near s* keeps the precision of its distance,
-which s itself cannot carry.  On a glued compact profile (see profiles)
-alpha on the star half is the mirror's, so there t(s) = T - t_mirror(delta)
-and F(s) = F_mirror(delta) + const, and each end is an s = 0 end.
+Coordinates.  A table works in one coordinate y, monotone in s: y =
+log(s) up to L = log(s*/2), and y = 2L - log(s* - s) beyond, so y runs from
+-inf at s = 0 to +inf at s* (L = inf on an open profile).  On both halves
+ds/dy = delta, the distance from the nearer end, so the integrand is
+delta*rate, smooth up to the ends, and a point near s* keeps the precision
+of its distance, which s itself cannot carry.  The nodes are uniform in y
+from delta = 1e-8: 420 up to s = 1e5 on an open profile, and on a compact
+one 210 up to L and their reflection about it.  On a glued compact profile
+(see profiles) alpha on the star half is the mirror's, so each end is an
+s = 0 end.  _points and _locate convert between y and s.
 
 Quadrature.  Each interval between nodes is one 8-point Gauss-Legendre
-panel in u.  Its error is estimated by panel doubling, the rule on the
+panel in y.  Its error is estimated by panel doubling, the rule on the
 panel against the rule on its two halves.  A panel that misses relative
 1e-14, above the rounding floor of its integrand (from the condition the
 alpha kernel reports), is bisected, which walks toward whichever end is
@@ -27,21 +29,25 @@ singular; past a fixed depth ValueError is raised.  Panels are also cut
 where alpha changes evaluation route, so that none straddles the small step
 a route switch makes.  The prefix at a node is the sum of the panels below
 it, and a value between nodes is the prefix plus one panel from the node
-below; nothing is interpolated.  Past the nodes, t has the delta = w^2
-head at each collapsed end, and an open t table continues in u past its
-last node (s = 1e5); F continues in u past both collapsed ends, where it
-diverges like log(delta)/(2*kappa1).
+below; nothing is interpolated.
 
-Inversion is safeguarded Newton in u over a whole batch of targets, with
-the exact derivative dG/du = +-delta*rate: a bracket of two nodes and a
+The end rule.  Past its end nodes G continues in y, for t and F alike; F
+diverges there like log(delta)/(2*kappa1).  Past the last node of an open
+profile that holds out to s = 1e12.  The one exception is the collapsed
+ends of the t table, where the head in w = sqrt(delta) takes over.
+
+Inversion is safeguarded Newton in y over a whole batch of targets, with
+the exact derivative dG/dy = delta*rate: a bracket of two nodes and a
 start from the cubic Hermite interpolant between them, a bisection
 whenever a step leaves the bracket, and a stop once the error left is
-below 1e-14 in u, a relative tolerance in delta.  t_of_s, s_of_t and
-flow_trajectory take arrays, and the flow composes its three maps in u.
+below 1e-14 in y (a relative tolerance in delta) or one float spacing of
+y.  t_of_s, s_of_t and flow_trajectory take arrays, and the flow composes
+its three maps in y.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -55,7 +61,7 @@ from kricci.profiles import Profile, sample
 _NODES = 420
 _D_MIN = 1.0e-8
 _S_MAX = 1.0e5
-#: an open t table is inverted out to this s at most
+#: an open table is inverted out to this s at most
 _S_REACH = 1.0e12
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 _PANEL_RTOL = 1.0e-14
@@ -97,58 +103,49 @@ def _as_input(like, values: np.ndarray):
     return float(values) if np.ndim(like) == 0 else values
 
 
-def _points(profile: Profile, side: np.ndarray, u: np.ndarray):
-    """s and s* - s at the table coordinates (side, u)."""
+def _points(profile: Profile, y: np.ndarray):
+    """s and its distance delta from the nearer end at the table coordinates
+    y; delta = ds/dy, and it is s_star - s to full precision on the star half."""
     end = profile.s_domain[1]
-    delta = np.exp(u)
-    star = side == 1
-    return np.where(star, end - delta, delta), np.where(star, delta, end - delta)
+    if math.isinf(end):
+        s = np.exp(y)
+        return s, s
+    fold = math.log(0.5 * end)
+    star = y > fold
+    delta = np.exp(np.where(star, 2.0 * fold - y, y))
+    return np.where(star, end - delta, delta), delta
 
 
-def _locate(profile: Profile, s: np.ndarray):
-    """The table coordinates (side, u) of the points s of the domain."""
+def _locate(profile: Profile, s: np.ndarray) -> np.ndarray:
+    """The table coordinates y of the points s of the domain."""
     end = profile.s_domain[1]
-    side = (s > 0.5 * end).astype(int)
-    delta = np.where(side == 1, np.maximum(end - s, 0.0), s)
-    return side, np.log(delta, out=np.full(delta.shape, -math.inf), where=delta > 0.0)
+    star = s > 0.5 * end
+    delta = np.where(star, np.maximum(end - s, 0.0), s)
+    y = np.log(delta, out=np.full(delta.shape, -math.inf), where=delta > 0.0)
+    return np.where(star, 2.0 * math.log(0.5 * end) - y, y) if star.any() else y
 
 
-def _rate(profile: Profile, power: float, factor: float):
-    """rate = factor * alpha^-power at (s, s* - s), with its relative
-    rounding floor; alpha must be positive."""
-    def rate(s, d):
-        a, cond = profiles.alpha_and_condition(profile, s, d)
-        bad = ~(a > 0.0)
-        if bad.any():
-            x = s[bad][0]
-            raise ValueError(f"alpha({x}) = {a[bad][0]} <= 0 along the integration path")
-        return factor * a ** -power, _FLOOR_ULPS * 2.0 ** -52 * power * cond
-    return rate
-
-
-def _integrate(q, side: np.ndarray, a: np.ndarray, b: np.ndarray, breaks=()):
-    """int_a^b q(side, x) dx for each entry, by 8-point Gauss-Legendre
-    panels, and q at each b, which the first evaluation takes along.
+def _integrate(q, a: np.ndarray, b: np.ndarray, breaks=()):
+    """int_a^b q(x) dx for each entry, by 8-point Gauss-Legendre panels, and
+    q at each b, which the first evaluation takes along.
 
     ``q`` returns the integrand and the relative rounding floor of its value;
     the rounding of x adds to that floor.  A panel is first cut at the
-    ``breaks`` = (side, x) that lie inside it.  Its error is estimated by
-    doubling: a panel whose rule and halves differ by more than _PANEL_RTOL
-    of its value plus the rounding floor is bisected.  After _MAX_DEPTH
-    bisections, or with more than _MAX_SPLITS failing panels at one depth,
-    ValueError is raised.
+    ``breaks`` that lie inside it.  Its error is estimated by doubling: a
+    panel whose rule and halves differ by more than _PANEL_RTOL of its value
+    plus the rounding floor is bisected.  After _MAX_DEPTH bisections, or
+    with more than _MAX_SPLITS failing panels at one depth, ValueError is
+    raised.
     """
     shape = np.shape(a)
-    side, a, b = (np.ravel(x) for x in np.broadcast_arrays(side, a, b))
-    ends = (side, b)
-    at_ends = None
+    a, b = (np.ravel(x) for x in np.broadcast_arrays(a, b))
+    ends, at_ends = b, None
     owner = np.arange(len(a))
     total = np.zeros(len(a))
-    for cut_side, cut in breaks:
-        inside = (side == cut_side) & (np.minimum(a, b) < cut) & (cut < np.maximum(a, b))
+    for cut in breaks:
+        inside = (np.minimum(a, b) < cut) & (cut < np.maximum(a, b))
         if inside.any():
             owner = np.concatenate([owner, owner[inside]])
-            side = np.concatenate([side, side[inside]])
             b_inside = b[inside]
             b = np.concatenate([np.where(inside, cut, b), b_inside])
             a = np.concatenate([a, np.full(len(b_inside), cut)])
@@ -158,10 +155,7 @@ def _integrate(q, side: np.ndarray, a: np.ndarray, b: np.ndarray, breaks=()):
         centres = np.concatenate([mid, a + 0.5 * half, mid + 0.5 * half])
         widths = np.concatenate([half, 0.5 * half, 0.5 * half])
         x = centres[:, None] + widths[:, None] * _GL_X
-        points = np.repeat(np.tile(side, 3), len(_GL_X)), x.ravel()
-        if at_ends is None:
-            points = tuple(np.concatenate(pair) for pair in zip(points, ends))
-        f, floor = q(*points)
+        f, floor = q(x.ravel() if at_ends is not None else np.concatenate([x.ravel(), ends]))
         if at_ends is None:
             at_ends, f, floor = f[x.size:].reshape(shape), f[:x.size], floor[:x.size]
         f, floor = f.reshape(x.shape), floor.reshape(x.shape)
@@ -183,23 +177,23 @@ def _integrate(q, side: np.ndarray, a: np.ndarray, b: np.ndarray, breaks=()):
         bad = ~ok
         if bad.sum() > _MAX_SPLITS:
             break
-        owner, side = np.tile(owner[bad], 2), np.tile(side[bad], 2)
+        owner = np.tile(owner[bad], 2)
         a, b = np.concatenate([a[bad], mid[bad]]), np.concatenate([mid[bad], b[bad]])
     raise ValueError(f"quadrature on [{a[bad][0]}, {b[bad][0]}] missed its relative "
                      f"tolerance {_PANEL_RTOL}")
 
 
-def _newton(residual, side: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-            x: np.ndarray, curvature: np.ndarray) -> np.ndarray:
-    """The root in [lo, hi] of residual(side, x, entries) for each entry.
+def _newton(residual, lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
+            curvature: np.ndarray) -> np.ndarray:
+    """The root in [lo, hi] of residual(x, entries) for each entry.
 
     ``residual`` returns the value and its derivative, and changes sign in
     the bracket.  Each step is Newton's, kept in the bracket of evaluated
     points: a step that leaves it is a bisection.  An entry stops once its
-    step is at most _NEWTON_TOL, or once a Newton step d leaves an error of
-    at most _NEWTON_TOL, which is about curvature * d^2 / 2 with
-    ``curvature`` a bound on |residual'' / residual'| (1/_NEWTON_TOL makes
-    the two rules one).
+    step is at most _NEWTON_TOL or one spacing of the floats at x, or once a
+    Newton step d leaves an error of at most _NEWTON_TOL, which is about
+    curvature * d^2 / 2 with ``curvature`` a bound on |residual'' /
+    residual'| (1/_NEWTON_TOL makes the two rules one).
     """
     x, lo, hi = x.copy(), lo.copy(), hi.copy()
     live = np.arange(len(x))
@@ -207,7 +201,7 @@ def _newton(residual, side: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         if not live.size:
             return x
         xl = x[live]
-        g, dg = residual(side[live], xl, live)
+        g, dg = residual(xl, live)
         past = (g > 0.0) == (dg > 0.0)
         hi[live] = np.where(past, xl, hi[live])
         lo[live] = np.where(past, lo[live], xl)
@@ -216,7 +210,7 @@ def _newton(residual, side: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         new[outside] = 0.5 * (lo[live] + hi[live])[outside]
         x[live] = new
         step = np.abs(new - xl)
-        settled = (step <= _NEWTON_TOL) | (g == 0.0) \
+        settled = (step <= np.maximum(_NEWTON_TOL, np.spacing(np.abs(new)))) | (g == 0.0) \
             | (~outside & (0.5 * curvature[live] * step * step <= _NEWTON_TOL))
         live = live[~settled]
     raise ValueError(f"Newton inversion did not converge within {_NEWTON_ITER} steps")
@@ -224,129 +218,114 @@ def _newton(residual, side: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 @dataclass(frozen=True)
 class _CumulativeIntegral:
-    """G(s) = int rate ds, tabulated in the coordinates (side, u) of the
-    module docstring.  ``integrand(side, u)`` is delta*rate with its
-    rounding floor; ``nodes`` are the u of the nodes, the same on each side;
-    ``prefix[side][j]`` is G at node j of that side, and the two sides of a
-    compact profile share their last node, s*/2; ``slopes`` holds dG/du
-    there.  ``breaks`` are the (side, u) where alpha changes route.
+    """G(s) = int rate ds, tabulated in the coordinate y of the module
+    docstring.  ``integrand(y)`` is delta*rate with its rounding floor and
+    ``points(y)`` is (s, delta); ``prefix`` and ``slopes`` are G and dG/dy
+    at the ``nodes``; ``breaks`` are the y where alpha changes route.
 
-    Past the nodes a table covers what its end models cover: ``head`` is
-    the integrand in w = sqrt(delta) on [0, 1e-4] at each collapsed end,
-    where G is ``ends`` = (G(0) = 0, G(s*)) (without it G continues in u
-    below the first node); ``open_end`` lets G continue in u past the last
-    node of an open profile.
+    Past the last node of an open profile G is inverted out to y =
+    ``reach`` (inf on a compact profile).  ``head``, when given, is the
+    integrand in w = +-sqrt(delta) (negative at the star end) on [0, 1e-4];
+    it serves below the first node, where G(0) = 0, and on a compact
+    profile beyond the last, where G(s*) = ``end``.
     """
 
     integrand: Callable
+    points: Callable
     nodes: np.ndarray
     prefix: np.ndarray
     slopes: np.ndarray
-    breaks: Tuple[Tuple[int, float], ...]
+    breaks: Tuple[float, ...]
+    reach: float
     head: Optional[Callable] = None
-    ends: Tuple[float, ...] = (0.0,)
-    open_end: bool = False
+    end: float = math.inf
 
-    def value(self, side: np.ndarray, u: np.ndarray):
-        """G and dG/du at the points (side, u); with a head, u = -inf is
-        the collapsed end of that side."""
+    def value(self, y: np.ndarray):
+        """G and dG/dy at the points y; with a head, y = -inf and +inf are
+        the collapsed ends."""
         nodes = self.nodes
-        out = np.empty((2,) + u.shape)
-        head = (u < nodes[0]) & (self.head is not None)
+        out = np.empty((2,) + y.shape)
+        head = ((y < nodes[0]) | ((y > nodes[-1]) & math.isinf(self.reach))) \
+            & (self.head is not None)
         if head.any():
-            hs = side[head]
-            w = np.exp(0.5 * u[head])
-            sign = np.where(hs == 1, -1.0, 1.0)
+            star = y[head] > nodes[-1]
+            w = np.where(star, -1.0, 1.0) * np.sqrt(self.points(y[head])[1])
             g, dg = np.zeros_like(w), np.zeros_like(w)
-            inner = w > 0.0  # w = 0 is the end itself
+            inner = w != 0.0  # w = 0 is the end itself
             if inner.any():
-                g[inner], at_w = _integrate(self.head, hs[inner], g[inner], w[inner])
-                dg[inner] = 0.5 * w[inner] * at_w  # dG/du = dG/dw * w/2
-            out[0, head] = np.take(self.ends, hs) + sign * g
-            out[1, head] = sign * dg
-        beyond = (u > nodes[-1]) & (side == 0)
-        if beyond.any() and not self.open_end:
-            raise ValueError(f"s = {math.exp(u[beyond][0])} outside the flow map's "
-                             f"tabulated range [{_D_MIN}, {_S_MAX}]")
+                g[inner], at_w = _integrate(self.head, g[inner], w[inner])
+                dg[inner] = 0.5 * np.abs(w[inner]) * at_w  # dG/dy = dG/dw * |w|/2
+            out[:, head] = np.where(star, self.end, 0.0) + g, dg
         rest = ~head
-        side, u = side[rest], u[rest]
-        j = np.clip(np.searchsorted(nodes, u, side="right") - 1, 0, len(nodes) - 1)
-        sign = np.where(side == 1, -1.0, 1.0)
-        panel, at_u = _integrate(self.integrand, side, nodes[j], u, self.breaks)
-        out[0, rest] = self.prefix[side, j] + sign * panel
-        out[1, rest] = sign * at_u
+        y = y[rest]
+        j = np.clip(np.searchsorted(nodes, y, side="right") - 1, 0, len(nodes) - 1)
+        panel, at_y = _integrate(self.integrand, nodes[j], y, self.breaks)
+        out[:, rest] = self.prefix[j] + panel, at_y
         return out
 
-    def invert(self, target: np.ndarray, what: str) -> Tuple[np.ndarray, np.ndarray]:
-        """The points (side, u) where G = target, for each target; ``what``
-        names G in error messages."""
-        nodes, prefix = self.nodes, self.prefix
-        n, compact = len(nodes), len(prefix) > 1
-        # the node values in s order: up the zero side, then down the star side
-        ordered = np.concatenate([prefix[0], prefix[1][-2::-1]]) if compact else prefix[0]
-        sign = 1.0 if ordered[-1] > ordered[0] else -1.0  # F falls if kappa1 < 0
-        k = np.searchsorted(sign * ordered, sign * target)
-        side = ((k >= n) & compact).astype(int)
-        # the nodes a, b around each target in s order, and a start from the
-        # cubic Hermite interpolant of u(G) between them
-        a = np.where(side == 1, 2 * n - 1 - k, k - 1).clip(0, n - 1)
-        b = np.where(side == 1, 2 * n - 2 - k, k).clip(0, n - 1)
-        lo, hi = np.minimum(nodes[a], nodes[b]), np.maximum(nodes[a], nodes[b])
-        x, curvature = _hermite_start(nodes[a], nodes[b], prefix[side, a], prefix[side, b],
-                                      self.slopes[side, a], self.slopes[side, b], target)
-        u = np.empty(target.shape)
-        first, last = k == 0, k == len(ordered)
+    def invert(self, target: np.ndarray, what: str) -> np.ndarray:
+        """The points y where G = target, for each target; ``what`` names G
+        in error messages."""
+        nodes, prefix, slopes = self.nodes, self.prefix, self.slopes
+        sign = 1.0 if prefix[-1] > prefix[0] else -1.0  # F falls if kappa1 < 0
+        k = np.searchsorted(sign * prefix, sign * target)
+        # the nodes around each target, and a start from the cubic Hermite
+        # interpolant of y(G) between them
+        a, b = (k - 1).clip(0, len(nodes) - 1), k.clip(0, len(nodes) - 1)
+        lo, hi = nodes[a], nodes[b]
+        x, curvature = _hermite_start(lo, hi, prefix[a], prefix[b], slopes[a], slopes[b], target)
+        first, last = k == 0, k == len(nodes)
+        curvature[first | last] = 1.0 / _NEWTON_TOL
+        y = np.empty(target.shape)
         solve = np.ones(target.shape, dtype=bool)
-        if last.any() and compact and self.head is not None:
-            # within 1e-8 of s*: the star head below, s* itself at t = G(s*)
-            if target[last].max() > self.ends[1] + 1e-9:
-                raise ValueError(f"t = {target[last].max()} beyond the end of the compact interval")
-            solve = ~(last & (target >= self.ends[1]))
-            u[~solve] = -math.inf
-        elif last.any() and not compact:
-            if not self.open_end:
-                lo_f, hi_f = sorted((ordered[0], ordered[-1]))
-                raise ValueError(f"{what} = {target[last][0]} outside the "
-                                 f"tabulated range [{lo_f}, {hi_f}]")
-            lo[last], hi[last], x[last] = nodes[-1], math.log(_S_REACH), nodes[-1]
-            curvature[last] = 1.0 / _NEWTON_TOL
-            reach = self.value(side[last], hi[last])[0]
-            if (sign * (reach - target[last]) < 0.0).any():
-                raise ValueError(f"{what} = {target[last].max()} beyond the reachable range")
-        # past a collapsed end G is linear in u with the end node's slope
-        # (G = G(end) +- sqrt(2 delta) with a head), so one unit of u past
-        # that guess brackets the target
-        tail = first | (last & solve & compact)
+        if self.head is not None:
+            # the collapsed ends themselves, at G(0) = 0 and G(s*) = end
+            if (target > self.end + 1e-9).any():
+                raise ValueError(f"{what} = {target.max()} beyond the end of the compact interval")
+            y[target <= 0.0], y[target >= self.end] = -math.inf, math.inf
+            solve = (target > 0.0) & (target < self.end)
+        far = last & solve & math.isfinite(self.reach)
+        if far.any():
+            lo[far], hi[far], x[far] = nodes[-1], self.reach, nodes[-1]
+            if (sign * (self.value(hi[far])[0] - target[far]) < 0.0).any():
+                raise ValueError(f"{what} = {target[far].max()} beyond the reachable range")
+        tail = (first | last) & solve & ~far
         if tail.any():
-            end_side = last[tail].astype(int)
-            ends = np.full(end_side.shape, nodes[0])
+            # past an end node G is linear in y with the node's slope, or
+            # G(end) +- c*sqrt(delta) with a head, so one unit of y past
+            # that guess brackets the target
+            star = last[tail]
+            i = np.where(star, -1, 0)
             if self.head is not None:
-                guess = np.log(0.5 * (target[tail] - np.take(self.ends, end_side)) ** 2)
+                g_end = np.where(star, self.end, 0.0)
+                ratio = (target[tail] - g_end) / (prefix[i] - g_end)
+                guess = nodes[i] + np.where(star, -2.0, 2.0) * np.log(ratio)
             else:
-                g_end = np.where(end_side == 1, ordered[-1], ordered[0])
-                guess = ends + (target[tail] - g_end) / self.slopes[end_side, 0]
-            guess = np.minimum(guess, ends)
-            if guess.min() < math.log(1.0e-300) + 1.0:
-                where = "above s = 0" if end_side[np.argmin(guess)] == 0 else "below s_star"
-                raise ValueError(f"{what} = {target[tail][np.argmin(guess)]} not reached {where}")
-            side[tail], lo[tail], hi[tail], x[tail] = end_side, guess - 1.0, ends, guess
-            curvature[tail] = 1.0 / _NEWTON_TOL
-            miss = sign * (self.value(side[tail], lo[tail])[0] - target[tail])
-            if (np.where(end_side == 1, -miss, miss) > 0.0).any():
+                guess = nodes[i] + (target[tail] - prefix[i]) / slopes[i]
+            guess = np.where(star, np.maximum(guess, nodes[-1]), np.minimum(guess, nodes[0]))
+            outer = guess + np.where(star, 1.0, -1.0)
+            delta = self.points(outer)[1]
+            if delta.min() < 1.0e-300:
+                worst = np.argmin(delta)
+                where = "below s_star" if star[worst] else "above s = 0"
+                raise ValueError(f"{what} = {target[tail][worst]} not reached {where}")
+            lo[tail], hi[tail] = np.minimum(outer, nodes[i]), np.maximum(outer, nodes[i])
+            x[tail] = guess
+            miss = sign * (self.value(outer)[0] - target[tail])
+            if (np.where(star, -miss, miss) > 0.0).any():
                 raise ValueError(f"{what} = {target[tail][0]} is not bracketed past the end node")
 
-        def residual(sd, xs, live):
-            g, dg = self.value(sd, xs)
+        def residual(xs, live):
+            g, dg = self.value(xs)
             return g - target[solve][live], dg
 
-        u[solve] = _newton(residual, side[solve], lo[solve], hi[solve], x[solve],
-                           curvature[solve])
-        return side, u
+        y[solve] = _newton(residual, lo[solve], hi[solve], x[solve], curvature[solve])
+        return y
 
 
-def _hermite_start(u_a, u_b, g_a, g_b, slope_a, slope_b, target):
-    """A start for Newton in [u_a, u_b], from the cubic Hermite interpolant
-    of u(G) through the nodes (G = g, dG/du = slope at each), and a bound on
+def _hermite_start(y_a, y_b, g_a, g_b, slope_a, slope_b, target):
+    """A start for Newton in [y_a, y_b], from the cubic Hermite interpolant
+    of y(G) through the nodes (G = g, dG/dy = slope at each), and a bound on
     |G''/G'| there: four times the change of log G' across the panel.
     Where a slope vanishes (alpha = inf) the start is linear and the bound
     is 1/_NEWTON_TOL, which leaves Newton's plain stopping rule."""
@@ -355,72 +334,61 @@ def _hermite_start(u_a, u_b, g_a, g_b, slope_a, slope_b, target):
     smooth = slope_a * slope_b > 0.0
     inv_a = np.divide(h, slope_a, out=np.zeros_like(h), where=smooth)
     inv_b = np.divide(h, slope_b, out=np.zeros_like(h), where=smooth)
-    x = ((2.0 * tau - 3.0) * tau * tau + 1.0) * u_a + (3.0 - 2.0 * tau) * tau * tau * u_b \
+    x = ((2.0 * tau - 3.0) * tau * tau + 1.0) * y_a + (3.0 - 2.0 * tau) * tau * tau * y_b \
         + tau * (tau - 1.0) * ((tau - 1.0) * inv_a + tau * inv_b)
-    x = np.clip(x, np.minimum(u_a, u_b), np.maximum(u_a, u_b))
+    x = np.clip(x, y_a, y_b)
     ratio = np.divide(slope_b, slope_a, out=np.ones_like(h), where=smooth)
-    curvature = np.where(smooth, 4.0 * np.abs(np.log(ratio)) / np.abs(u_b - u_a + 1e-300) + 1.0,
+    curvature = np.where(smooth, 4.0 * np.abs(np.log(ratio)) / np.abs(y_b - y_a + 1e-300) + 1.0,
                          1.0 / _NEWTON_TOL)
     return x, curvature
-
-
-def _route_breaks(profile: Profile) -> Tuple[Tuple[int, float], ...]:
-    """The table coordinates of the points where alpha changes route."""
-    out = []
-    for end, delta in profiles.route_switches(profile):
-        if end == "star":
-            out.append((1, math.log(delta)))
-        else:
-            side, u = _locate(profile, np.array([delta]))
-            if np.isfinite(u[0]):
-                out.append((int(side[0]), float(u[0])))
-    return tuple(out)
 
 
 def _table(profile: Profile, power: float, factor: float, head: bool) -> _CumulativeIntegral:
     """The table of G = int factor * alpha^-power ds.  With ``head``, G(0) =
     0 and each collapsed end gets the head in w = sqrt(delta); without it G
-    is anchored to 0 at its middle node."""
-    end = profile.s_domain[1]
-    sides = 2 if profile.is_compact else 1
-    top = 0.5 * end if profile.is_compact else _S_MAX
-    nodes = np.linspace(math.log(_D_MIN), math.log(top), _NODES // sides)
-    rate = _rate(profile, power, factor)
+    is anchored to 0 at its middle node.  A compact profile needs the
+    mirror of a calibrated kappa1, without which alpha is singular at s*."""
+    end, compact = profile.s_domain[1], profile.is_compact
+    if compact and profile.mirror is None:
+        raise ValueError("alpha is singular at s_star: the existence integral does not "
+                         "vanish at this kappa1")
+    top = math.log(0.5 * end) if compact else math.log(_S_MAX)
+    nodes = np.linspace(math.log(_D_MIN), top, _NODES // 2 if compact else _NODES)
+    if compact:
+        nodes = np.concatenate([nodes, 2.0 * top - nodes[-2::-1]])
 
-    def integrand(side, u):
-        f, floor = rate(*_points(profile, side, u))
-        return np.exp(u) * f, floor
+    def rate(s, d):
+        """factor * alpha^-power, with its relative rounding floor"""
+        a, cond = profiles.alpha_and_condition(profile, s, d)
+        bad = ~(a > 0.0)
+        if bad.any():
+            raise ValueError(f"alpha({s[bad][0]}) = {a[bad][0]} <= 0 along the integration path")
+        return factor * a ** -power, _FLOOR_ULPS * 2.0 ** -52 * power * cond
 
-    def head_integrand(side, w):
-        d = w * w  # the distance from the end of the side
-        f, floor = rate(np.where(side == 1, end - d, d), np.where(side == 1, d, end - d))
-        return 2.0 * w * f, floor
+    def integrand(y):
+        s, delta = _points(profile, y)
+        f, floor = rate(s, delta)
+        return delta * f, floor
 
-    breaks = _route_breaks(profile)
-    side = np.repeat(np.arange(sides), len(nodes) - 1)
-    panels, at_nodes = _integrate(integrand, side, np.tile(nodes[:-1], sides),
-                                  np.tile(nodes[1:], sides), breaks)
-    panels = panels.reshape(sides, -1)
-    at_first = integrand(np.arange(sides), np.full(sides, nodes[0]))[0]
-    slopes = np.column_stack([at_first, at_nodes.reshape(sides, -1)])
-    slopes[1:] *= -1.0  # s falls as u rises on the star side
-    heads = np.zeros(sides)
-    if head:
-        w0 = math.exp(0.5 * nodes[0])
-        heads = _integrate(head_integrand, np.arange(sides), np.zeros(sides),
-                           np.full(sides, w0))[0]
-    prefix = [np.cumsum(np.concatenate([[heads[0]], panels[0]]))]
-    if sides == 2:
-        # toward s*, G grows by each star-side panel from the shared node s*/2
-        prefix.append(np.cumsum(np.concatenate([[prefix[0][-1]], panels[1][::-1]]))[::-1])
-    prefix = np.array(prefix)
+    def head_integrand(w):
+        d = w * w  # the distance from the end, the star end where w < 0
+        f, floor = rate(np.where(w < 0.0, end - d, d), d)
+        return 2.0 * np.abs(w) * f, floor
+
+    breaks = tuple(math.log(d) if at == "zero" else 2.0 * top - math.log(d)
+                   for at, d in profiles.route_switches(profile))
+    panels, at_nodes = _integrate(integrand, nodes[:-1], nodes[1:], breaks)
+    slopes = np.concatenate([integrand(nodes[:1])[0], at_nodes])
+    # G from each collapsed end to its end node, by the head: w0 at s = 0, -w0 at s*
+    w0 = np.array([1.0, -1.0][:1 + compact]) * math.exp(0.5 * nodes[0])
+    heads = _integrate(head_integrand, np.zeros_like(w0), w0)[0] if head else np.zeros_like(w0)
+    prefix = np.cumsum(np.concatenate([heads[:1], panels]))
     if not head:
-        ordered = np.concatenate([prefix[0], prefix[1][-2::-1]]) if sides == 2 else prefix[0]
-        prefix -= ordered[len(ordered) // 2]
-    ends = (0.0, float(prefix[1][0] + heads[1])) if sides == 2 else (0.0,)
-    return _CumulativeIntegral(integrand, nodes, prefix, slopes, breaks,
-                               head=head_integrand if head else None, ends=ends,
-                               open_end=head and sides == 1)
+        prefix -= prefix[len(prefix) // 2]
+    return _CumulativeIntegral(integrand, functools.partial(_points, profile), nodes, prefix,
+                               slopes, breaks, math.inf if compact else math.log(_S_REACH),
+                               head=head_integrand if head else None,
+                               end=float(prefix[-1] - heads[-1]) if compact else math.inf)
 
 
 def _arclength(profile: Profile) -> _CumulativeIntegral:
@@ -432,21 +400,11 @@ def _arclength(profile: Profile) -> _CumulativeIntegral:
     return table
 
 
-def _t_points(profile: Profile, t: np.ndarray):
-    """The table coordinates of the points at geodesic distance t."""
+def _t_points(profile: Profile, t: np.ndarray) -> np.ndarray:
+    """The table coordinates y of the points at geodesic distance t."""
     if (t < 0.0).any():
         raise ValueError("t must be nonnegative")
-    side = np.zeros(t.shape, dtype=int)
-    u = np.full(t.shape, -math.inf)
-    moving = t > 0.0
-    if moving.any():
-        side[moving], u[moving] = _arclength(profile).invert(t[moving], "t")
-    return side, u
-
-
-def _t_values(profile: Profile, side: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """t at the table coordinates (side, u)."""
-    return _arclength(profile).value(side, u)[0]
+    return _arclength(profile).invert(t, "t")
 
 
 def t_of_s(profile: Profile, s):
@@ -461,21 +419,20 @@ def t_of_s(profile: Profile, s):
     bad = (s_arr < -1e-15) | (s_arr > float(hi) + 1e-12)
     if bad.any():
         raise ValueError(f"s = {s_arr[bad].flat[0]} outside the profile domain")
-    flat = s_arr.reshape(-1)
-    return _as_input(s, _t_values(profile, *_locate(profile, flat)).reshape(s_arr.shape))
+    t = _arclength(profile).value(_locate(profile, s_arr.reshape(-1)))[0]
+    return _as_input(s, t.reshape(s_arr.shape))
 
 
 def s_of_t(profile: Profile, t):
     """Invert the geodesic distance, for a float or an array of t.
 
-    Safeguarded Newton in u = log(delta) on t itself, from a bracket of
-    table nodes (never an interpolated value), to relative 1e-14 in delta =
-    s, or s* - s on the star half of a compact profile.
+    Safeguarded Newton in the table coordinate y on t itself, from a
+    bracket of table nodes (never an interpolated value), to 1e-14 in y:
+    relative 1e-14 in the distance delta from the nearer end, s or s* - s.
+    On an open profile t is inverted out to s = 1e12.
     """
     t_arr = np.asarray(t, dtype=float)
-    flat = t_arr.reshape(-1)
-    side, u = _t_points(profile, flat)
-    s, _ = _points(profile, side, u)
+    s, _ = _points(profile, _t_points(profile, t_arr.reshape(-1)))
     return _as_input(t, s.reshape(t_arr.shape))
 
 
@@ -605,7 +562,7 @@ def potential_rate(profile: Profile, t):
     """u_dot(t) = sqrt(alpha) * kappa1 at the point a geodesic reaches at t,
     for a float or an array of t."""
     t_arr = np.asarray(t, dtype=float)
-    s, d = _points(profile, *_t_points(profile, t_arr.reshape(-1)))
+    s, d = _points(profile, _t_points(profile, t_arr.reshape(-1)))
     rate = np.sqrt(profiles.alpha(profile, s, d)) * profile.kappa1
     return _as_input(t, rate.reshape(t_arr.shape))
 
@@ -633,11 +590,11 @@ def flow_trajectory(profile: Profile, tau: float, t):
     flat = t_arr.reshape(-1)
     out = flat.copy()
     if profile.kappa1 != 0.0:
-        side, u = _t_points(profile, flat)
+        y = _t_points(profile, flat)
         # the s = 0 tip and the star end s* are fixed points of every flow
-        moving = u > -math.inf
+        moving = np.isfinite(y)
         if moving.any():
             flow = _flow_potential(profile)
-            target = flow.value(side[moving], u[moving])[0] + shift
-            out[moving] = _t_values(profile, *flow.invert(target, "flow target F"))
+            target = flow.value(y[moving])[0] + shift
+            out[moving] = _arclength(profile).value(flow.invert(target, "flow target F"))[0]
     return _as_input(t, out.reshape(t_arr.shape))

@@ -138,8 +138,6 @@ class ProfileSample:
     beta: np.ndarray
     dbeta: np.ndarray
     v: np.ndarray
-    dv: np.ndarray
-    d2v: np.ndarray
     phi: np.ndarray
     dphi: np.ndarray
 
@@ -177,8 +175,6 @@ class Profile:
     split_from: float
     zero_order: int
     v_float: Tuple[float, ...]
-    dv_float: Tuple[float, ...]
-    d2v_float: Tuple[float, ...]
     series_window: float
     sigma_float: Tuple[float, ...]
     dbeta_float: Tuple[float, ...]
@@ -336,7 +332,6 @@ def _assemble(config: SolitonConfig, v_poly: list, psi_poly: list, e_eff: Fracti
               split_from: float, zero_order: int, series_window: float,
               mirror: Optional[Profile]) -> Profile:
     """The Profile of these polynomials and routes, and its float copies."""
-    dv_poly = polyexp.poly_derivative(v_poly)
     return Profile(
         config=config,
         v_poly=v_poly,
@@ -352,8 +347,6 @@ def _assemble(config: SolitonConfig, v_poly: list, psi_poly: list, e_eff: Fracti
         split_from=split_from,
         zero_order=zero_order,
         v_float=tuple(float(c) for c in v_poly),
-        dv_float=tuple(float(c) for c in dv_poly),
-        d2v_float=tuple(float(c) for c in polyexp.poly_derivative(dv_poly)),
         series_window=series_window,
         sigma_float=tuple(float(sig) for sig in config.sigmas),
         dbeta_float=tuple(float(-fac.q) for fac in config.factors),
@@ -563,7 +556,7 @@ def alpha_and_condition(profile: Profile, s, delta=None) -> Tuple[np.ndarray, np
 
     ``delta``, when given, is s_star - s to full relative precision, which
     s itself cannot carry within a few ulps of s_star; the mirror reads it
-    in place of s_star - s.
+    in place of s_star - s, on the star half s > s_star/2 only.
     """
     return _kernel(profile, s, delta)
 
@@ -686,8 +679,6 @@ def sample(profile: Profile, s) -> ProfileSample:
         beta=beta,
         dbeta=np.broadcast_to(dbeta, beta.shape),
         v=on_s(_fhorner(profile.v_float, s)),
-        dv=on_s(_fhorner(profile.dv_float, s)),
-        d2v=on_s(_fhorner(profile.d2v_float, s)),
         phi=on_s(k * (s + profile.kappa0)),
         dphi=on_s(k),
     )

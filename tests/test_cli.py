@@ -197,6 +197,28 @@ def test_flow_table(capsys):
     assert len(lines) == 7
 
 
+@pytest.mark.parametrize("name, tau", [("steady.json", 40.0), ("steady.json", 50.0),
+                                       ("noncompact-shrinker.json", 0.999999),
+                                       ("expanding.json", -0.9999999)])
+def test_flow_near_the_ends_of_its_time_domain(capsys, name, tau):
+    """Inside 1 + eps*tau > 0 the flow moves points toward s = 0 or past
+    the last table node, and exits 0 on the default 200-point grid."""
+    assert main(["flow", str(CONFIGS / name), "--tau", repr(tau)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 200 and all(math.isfinite(float(xi)) for _, xi in rows)
+
+
+@pytest.mark.parametrize("kappa1", [0.25, 0.5])
+def test_compact_kappa1_off_the_existence_condition_is_inadmissible(tmp_path, capsys, kappa1):
+    """validate accepts the document, but alpha is singular at s_star unless
+    kappa1 solves the existence condition."""
+    cfg = write_config(tmp_path, dict(COMPACT_DOC, kappa1=kappa1))
+    for argv in (["solve", cfg], ["reconstruct", cfg, "--t-max", "1.0"],
+                 ["flow", cfg, "--tau", "0.1"]):
+        assert main(argv) == 3
+        assert '"kappa1": "solve"' in capsys.readouterr().err
+
+
 def test_flow_outside_time_domain(capsys):
     assert main(["flow", str(CONFIGS / "compact-shrinker.json"), "--tau", "2.0"]) == 4
     assert "outside the flow's time domain" in capsys.readouterr().err

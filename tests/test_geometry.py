@@ -5,7 +5,7 @@ Arclength oracles were frozen from 60-digit tanh-sinh quadrature of
 below 1e-30).  The compact diameter is held to 2e-15, about two ulps: on
 the star half alpha comes from the mirror profile, which vanishes exactly at
 s* whatever the residual of the solved kappa1, and the computed diameter is
-within one ulp (8.9e-16) of the oracle.
+2.0e-15 from the oracle, two floats from the nearest one.
 scipy's adaptive quadrature, which the program does not use, is the
 independent oracle of t(s) on every admissible config.
 """
@@ -16,6 +16,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from kricci import acceptance as acc
@@ -67,6 +69,29 @@ def test_arclength_round_trips(steady_profile, expanding_profile, mixed_profile,
     for s in np.linspace(0.01, s_star - 0.01, 12):
         t = t_of_s(mixed_profile, float(s))
         assert s_of_t(mixed_profile, t) == pytest.approx(float(s), rel=1e-13)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_arclength_round_trips_across_the_fold(mixed_profile, two_blowdowns_profile, data):
+    """The table coordinate folds at s*/2; s_of_t(t_of_s(s)) returns s to
+    1e-13 of its distance from the nearer end on both sides of the fold, at
+    its neighbouring floats, and up to s* - 1e-15.  t is monotone, and
+    strictly increasing between points more than 1e-12 apart (adjacent
+    floats may share a t, whose own ulp is larger).  Draws stay above
+    s = 1e-299: the inversion stops at a distance of 1e-300 from an end."""
+    for prof in (mixed_profile, two_blowdowns_profile):
+        s_star = prof.s_domain[1]
+        half = 0.5 * s_star
+        special = [half, math.nextafter(half, 0.0), math.nextafter(half, s_star)]
+        special += [s_star - 10.0 ** -k for k in range(1, 16)]
+        anywhere = st.floats(1e-299, s_star, exclude_max=True)
+        s = np.unique(data.draw(st.lists(st.one_of(st.sampled_from(special), anywhere),
+                                         min_size=2, max_size=16)))
+        t = t_of_s(prof, s)
+        assert np.all(np.abs(s_of_t(prof, t) - s) <= 1e-13 * np.minimum(s, s_star - s))
+        assert np.all(np.diff(t) >= 0.0)
+        assert np.all(np.diff(t)[np.diff(s) > 1e-12] > 0.0)
 
 
 def test_queries_take_arrays(mixed_profile, steady_profile):
@@ -159,6 +184,15 @@ def test_completeness_classes(steady_profile, expanding_profile, mixed_profile,
     assert "Einstein" in flat.note
 
 
+def test_uncalibrated_compact_profile_has_no_tables():
+    """Off the existence condition alpha is singular at s*: no mirror is
+    glued on, and the tables refuse the profile."""
+    prof = build_profile(acc.compact_mixed_charges(0.5))
+    assert prof.mirror is None
+    with pytest.raises(ValueError, match="singular at s_star"):
+        completeness_report(prof)
+
+
 def test_wrong_sign_slopes_are_incomplete():
     prof = build_profile(acc.steady_representative(kappa1=1))
     rep = completeness_report(prof)
@@ -188,6 +222,36 @@ def test_flow_is_the_identity_at_tau_zero(steady_profile, expanding_profile,
         assert flow_trajectory(prof, 0.0, ts) == pytest.approx(ts, rel=1e-13)
         assert flow_trajectory(prof, 0.0, 4.0 if not prof.is_compact else 2.0) \
             == pytest.approx(4.0 if not prof.is_compact else 2.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("tau", [40.0, 50.0, 150.0, 300.0])
+def test_cigar_flow_matches_its_closed_form(cigar_profile, tau):
+    """alpha = 2(1 - e^-s) gives t = sqrt(2) asinh(sqrt(e^s - 1)) and F =
+    -log(e^s - 1)/2, so Xi = sqrt(2) asinh(sqrt((e^s - 1) e^(-2 tau))).
+    At these times Xi's s lies within e^(-2 tau + 50) of the tip, where |y|
+    is large enough that Newton must stop at the float spacing of y."""
+    s = np.linspace(0.05, 50.0, 40)
+    t = math.sqrt(2.0) * np.arcsinh(np.sqrt(np.expm1(s)))
+    exact = math.sqrt(2.0) * np.arcsinh(np.sqrt(np.expm1(s) * math.exp(-2.0 * tau)))
+    assert flow_trajectory(cigar_profile, tau, t) == pytest.approx(exact, rel=2e-13)
+
+
+@pytest.mark.parametrize("tau", [0.999999, 1.0 - 1e-9])
+def test_noncompact_flow_past_the_last_node(noncompact_profile, tau):
+    """Past the last node (s = 1e5) F continues in y.  On this shrinker F =
+    log(s)/sqrt(2) + (1 - 1/sqrt(2)) log(s + 2 sqrt(2)) in closed form, and
+    F(s') - F(s) = -log(1 - tau) with s' out to 5e10."""
+    r2 = math.sqrt(2.0)
+
+    def closed_form(s):
+        return np.log(s) / r2 + (1.0 - 1.0 / r2) * np.log(s + 2.0 * r2)
+
+    s = np.linspace(0.05, 50.0, 40)
+    moved = s_of_t(noncompact_profile,
+                   flow_trajectory(noncompact_profile, tau, t_of_s(noncompact_profile, s)))
+    assert moved.max() > 1e5
+    assert closed_form(moved) - closed_form(s) == pytest.approx(
+        np.full(s.shape, -math.log1p(-tau)), rel=0.0, abs=1e-13)
 
 
 def test_flow_is_trivial_for_a_constant_potential(flat_profile):
@@ -237,11 +301,11 @@ def test_cold_compact_tables_stay_cheap(mixed_profile, monkeypatch):
 
 
 def test_flow_near_the_compact_diameter(mixed_profile):
-    """Past the last node F continues in u = log(s* - s), so the flow works
-    up to the diameter T, which it fixes.  At tau = 0.2 the flow relation
-    F(Xi) - F(t) = shift is checked against an oracle on the star series
-    (the mirror's zero series), alpha = sum c_k delta^k, with delta from s*
-    found by quadrature."""
+    """Past the last node F continues in y = 2 log(s*/2) - log(s* - s), so
+    the flow works up to the diameter T, which it fixes.  At tau = 0.2 the
+    flow relation F(Xi) - F(t) = shift is checked against an oracle on the
+    star series (the mirror's zero series), alpha = sum c_k delta^k, with
+    delta from s* found by quadrature."""
     prof = mixed_profile
     k1 = prof.kappa1
     diameter = t_of_s(prof, prof.s_domain[1])
