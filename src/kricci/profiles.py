@@ -149,9 +149,11 @@ class Profile:
     ``v_poly`` and ``psi_poly`` are exact rational polynomials; everything
     else is float machinery derived from them once at build time.  The object
     is immutable after construction apart from the lazy caches: the zero
-    series in ``_zero_series`` and the geometry module's t and F tables in
-    ``_integrals``.  ``series_window`` is the distance from s = 0 within
-    which alpha comes from the zero series (0.0 where there is none).
+    series in ``_zero_series``, and in ``_integrals`` the geometry module's
+    t and F tables ("t", "F") and the alpha their quadratures evaluated,
+    which the second table reads ("alpha").  ``series_window`` is the
+    distance from s = 0 within which alpha comes from the zero series (0.0
+    where there is none).
     ``mirror`` is the reflected profile that serves the star half of a
     compact profile at a calibrated kappa1, and None otherwise.
     ``split_from`` is the s beyond which J takes the split route (inf when

@@ -180,6 +180,18 @@ def test_reconstruct_table(tmp_path, capsys):
     assert last[1] == pytest.approx(2.0, rel=1e-9)       # s = t^2/2
 
 
+@pytest.mark.parametrize("name", ["flat.json", "expanding.json", "noncompact-shrinker.json"])
+def test_reconstruct_far_past_the_last_node(capsys, name):
+    """Every t of a complete open profile is reached: at t = 1e7 these cones
+    are out at s ~ 1e13, far past the last table node at s = 1e5."""
+    assert main(["reconstruct", str(CONFIGS / name), "--t-max", "1e7"]) == 0
+    rows = [[float(x) for x in line.split(",")]
+            for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 200 and all(math.isfinite(x) for row in rows for x in row)
+    assert rows[-1][0] == 1e7 and rows[-1][1] > 1e13
+    assert all(a[1] < b[1] for a, b in zip(rows, rows[1:]))
+
+
 def test_reconstruct_beyond_the_diameter_is_a_schema_error(capsys):
     # the symmetric compact profile has diameter sqrt(2)*pi = 4.4429
     assert main(["reconstruct", str(CONFIGS / "symmetric-compact.json"),

@@ -4,12 +4,14 @@ Arclength oracles were frozen from 60-digit tanh-sinh quadrature of
 1/sqrt(alpha) with the exact closed-form alpha (quadrature error estimates
 below 1e-30).  The compact diameter is held to 2e-15, about two ulps: on
 the star half alpha comes from the mirror profile, which vanishes exactly at
-s* whatever the residual of the solved kappa1, and the computed diameter is
-2.0e-15 from the oracle, two floats from the nearest one.
+s* whatever the residual of the solved kappa1, and the computed diameter,
+a compensated sum of the table's leaves, is 2.0e-16 from the oracle, the
+nearest float.
 scipy's adaptive quadrature, which the program does not use, is the
 independent oracle of t(s) on every admissible config.
 """
 
+import functools
 import json
 import math
 import pathlib
@@ -298,6 +300,127 @@ def test_cold_compact_tables_stay_cheap(mixed_profile, monkeypatch):
         points.clear()
         build_table(build_profile(mixed_profile.config))
         assert 0 < sum(points) <= 12_000
+
+
+def test_warm_queries_evaluate_no_alpha(steady_profile, mixed_profile, monkeypatch):
+    """Once its tables are built, a query between the end nodes is the
+    prefix plus a leaf's polynomial, and Newton runs on that polynomial: no
+    query calls the alpha kernel."""
+    kernel = profiles.alpha_and_condition
+    calls = []
+    for prof in (steady_profile, mixed_profile):
+        s_star = prof.s_domain[1]
+        s = np.linspace(0.05, 50.0, 200) if math.isinf(s_star) \
+            else np.linspace(0.05, 0.95, 200) * s_star
+        t = t_of_s(prof, s)
+        for tau in (0.3, -0.2):
+            flow_trajectory(prof, tau, t)
+        monkeypatch.setattr(profiles, "alpha_and_condition",
+                            lambda p, x, d=None: calls.append(np.size(x)) or kernel(p, x, d))
+        assert s_of_t(prof, t_of_s(prof, s)) == pytest.approx(s, rel=1e-13)
+        for tau in (0.3, -0.2):
+            flow_trajectory(prof, tau, t)
+        monkeypatch.setattr(profiles, "alpha_and_condition", kernel)
+    assert calls == []
+
+
+def test_flow_table_reads_the_arclength_tables_alpha(mixed_profile, steady_profile,
+                                                     monkeypatch):
+    """t and F are integrated over the same nodes, so the F table built after
+    the t table reads alpha where the t table's quadrature asked it, and
+    calls the kernel only for panels that it bisects where the t table did
+    not: 24 points a panel, a small share of a cold table's points."""
+    kernel = profiles.alpha_and_condition
+    points = []
+    monkeypatch.setattr(profiles, "alpha_and_condition",
+                        lambda p, s, d=None: points.append(np.size(s)) or kernel(p, s, d))
+    for config in (mixed_profile.config, steady_profile.config):
+        geometry._flow_potential(build_profile(config))
+        cold = sum(points)
+        prof = build_profile(config)
+        geometry._arclength(prof)
+        points.clear()
+        geometry._flow_potential(prof)
+        assert all(n % 24 == 0 for n in points)
+        assert sum(points) <= 0.05 * cold
+        points.clear()
+
+
+def test_running_sum_is_neumaiers():
+    """The prefix's compensated cumulative sum, done by array operations, is
+    Neumaier's loop to the bit, and each partial sum is within an ulp of the
+    exactly rounded math.fsum where the plain cumsum is not."""
+    rng = np.random.default_rng(11)
+    terms = rng.standard_normal(900) * 10.0 ** rng.uniform(-6.0, 6.0, 900)
+    reference, total, carry = [], 0.0, 0.0
+    for term in terms:
+        new = total + term
+        carry += (total - new) + term if abs(total) >= abs(term) else (term - new) + total
+        total = new
+        reference.append(total + carry)
+    got = geometry._running_sum(terms)
+    assert got.tolist() == reference
+    exact = np.array([math.fsum(terms[:k + 1]) for k in range(len(terms))])
+    assert np.all(np.abs(got - exact) <= np.spacing(np.abs(exact)))
+    assert np.any(np.abs(np.cumsum(terms) - exact) > np.spacing(np.abs(exact)))
+
+
+def _table_nodes(prof):
+    """The nodes of the t and F tables, laid out as geometry._table does."""
+    compact = prof.is_compact
+    top = math.log(0.5 * prof.s_domain[1]) if compact else math.log(geometry._S_MAX)
+    nodes = np.linspace(math.log(geometry._D_MIN), top,
+                        geometry._NODES // 2 if compact else geometry._NODES)
+    return np.concatenate([nodes, 2.0 * top - nodes[-2::-1]]) if compact else nodes
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_interpolated_tables_match_fresh_quadrature(steady_profile, noncompact_profile,
+                                                    mixed_profile, two_blowdowns_profile,
+                                                    data):
+    """Between the end nodes G is read from the leaves' polynomials.  It
+    agrees with a fresh certified quadrature from the table node below y to
+    1e-14 of the largest |G| between that node and the next (F vanishes at
+    its middle node): for t and F, on open and glued compact profiles,
+    across the route switches, at the fold s*/2 and its neighbouring
+    floats, and at the edges of the leaves."""
+    for prof in (steady_profile, noncompact_profile, mixed_profile, two_blowdowns_profile):
+        nodes = _table_nodes(prof)
+        for table in (geometry._arclength(prof), geometry._flow_potential(prof)):
+            special = list(table.breaks) + data.draw(st.lists(st.sampled_from(table.edges),
+                                                              min_size=2, max_size=4))
+            if prof.is_compact:
+                special.append(math.log(0.5 * prof.s_domain[1]))
+            special += [math.nextafter(y, way) for y in special for way in (-math.inf, math.inf)]
+            special += [y + gap for y in table.breaks for gap in (-1e-9, 1e-9, -1e-3, 1e-3)]
+            anywhere = st.floats(float(nodes[0]), float(nodes[-1]))
+            y = np.array(data.draw(st.lists(st.one_of(st.sampled_from(special), anywhere),
+                                            min_size=1, max_size=16)))
+            y = y[(y >= nodes[0]) & (y <= nodes[-1])]
+            k = np.minimum(np.searchsorted(nodes, y, side="right") - 1, len(nodes) - 2)
+            at_node, at_next = table.prefix[np.searchsorted(table.edges, nodes[[k, k + 1]])]
+            rate = functools.partial(geometry._integrand, prof, table.power, table.factor)
+            fresh = at_node + geometry._integrate(rate, nodes[k], y, table.breaks)[0]
+            scale = np.maximum(np.abs(fresh), np.maximum(np.abs(at_node), np.abs(at_next)))
+            assert np.all(np.abs(table.value(prof, y)[0] - fresh) <= 1e-14 * scale)
+
+
+def test_open_tables_invert_as_far_as_the_target(flat_profile):
+    """Past the last node an open table's bracket grows in y until it holds
+    the target: on the flat cone s = t^2/2 out to t = 1e12 (s = 5e23)."""
+    t = np.array([1e3, 1e7, 1e9, 1e12])
+    assert s_of_t(flat_profile, t) == pytest.approx(0.5 * t * t, rel=1e-13)
+
+
+def test_unreachable_targets_stop_where_alpha_leaves_the_floats():
+    """With kappa1 > 0 alpha grows like e^(kappa1 s) and overflows to inf,
+    so t is bounded; a larger t is beyond the reachable range."""
+    prof = build_profile(acc.steady_representative(kappa1=1))
+    length = completeness_report(prof).geodesic_length
+    assert s_of_t(prof, 0.999 * length) < 1e5
+    with pytest.raises(ValueError, match="beyond the reachable range"):
+        s_of_t(prof, 1.001 * length)
 
 
 def test_flow_near_the_compact_diameter(mixed_profile):
