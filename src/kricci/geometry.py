@@ -547,7 +547,7 @@ def t_of_s(profile: Profile, s):
     """
     s_arr = np.asarray(s, dtype=float)
     hi = profile.s_domain[1]
-    bad = (s_arr < -1e-15) | (s_arr > float(hi) + 1e-12)
+    bad = ~((s_arr >= -1e-15) & (s_arr <= float(hi) + 1e-12) & (s_arr < math.inf))
     if bad.any():
         raise ValueError(f"s = {s_arr[bad].flat[0]} outside the profile domain")
     t = _arclength(profile).value(profile, _locate(profile, s_arr.reshape(-1)))[0]

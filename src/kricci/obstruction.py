@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
+import numpy as np
+
 from kricci import polyexp
 from kricci.model import SolitonConfig, mirror_config
 from kricci.profiles import v_psi_polys
@@ -39,7 +41,6 @@ from kricci.profiles import v_psi_polys
 _MAX_BISECT = 200
 _MAX_NEWTON = 100
 _EPS = sys.float_info.epsilon
-_X = [Fraction(0), Fraction(1)]
 
 
 @dataclass(frozen=True)
@@ -78,23 +79,64 @@ def _weight_poly(config: SolitonConfig) -> list:
     return polyexp.build_shifted_product(shifts)
 
 
+def _end_rows(config: SolitonConfig, sides=(1, -1)):
+    """The float coefficients of |w|, x|w| and x^2|w| in the distance d from
+    an end, x = -N0-1 + d (side 1) or x = N*+1 - d (side -1), as rows per
+    side, and the sign of w on the interval (|w| = sign w).  Summed at the
+    end the measure leans towards (see _lean_sums), the sums expand about
+    where the mass is, so they cancel less, and their rates are positive,
+    so they never overflow."""
+    n0, n_star = config.n_zero, config.n_star
+    w = _weight_poly(config)
+    sign = 1 if polyexp.poly_eval(w, Fraction(n_star - n0, 2)) > 0 else -1
+    rows = {}
+    for side in sides:
+        end = -(n0 + 1) if side == 1 else n_star + 1
+        rows[side] = np.zeros((3, len(w) + 2))
+        for j in range(3):  # x^j w
+            shifted = polyexp.poly_shift([Fraction(0)] * j + w, end)
+            rows[side][j, :len(shifted)] = [float(c) for c in shifted]
+        rows[side] *= sign * side ** np.arange(len(w) + 2)  # |w| = sign w, and d = side (x - end)
+    return rows, sign
+
+
+def _lean_sums(config: SolitonConfig, rows: dict, k: float) -> list:
+    """Z, Z <x> and Z <x^2>: int_0^L e^{-2|k| d} x^j |w| dd at the end the
+    measure leans towards at kappa1 = k (the left one for k >= 0), from one
+    moments call.  Near the root Z <x> cancels, so each sum adds its rounded
+    terms exactly (math.fsum)."""
+    side = rows[1 if k >= 0 else -1]
+    length = config.n_zero + config.n_star + 2
+    terms = side * polyexp.moments(2.0 * abs(k), [length], side.shape[1])[:, 0]
+    return [math.fsum(row) for row in terms.tolist()]
+
+
+def _lean_integral(config: SolitonConfig, rows: dict, sign: int, k: float) -> float:
+    """I(k) = sign Z <x>, times e^{-2 k s*/2} for k < 0, whose sums start
+    at the right end (+-inf where that factor overflows)."""
+    value = sign * _lean_sums(config, rows, k)[1]
+    grow = -2.0 * k * (config.n_zero + config.n_star + 2)
+    if grow > 709.0:  # exp overflow threshold for doubles
+        return math.copysign(math.inf, value) if value else value
+    return value * math.exp(grow) if grow > 0.0 else value
+
+
 def futaki_integral(config: SolitonConfig, kappa1: float) -> FutakiEvaluation:
     """Evaluate the obstruction integral at the given kappa1.
 
     Exact rational arithmetic when kappa1 = 0; otherwise the closed-form
-    moment evaluation of polyexp (never sampled quadrature).
+    moment evaluation of polyexp (never sampled quadrature), summed at the
+    end the measure leans towards, as the root finder sums it.
     """
     _require_compact_shrinker(config)
-    n0 = config.n_zero
-    half_length = Fraction(n0 + config.n_star + 2)  # s*/2
-    shifted = polyexp.poly_shift(polyexp.poly_mul(_X, _weight_poly(config)),
-                                 Fraction(-(n0 + 1)))
-
     if kappa1 == 0:
-        exact = polyexp.exp_poly_integral_exact_zero(shifted, 0, half_length)
+        exact = polyexp.exp_poly_integral_exact_zero([Fraction(0)] + _weight_poly(config),
+                                                     -(config.n_zero + 1), config.n_star + 1)
         return FutakiEvaluation(kappa1=0.0, value=float(exact), exact_value=exact)
-    value = polyexp.exp_poly_integral(shifted, 2.0 * float(kappa1), 0, half_length)
-    return FutakiEvaluation(kappa1=float(kappa1), value=value, exact_value=None)
+    kappa1 = float(kappa1)
+    rows, sign = _end_rows(config, (1 if kappa1 >= 0 else -1,))
+    return FutakiEvaluation(kappa1=kappa1, value=_lean_integral(config, rows, sign, kappa1),
+                            exact_value=None)
 
 
 def find_kappa1_compact(config: SolitonConfig) -> RootResult:
@@ -121,25 +163,10 @@ def find_kappa1_compact(config: SolitonConfig) -> RootResult:
     if futaki_integral(config, 0).exact_value == 0:
         return RootResult(kappa1=0.0, bracket=(0.0, 0.0), residual=0.0,
                           iterations=0, uniqueness_certificate=1)
-
-    w = _weight_poly(config)  # |w| has the sign w has mid-interval
-    weight = w if polyexp.poly_eval(w, Fraction(n_star - n0, 2)) > 0 else polyexp.poly_neg(w)
-    # |w|, x|w| and x^2|w| in the distance d from either end: x = -N0-1 + d
-    # and x = N*+1 - d.  Summed in the moments of the end the measure leans
-    # towards (the left one for kappa1 >= 0), the sums expand about where
-    # the mass is, so they cancel less, and their rates are positive, so
-    # they never overflow.
-    anchored = {1: [], -1: []}
-    for _ in range(3):
-        for side, end in ((1, -(n0 + 1)), (-1, n_star + 1)):
-            shifted = polyexp.poly_shift(weight, end)
-            anchored[side].append([c * side ** m for m, c in enumerate(shifted)])
-        weight = polyexp.poly_mul(_X, weight)
-    length = n0 + n_star + 2
+    rows, sign = _end_rows(config)
 
     def mean_var(k: float) -> Tuple[float, float]:
-        z, m1, m2 = (polyexp.exp_poly_integral(p, 2.0 * abs(k), 0, length)
-                     for p in anchored[1 if k >= 0 else -1])
+        z, m1, m2 = _lean_sums(config, rows, k)
         if not (0.0 < z < math.inf and math.isfinite(m1) and math.isfinite(m2)):
             raise RuntimeError(f"the obstruction moments are not finite at kappa1 = {k!r}")
         mean = m1 / z
@@ -179,7 +206,7 @@ def find_kappa1_compact(config: SolitonConfig) -> RootResult:
     bracket = (beyond(-1.0) if math.isinf(lo) else lo,
                beyond(+1.0) if math.isinf(hi) else hi)
     return RootResult(kappa1=k, bracket=bracket,
-                      residual=abs(futaki_integral(config, k).value),
+                      residual=abs(_lean_integral(config, rows, sign, k)),
                       iterations=iterations, uniqueness_certificate=1)
 
 

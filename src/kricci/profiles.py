@@ -16,9 +16,11 @@ closed evaluation routes cover the parameter space (Psi = (E_star + eps*x)*v):
   * kappa1 = 0: J is the exact polynomial antiderivative of Psi.
   * moment route: expanding Psi about s gives
         J(s) = sum_m (-1)^m Psi^(m)(s)/m! * M_m(-kappa1, s),
-    with M_m the exponential moments of polyexp.  Stable as long as the
-    exponential weight cannot amplify cancellation, i.e. for |kappa1|*s
-    below a threshold (see below).
+    with M_m the exponential moments, every order at every point from one
+    polyexp.moments call (its series branches: |kappa1|*s <= 30 here never
+    reaches its closed form).  Stable as long as the exponential weight
+    cannot amplify cancellation, i.e. for |kappa1|*s below a threshold (see
+    below).
   * split route: the exact identity J = P(s) + e^{kappa1 s} * T0 with the
     polynomial particular solution P = -sum_m Psi^(m)/kappa1^(m+1) and
     T0 = -P(0).  For kappa1 < 0 the exponential term decays; for the
@@ -84,12 +86,6 @@ _CROSSOVER_Z = tuple(0.01 * (_MOMENT_Z / 0.01) ** (i / 23) for i in range(24))
 _EXP_OVERFLOW = 709.0
 _SNAP_REL = 1e-9
 _SERIES_TERMS = 14
-#: terms the array moment series adds at once, between convergence checks:
-#: at least _SERIES_BLOCK, and on a batch of n points up to _BLOCK_TERMS / n
-#: (at most _SERIES_BLOCK_MAX), since a small batch's cost is per block
-_SERIES_BLOCK = 8
-_SERIES_BLOCK_MAX = 128
-_BLOCK_TERMS = 4096
 
 
 def _fhorner(coeffs: Sequence[float], x: float) -> float:
@@ -277,10 +273,13 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
     if config.is_compact:
         s_hi = float(config.s_star)
         # the existence condition: the weighted integral of Psi over
-        # [0, s_star] vanishes to 1e-9 of its majorant
-        i_star = polyexp.exp_poly_integral(psi_poly, k1, 0, config.s_star)
-        scale = polyexp.exp_poly_integral([abs(c) for c in psi_poly], k1, 0, config.s_star)
-        if abs(i_star) <= _SNAP_REL * max(1e-300, scale):
+        # [0, s_star] vanishes to 1e-9 of its finite majorant, both summed
+        # from one set of moments (row 0 of the table is Psi); an infinite
+        # moment makes them NaN or inf, and no mirror
+        moments = polyexp.moments(k1, [s_hi], len(psi_poly))[:, 0]
+        with np.errstate(invalid="ignore"):
+            i_star, scale = taylor_table[0] @ moments, np.abs(taylor_table[0]) @ moments
+        if scale < math.inf and abs(i_star) <= _SNAP_REL * max(1e-300, scale):
             mirror = _mirror(config, v_poly, psi_poly, e_eff, pa)
     return _assemble(config, v_poly, psi_poly, e_eff, k1, s_hi, taylor_table,
                      p_alpha, 0.0 if t0_snapped else t0, t0_snapped, split_from,
@@ -393,58 +392,19 @@ def _ratio(scale: np.ndarray, value: np.ndarray) -> np.ndarray:
 def _moment_sum(k: float, table: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """J on the moment route at every point of ``x``, for kappa1 = ``k``
     and the rows Psi^(m)/m! of ``table``:
-    J = sum_m (-1)^m Psi^(m)(x)/m! * M_m(-kappa1, x), with the moments
-    summed over an (m, x) array by the series polyexp.moment uses: the
-    all-positive one for kappa1 > 0, the Kummer one for kappa1 < 0.  Also
-    returns sum_m |Psi^(m)/m!| M_m, the size of the terms that cancel in J.
-
-    A column's series runs longer the larger |kappa1| x, so the columns are
-    sorted by it and each leaves the sum once its term has passed its peak
-    and is below the series tolerance in every row.  Terms are added in
-    blocks, each a cumulative product of the term ratios.
+    J = sum_m (-1)^m Psi^(m)(x)/m! * M_m(-kappa1, x), with the moments of
+    polyexp.moments.  Also returns sum_m |Psi^(m)/m!| M_m, the size of the
+    terms that cancel in J.
     """
-    rows = np.arange(table.shape[0])[:, None]
-    order = np.argsort(x)
-    xs = x[order]
-    z = abs(k) * xs
-    if k > 0.0:
-        w = np.ones_like(z)
-        total = np.repeat(1.0 / (rows + 1.0), len(z), axis=1)
-    else:
-        term = np.ones((len(rows), len(z)))
-        total = term.copy()
-    start, j = 0, 0
-    size = min(_SERIES_BLOCK_MAX, max(_SERIES_BLOCK, _BLOCK_TERMS // max(len(z), 1)))
-    block = np.arange(1, size + 1)[:, None, None]
-    while start < len(z):
-        live = slice(start, None)
-        zl = z[live]
-        js = j + block  # the next terms, j + 1 .. j + size
-        if k > 0.0:
-            ws = w[live] * np.cumprod(zl / js[:, 0], axis=0)
-            terms = ws[:, None, :] / (rows + js + 1)
-            w[live] = ws[-1]
-        else:
-            terms = term[:, live] * np.cumprod(zl / (rows + 1 + js), axis=0)
-            term[:, live] = terms[-1]
-        total[:, live] += terms.sum(axis=0)
-        j += size
-        done = (j > zl) & (terms[-1] < polyexp.SERIES_EPS * total[:, live]).all(axis=0)
-        start += len(done) if done.all() else int(done.argmin())
-    moments = total * xs ** (rows + 1)
-    if k < 0.0:
-        moments *= np.exp(-z) / (rows + 1)
+    moments = polyexp.moments(-k, x, table.shape[0])
     # Psi^(m)(x)/m! and its majorant, by one Horner pass over both tables
     both = np.vstack((table, np.abs(table)))
-    acc = np.zeros((len(both), len(xs)))
+    acc = np.zeros((len(both), len(x)))
     for col in range(table.shape[1] - 1, -1, -1):
-        acc = acc * xs + both[:, col:col + 1]
+        acc = acc * x + both[:, col:col + 1]
     coeffs, scale = acc[:len(table)], acc[len(table):]
     coeffs[1::2] *= -1.0
-    out = np.empty((2, len(xs)))
-    out[0, order] = np.sum(coeffs * moments, axis=0)
-    out[1, order] = np.sum(scale * moments, axis=0)
-    return out[0], out[1]
+    return np.sum(coeffs * moments, axis=0), np.sum(scale * moments, axis=0)
 
 
 def _exp_cap(t0: float) -> float:

@@ -474,6 +474,20 @@ def test_flow_near_the_tip(steady_profile, expanding_profile, tau):
         assert xi == pytest.approx(1e-5 * math.exp(prof.kappa1 * shift), rel=1e-9)
 
 
+@pytest.mark.parametrize("fixture, s", [
+    ("steady_profile", math.nan), ("steady_profile", math.inf), ("steady_profile", -1.0),
+    ("mixed_profile", math.nan), ("mixed_profile", math.inf),
+])
+def test_t_of_s_rejects_points_outside_the_domain(request, fixture, s):
+    """Every comparison with NaN is false, and s = inf is not beyond the
+    end of an open profile; both are refused, alone or in an array."""
+    prof = request.getfixturevalue(fixture)
+    with pytest.raises(ValueError, match="outside the profile domain"):
+        t_of_s(prof, s)
+    with pytest.raises(ValueError, match="outside the profile domain"):
+        t_of_s(prof, np.array([1.0, s]))
+
+
 def test_flow_rejects_times_outside_the_domain(mixed_profile):
     with pytest.raises(ValueError, match="outside the flow's time domain"):
         flow_trajectory(mixed_profile, 2.0, 2.0)

@@ -168,6 +168,24 @@ def test_compact_root_is_certified_and_matches_mpmath(cfg):
         assert abs(lo - rr.kappa1) <= 1e-12 * max(1, abs(lo))
 
 
+def test_negative_root_residual_is_summed_at_the_leaning_end():
+    """For kappa1 < 0 the measure leans towards x = N*+1, and I is summed
+    in that end's moments, as the root is: at the root of this shrinker
+    (kappa1 ~ -1.8169) the reported residual is within 1e-13 (the 30-digit
+    I is ~2e-14 there), where sums at the left end left 4.4e-11."""
+    cfg = derive_config(
+        epsilon=-1,
+        factors=[FanoFactor(0, 1, -1), FanoFactor(2, 3, 2), FanoFactor(3, 3, 2), FanoFactor(0, 1, 1)],
+        boundary=BoundaryStructure(Collapse.FACTOR, CompactEnd(Collapse.FACTOR)),
+        kappa1=0,
+    )
+    rr = find_kappa1_compact(cfg)
+    assert rr.kappa1 == pytest.approx(-1.8169, abs=1e-4)
+    assert rr.residual <= 1e-13
+    with mp.workdps(30):
+        assert abs(_mp_obstruction(cfg, mp.mpf(rr.kappa1))) <= 1e-13
+
+
 def test_reflection_identity():
     cfg = acc.compact_mixed_charges()
     for kappa in (0.0, 0.3, -0.7):

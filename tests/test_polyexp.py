@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic and the exp-weighted moment evaluator."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from kricci.polyexp import (
     build_shifted_product,
     exp_poly_integral,
     exp_poly_integral_exact_zero,
-    moment,
+    moments,
     poly_antiderivative,
     poly_derivative,
     poly_eval,
@@ -27,8 +28,8 @@ from kricci.polyexp import (
 # [0, upper], computed with 50-digit arbitrary-precision quadrature and
 # rounded to shortest double.  The points are chosen to land in every
 # evaluation branch: positive-series Kummer, closed form with factorial
-# head, the all-positive series for kappa < 0, the tiny-|kappa*upper|
-# Taylor expansion, and the kappa = 0 power rule.
+# head, the all-positive series for kappa < 0, and tiny |kappa*upper| on
+# both series, where the scalar evaluator once had a Taylor branch.
 MOMENT_ORACLES = [
     (0, 1.0, 1.0, 0.6321205588285577),
     (5, 0.3, 2.0, 6.396062247131931),
@@ -44,24 +45,38 @@ MOMENT_ORACLES = [
 
 @pytest.mark.parametrize("m,kappa,upper,expected", MOMENT_ORACLES)
 def test_moment_against_frozen_oracles(m, kappa, upper, expected):
-    got = moment(m, kappa, upper)
+    got = moments(kappa, [upper], m + 1)[m, 0]
     assert got == pytest.approx(expected, rel=5e-13)
 
 
+def test_every_branch_in_one_call():
+    """One call whose columns take every branch (the all-positive series,
+    the Kummer series, the closed form) and one whose sum overflows: the
+    overflowed column leaves the loop at once as +inf, with no warning."""
+    m, kappa, upper, expected = (list(col) for col in zip(*MOMENT_ORACLES, (2, -1e8, 1.0, math.inf)))
+    start = time.perf_counter()
+    got = moments(kappa, upper, max(m) + 1)
+    assert time.perf_counter() - start < 1.0
+    z = [k * x for k, x in zip(kappa, upper)]
+    assert min(z) < 0.0 and any(0.0 < zi < len(got) + 30 for zi in z) and max(z) >= len(got) + 30
+    for col, (order, want) in enumerate(zip(m, expected)):
+        assert got[order, col] == pytest.approx(want, rel=5e-13)
+
+
 def test_moment_power_rule_at_zero():
-    assert moment(0, 0.0, 2.0) == pytest.approx(2.0, rel=1e-15)
-    assert moment(4, 0.0, 3.0) == pytest.approx(3.0**5 / 5.0, rel=1e-15)
+    assert moments(0.0, [2.0], 1)[0, 0] == pytest.approx(2.0, rel=1e-15)
+    assert moments(0.0, [3.0], 5)[4, 0] == pytest.approx(3.0**5 / 5.0, rel=1e-15)
 
 
 def test_moment_table_satisfies_recurrence():
     # Each order is computed by the stable branches; the
     # integration-by-parts recurrence is then a nontrivial cross-check.
     kappa, upper = 0.7, 3.0
-    moments = [moment(m, kappa, upper) for m in range(12)]
+    table = moments(kappa, [upper], 12)[:, 0]
     tail = math.exp(-kappa * upper)
     for m in range(1, 12):
-        rhs = (m * moments[m - 1] - upper**m * tail) / kappa
-        assert moments[m] == pytest.approx(rhs, rel=1e-12)
+        rhs = (m * table[m - 1] - upper**m * tail) / kappa
+        assert table[m] == pytest.approx(rhs, rel=1e-12)
 
 
 def test_build_shifted_product_expansion():
@@ -171,7 +186,7 @@ def test_moment_matches_adaptive_quadrature(m, kappa, upper):
         lambda x: x**m * math.exp(-kappa * x), 0.0, upper,
         epsabs=0.0, epsrel=1e-10, limit=200,
     )
-    assert moment(m, kappa, upper) == pytest.approx(ref, rel=1e-6)
+    assert moments(kappa, [upper], m + 1)[m, 0] == pytest.approx(ref, rel=1e-6)
 
 
 @settings(max_examples=60, deadline=None)

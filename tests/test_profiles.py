@@ -224,19 +224,29 @@ def test_star_half_is_well_conditioned(middle, ends):
 
 
 def test_singular_star_end_is_recorded_once(monkeypatch):
-    calls = []
-    real = polyexp.exp_poly_integral
-    monkeypatch.setattr(polyexp, "exp_poly_integral",
-                        lambda *a: calls.append(a) or real(*a))
+    points = []
+    real = polyexp.moments
+    monkeypatch.setattr(polyexp, "moments",
+                        lambda kappa, x, count: points.append(list(x)) or real(kappa, x, count))
     prof = build_profile(acc.compact_two_blowdowns(0.25))
     assert prof.mirror is None
     s_star = float(prof.s_domain[1])
     values = [sample(prof, s_star - d).alpha for d in (0.2, 0.1, 0.01)]
-    assert len(calls) == 2  # the existence integral and its majorant, once
+    # the existence integral and its majorant, from one call at s_star, once;
+    # J's moment route makes the other calls, at the sample points
+    assert points.count([s_star]) == 1
     assert all(math.isfinite(a) for a in values)
     with pytest.raises(ValueError, match="singular at s_star"):
         alpha_series_at_collapse(prof, "star")
-    assert len(calls) == 2
+    assert points.count([s_star]) == 1
+
+
+@pytest.mark.parametrize("kappa1", [-200.0, 200.0])
+def test_existence_check_far_from_the_root(kappa1):
+    """At |kappa1| s* = 800 the weight e^{-kappa1 x} overflows the moments
+    of the existence integral (kappa1 < 0) or makes them vanish: no mirror
+    either way, and no numerical warning."""
+    assert build_profile(acc.compact_mixed_charges(kappa1)).mirror is None
 
 
 def test_compact_alpha_vanishes_at_both_ends(mixed_profile):
