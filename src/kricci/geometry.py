@@ -15,8 +15,9 @@ log(s) up to L = log(s*/2), and y = 2L - log(s* - s) beyond, so y runs from
 ds/dy = delta, the distance from the nearer end, so the integrand is
 delta*rate, smooth up to the ends, and a point near s* keeps the precision
 of its distance, which s itself cannot carry.  The nodes are uniform in y
-from delta = 1e-8: 420 up to s = 1e5 on an open profile, and on a compact
-one 210 up to L and their reflection about it.  On a glued compact profile
+from the end node, at delta = 1e-8 or the zero series' reach rho/30 if
+that is less: 420 up to s = 1e5 on an open profile, and on a compact one
+210 up to L and their reflection about it.  On a glued compact profile
 (see profiles) alpha on the star half is the mirror's, so each end is an
 s = 0 end.  _points and _locate convert between y and s.
 
@@ -37,22 +38,29 @@ prefix is a compensated (Neumaier) sum of the leaves, from the collapsed
 end for t and outward from the middle node for F.  t and F share their
 nodes and breaks, so the table built second reads alpha where the first
 one's quadrature asked it, and calls the kernel only for its own
-bisections and its head.
+bisections.
 
-The end rule.  Past its end nodes G continues in y, for t and F alike,
-as leaves added by the same quadrature; F diverges there like
-log(delta)/(2*kappa1).  The one exception is the collapsed ends of the t
-table, where the head in w = sqrt(delta) takes over.
+The end rule.  Between a collapsed end and its end node the zero series
+(the mirror's at s*) gives alpha = c1*delta*(1 + A), A = sum a_k delta^k,
+and one recurrence gives (1 + A)^-power = sum b_k delta^k, so G is a
+constant C +- factor * c1^-power * sum b_k delta^(k+1-power)/(k+1-power):
+t = sqrt(2 delta)*(1 + ...) for power 1/2, and for F, power 1, the k = 0
+term is log(delta).  It is evaluated in log(delta), y or 2L - y, without
+forming delta, so t holds down to s = 5e-324 and F has no floor.  The
+series is trusted within rho/30 of its end, hence the end node.  Past the
+last node of an open profile G continues in y, as more quadrature leaves.
 
 Inversion is safeguarded Newton in y over a whole batch of targets, on
 the leaves' polynomials, with dG/dy = delta*rate from the same leaf: a
 bracket of the leaf that holds the target and a start on the chord across
 it, a bisection whenever a step leaves the bracket, and a stop once the
 step is below 1e-14 in y (a relative tolerance in delta) or one float
-spacing of y.  Past the last node of an open profile the bracket doubles
-in y until G at its end holds the target, and is beyond reach only where
-s or alpha leaves the floats.  t_of_s, s_of_t and flow_trajectory take
-arrays, and the flow composes its three maps in y.
+spacing of y.  Past the end node of a collapsed end the end rule's leading
+term, inverted, gives the start, one unit of y inside a bracket.  Past the
+last node of an open profile the bracket doubles in y until G at its end
+holds the target, and is beyond reach only where s or alpha leaves the
+floats.  t_of_s, s_of_t and flow_trajectory take arrays, and the flow
+composes its three maps in y.
 """
 
 from __future__ import annotations
@@ -64,7 +72,7 @@ from enum import Enum
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.polynomial import legendre
+from numpy.polynomial import legendre, polynomial
 
 from kricci import profiles
 from kricci.profiles import Profile, sample
@@ -159,9 +167,9 @@ def _locate(profile: Profile, s: np.ndarray) -> np.ndarray:
 
 
 def _integrate(q, a: np.ndarray, b: np.ndarray, breaks=()):
-    """int_a^b q(x) dx for each entry, by 8-point Gauss-Legendre panels, and
-    the leaves, the halves of the accepted panels, as (left ends, right ends,
-    q at their Gauss points, their integrals).
+    """The quadrature of q(x) over [a, b] for each entry, by 8-point
+    Gauss-Legendre panels, as its leaves, the halves of the accepted panels:
+    (left ends, right ends, q at their Gauss points, their integrals).
 
     ``q`` returns the integrand and the relative rounding floor of its value;
     the rounding of x adds to that floor.  A panel is first cut at the
@@ -174,15 +182,11 @@ def _integrate(q, a: np.ndarray, b: np.ndarray, breaks=()):
     After _MAX_DEPTH bisections, or with more than _MAX_SPLITS failing panels
     at one depth, ValueError is raised.
     """
-    shape = np.shape(a)
     a, b = (np.ravel(x) for x in np.broadcast_arrays(a, b))
-    owner = np.arange(len(a))
-    total = np.zeros(len(a))
     leaves = []
     for cut in breaks:
         inside = (np.minimum(a, b) < cut) & (cut < np.maximum(a, b))
         if inside.any():
-            owner = np.concatenate([owner, owner[inside]])
             b_inside = b[inside]
             b = np.concatenate([np.where(inside, cut, b), b_inside])
             a = np.concatenate([a, np.full(len(b_inside), cut)])
@@ -209,16 +213,14 @@ def _integrate(q, a: np.ndarray, b: np.ndarray, breaks=()):
             - rounding[:n] @ _TO_HALVES_ABS - rounding[n:].reshape(halves.shape)
         ok = (np.abs(fine - coarse) <= slack) \
             & (0.5 * np.abs(half) * (miss @ _GL_W).sum(axis=0) <= _PANEL_RTOL * np.abs(fine))
-        np.add.at(total, owner[ok], fine[ok])
         leaves.append((np.concatenate([a[ok], mid[ok]]), np.concatenate([mid[ok], b[ok]]),
                        halves[:, ok].reshape(-1, len(_GL_X)),
                        sums[n:].reshape(2, n)[:, ok].ravel()))
         if ok.all():
-            return total.reshape(shape), tuple(map(np.concatenate, zip(*leaves)))
+            return tuple(map(np.concatenate, zip(*leaves)))
         bad = ~ok
         if bad.sum() > _MAX_SPLITS:
             break
-        owner = np.tile(owner[bad], 2)
         a, b = np.concatenate([a[bad], mid[bad]]), np.concatenate([mid[bad], b[bad]])
     raise ValueError(f"quadrature on [{a[bad][0]}, {b[bad][0]}] missed its relative "
                      f"tolerance {_PANEL_RTOL}")
@@ -266,9 +268,9 @@ class _CumulativeIntegral:
     reached, exactly 0 at v = 0, and ``polys[:, 1, j]`` those of dG/dy.
     ``breaks`` are the y where alpha changes route.
 
-    With ``head``, the integrand in w = +-sqrt(delta) (negative at the star
-    end) on [0, 1e-4] serves below the first node, where G(0) = 0, and on a
-    compact profile beyond the last, where G(s*) = ``end``.
+    ``ends`` holds the end rule of each collapsed end, s = 0 and on a
+    compact profile s*, as (C, rows): past the end node G = C + H at s = 0
+    and C - H at s*, H from _end_rule on the rows of _end_series.
     """
 
     power: float
@@ -277,55 +279,38 @@ class _CumulativeIntegral:
     prefix: np.ndarray
     polys: np.ndarray
     breaks: Tuple[float, ...]
-    head: bool
-    end: float = math.inf
+    ends: Tuple[Tuple[float, np.ndarray], ...]
 
     def value(self, profile: Profile, y: np.ndarray):
-        """G and dG/dy at the points y; with a head, y = -inf and +inf are
-        the collapsed ends."""
+        """G and dG/dy at the points y; y = -inf and +inf are the collapsed
+        ends."""
         edges = self.edges
         inside = (y >= edges[0]) & (y <= edges[-1])
         if inside.all():
             return self._on_leaves(y)
         out = np.empty((2,) + y.shape)
         out[:, inside] = self._on_leaves(y[inside])
-        above = y > edges[-1]
-        head = ~inside & (~above | profile.is_compact) & self.head
-        if head.any():
-            star = above[head]
-            w = np.where(star, -1.0, 1.0) * np.sqrt(_points(profile, y[head])[1])
-            g, dg = np.zeros_like(w), np.zeros_like(w)
-            inner = w != 0.0  # w = 0 is the end itself
-            if inner.any():
-                q = functools.partial(_head_integrand, profile, self.power, self.factor)
-                g[inner] = _integrate(q, g[inner], w[inner])[0]
-                dg[inner] = 0.5 * np.abs(w[inner]) * q(w[inner])[0]  # dG/dw * |w|/2
-            out[:, head] = np.where(star, self.end, 0.0) + g, dg
-        past = ~inside & ~head
-        if past.any():
-            beyond = y[past]
-            out[:, past] = self._extended(profile, beyond.min(), beyond.max())._on_leaves(beyond)
+        for side, past in enumerate((y < edges[0], y > edges[-1])):
+            if past.any() and side == len(self.ends):  # past the last node of an open profile
+                out[:, past] = self._extended(profile, y[past].max())._on_leaves(y[past])
+            elif past.any():
+                const, rows = self.ends[side]
+                fold = math.log(0.5 * profile.s_domain[1])
+                g, dg = _end_rule(self.power, rows, 2.0 * fold - y[past] if side else y[past])
+                out[:, past] = const - g if side else const + g, dg
         return out
 
-    def _extended(self, profile: Profile, lo: float, hi: float) -> "_CumulativeIntegral":
-        """The table with leaves added past its end nodes, where no head
-        serves, down to y = lo and up to y = hi: G continues in y."""
-        edges, prefix, polys = self.edges, self.prefix, self.polys
-        below = lo < edges[0] and not self.head
-        above = hi > edges[-1] and not (self.head and profile.is_compact)
-        if not (below or above):
+    def _extended(self, profile: Profile, hi: float) -> "_CumulativeIntegral":
+        """The table of an open profile with leaves added past its last
+        node up to y = hi: G continues in y."""
+        edges, prefix = self.edges, self.prefix
+        if profile.is_compact or hi <= edges[-1]:
             return self
-        if below:
-            more, more_polys, sums = _leaves(profile, self.power, self.factor, lo, edges[0],
-                                             self.breaks)
-            edges, polys = np.concatenate([more[:-1], edges]), np.dstack([more_polys, polys])
-            prefix = np.concatenate([prefix[0] - _running_sum(sums[::-1])[::-1], prefix])
-        if above:
-            more, more_polys, sums = _leaves(profile, self.power, self.factor, edges[-1], hi,
-                                             self.breaks)
-            edges, polys = np.concatenate([edges, more[1:]]), np.dstack([polys, more_polys])
-            prefix = np.concatenate([prefix, prefix[-1] + _running_sum(sums)])
-        return replace(self, edges=edges, prefix=prefix, polys=polys)
+        more, more_polys, sums = _leaves(profile, self.power, self.factor, edges[-1], hi,
+                                         self.breaks)
+        return replace(self, edges=np.concatenate([edges, more[1:]]),
+                       prefix=np.concatenate([prefix, prefix[-1] + _running_sum(sums)]),
+                       polys=np.dstack([self.polys, more_polys]))
 
     def _on_leaves(self, y: np.ndarray):
         """G and dG/dy at points y between the end nodes: the prefix, and the
@@ -346,6 +331,12 @@ class _CumulativeIntegral:
         in error messages."""
         edges, prefix = self.edges, self.prefix
         sign = 1.0 if prefix[-1] > prefix[0] else -1.0  # F falls if kappa1 < 0
+        # G at the collapsed ends: its constant C where finite (t), else infinite
+        at_ends = np.array([c for c, _ in self.ends]) if self.power < 1.0 \
+            else np.array([-sign, sign][:len(self.ends)]) * math.inf
+        gap = sign * (target[:, None] - at_ends)
+        if profile.is_compact and (gap[:, 1] > 1e-9).any():
+            raise ValueError(f"{what} = {target.max()} beyond the end of the compact interval")
         k = np.searchsorted(sign * prefix, sign * target)
         first, last = k == 0, k == len(edges)
         # the leaf that holds each target, and a start from the chord across it
@@ -353,46 +344,32 @@ class _CumulativeIntegral:
         lo, hi, rise = edges[j], edges[j + 1], prefix[j + 1] - prefix[j]
         x = lo + (hi - lo) * np.divide(target - prefix[j], rise, out=np.full(k.shape, 0.5),
                                        where=rise != 0.0).clip(0.0, 1.0)
-        y = np.empty(target.shape)
-        solve = np.ones(target.shape, dtype=bool)
-        if self.head:
-            # the collapsed ends themselves, at G(0) = 0 and G(s*) = end
-            if (target > self.end + 1e-9).any():
-                raise ValueError(f"{what} = {target.max()} beyond the end of the compact interval")
-            y[target <= 0.0], y[target >= self.end] = -math.inf, math.inf
-            solve = (target > 0.0) & (target < self.end)
+        y = np.where(gap[:, 0] <= 0.0, -math.inf, math.inf)
+        solve = (gap[:, 0] > 0.0) & ~(profile.is_compact & (gap[:, -1] >= 0.0))
         far = last & solve & (not profile.is_compact)
         if far.any():
             lo[far], hi[far] = self._reach(profile, target[far], sign, what)
             x[far] = hi[far]
-        tail = (first | last) & solve & ~far
-        if tail.any():
-            # past an end node G is linear in y with the node's slope, or
-            # G(end) +- c*sqrt(delta) with a head, so one unit of y past
-            # that guess brackets the target
-            star = last[tail]
-            i = np.where(star, -1, 0)
-            if self.head:
-                g_end = np.where(star, self.end, 0.0)
-                ratio = (target[tail] - g_end) / (prefix[i] - g_end)
-                guess = edges[i] + np.where(star, -2.0, 2.0) * np.log(ratio)
-            else:
-                guess = edges[i] + (target[tail] - prefix[i]) / self.value(profile, edges[i])[1]
-            guess = np.where(star, np.maximum(guess, edges[-1]), np.minimum(guess, edges[0]))
-            outer = guess + np.where(star, 1.0, -1.0)
-            delta = _points(profile, outer)[1]
-            if delta.min() < 1.0e-300:
-                worst = np.argmin(delta)
-                where = "below s_star" if star[worst] else "above s = 0"
-                raise ValueError(f"{what} = {target[tail][worst]} not reached {where}")
-            lo[tail], hi[tail] = np.minimum(outer, edges[i]), np.maximum(outer, edges[i])
-            x[tail] = guess
-            miss = sign * (self.value(profile, outer)[0] - target[tail])
-            if (np.where(star, -miss, miss) > 0.0).any():
-                raise ValueError(f"{what} = {target[tail][0]} is not bracketed past the end node")
+        for side, (const, rows) in enumerate(self.ends):
+            # past an end node G = C +- H(log delta); H's leading term,
+            # inverted, is well within one unit of the target in log delta
+            at = (last if side else first) & solve
+            if not at.any():
+                continue
+            h = (const - target[at]) if side else (target[at] - const)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                guess = h / rows[1, 0] if self.power == 1.0 \
+                    else np.log(h / rows[0, 0]) / (1.0 - self.power)
+            node = edges[-side]
+            guess = np.maximum(2.0 * math.log(0.5 * profile.s_domain[1]) - guess, node) if side \
+                else np.minimum(guess, node)
+            outer = guess + (1.0 if side else -1.0)
+            lo[at], hi[at], x[at] = np.minimum(outer, node), np.maximum(outer, node), guess
+            miss = sign * (self.value(profile, outer)[0] - target[at]) * (-1.0 if side else 1.0)
+            if not (np.isfinite(outer).all() and (miss <= 0.0).all()):
+                raise ValueError(f"{what} = {target[at][0]} is not bracketed past the end node")
 
-        table = self._extended(profile, lo[solve].min(initial=math.inf),
-                               hi[solve].max(initial=-math.inf))
+        table = self._extended(profile, hi[solve].max(initial=-math.inf))
 
         def residual(xs, live):
             g, dg = table.value(profile, xs)
@@ -428,15 +405,6 @@ class _CumulativeIntegral:
         return lo, hi
 
 
-def _rate(power: float, factor: float, s, a, cond):
-    """factor * alpha^-power from alpha and its condition at the points s,
-    with its relative rounding floor."""
-    bad = ~(a > 0.0)
-    if bad.any():
-        raise ValueError(f"alpha({s[bad][0]}) = {a[bad][0]} <= 0 along the integration path")
-    return factor * a ** -power, _FLOOR_ULPS * 2.0 ** -52 * power * cond
-
-
 def _integrand(profile: Profile, power: float, factor: float, y: np.ndarray, calls=None):
     """delta * factor * alpha^-power at the table coordinates y, with its
     relative rounding floor.  alpha is read from the record ``calls``, when
@@ -447,17 +415,11 @@ def _integrand(profile: Profile, power: float, factor: float, y: np.ndarray, cal
         alpha = profiles.alpha_and_condition(profile, s, delta)
         if calls is not None:
             calls.append((y, alpha))
-    f, floor = _rate(power, factor, s, *alpha)
-    return delta * f, floor
-
-
-def _head_integrand(profile: Profile, power: float, factor: float, w: np.ndarray):
-    """The integrand in w = +-sqrt(delta) at a collapsed end, the star end
-    where w < 0, with its relative rounding floor."""
-    d = w * w
-    s = np.where(w < 0.0, profile.s_domain[1] - d, d)
-    f, floor = _rate(power, factor, s, *profiles.alpha_and_condition(profile, s, d))
-    return 2.0 * np.abs(w) * f, floor
+    a, cond = alpha
+    bad = ~(a > 0.0)
+    if bad.any():
+        raise ValueError(f"alpha({s[bad][0]}) = {a[bad][0]} <= 0 along the integration path")
+    return delta * (factor * a ** -power), _FLOOR_ULPS * 2.0 ** -52 * power * cond
 
 
 def _running_sum(terms: np.ndarray) -> np.ndarray:
@@ -475,7 +437,7 @@ def _leaves(profile: Profile, power: float, factor: float, a, b, breaks, calls=N
     [a, b] in y, as its leaves in order: their edges, their polynomials (see
     _CumulativeIntegral) and their integrals.  ``calls`` is _integrand's."""
     q = functools.partial(_integrand, profile, power, factor, calls=calls)
-    left, right, values, sums = _integrate(q, a, b, breaks)[1]
+    left, right, values, sums = _integrate(q, a, b, breaks)
     order = np.argsort(left)
     # dG/dy, and its antiderivative over the value of that at v = 2
     polys = ((values[order] @ _TO_SERIES) @ _TO_LEAF).reshape(-1, 2, 9)
@@ -484,50 +446,87 @@ def _leaves(profile: Profile, power: float, factor: float, a, b, breaks, calls=N
     return np.append(left[order], right[order][-1]), polys.transpose(2, 1, 0).copy(), sums[order]
 
 
-def _table(profile: Profile, power: float, factor: float, head: bool) -> _CumulativeIntegral:
-    """The table of G = int factor * alpha^-power ds.  With ``head``, G(0) =
-    0 and each collapsed end gets the head in w = sqrt(delta); without it G
-    is anchored to 0 at its middle node.  A compact profile needs the
-    mirror of a calibrated kappa1, without which alpha is singular at s*.
+def _end_series(profile: Profile, power: float, factor: float) -> np.ndarray:
+    """The end rule's rows at the s = 0 end of ``profile``: factor*c1^-power
+    times the module docstring's b_k (row 1: dG/dy over delta^(1 - power))
+    and times b_k/(k + 1 - power) (row 0: G; 0 for the log term)."""
+    c = profiles._series_coeffs(profile)
+    if not c[1] > 0.0:
+        raise ValueError(f"alpha does not vanish like {c[1]} * delta > 0 at a collapsed end")
+    a = [ck / c[1] for ck in c[1:]]  # a[k] multiplies delta^k in 1 + A
+    b = [1.0]
+    for n in range(1, len(a)):
+        b.append(sum(((1.0 - power) * k - n) * a[k] * b[n - k] for k in range(1, n + 1)) / n)
+    rate = factor * c[1] ** -power * np.array(b)
+    exponent = np.arange(len(b)) + 1.0 - power
+    return np.vstack([np.divide(rate, exponent, out=np.zeros_like(rate), where=exponent != 0.0),
+                      rate])
+
+
+def _end_rule(power: float, rows: np.ndarray, log_delta: np.ndarray):
+    """G past an end node, less its constant, and dG/dy at log_delta, the
+    log of the distance from the end, from the rows of _end_series; delta
+    itself is not formed."""
+    g = polynomial.polyval(np.exp(log_delta), rows.T)
+    if power == 1.0:
+        return g[0] + rows[1, 0] * log_delta, g[1]
+    return g * np.exp((1.0 - power) * log_delta)
+
+
+def _nodes(profile: Profile) -> np.ndarray:
+    """The table's nodes in y, laid out as the module docstring says."""
+    if not profile.is_compact:
+        return np.linspace(math.log(min(_D_MIN, profile.series_reach)), math.log(_S_MAX), _NODES)
+    top = math.log(0.5 * profile.s_domain[1])
+    lower, upper = (np.linspace(math.log(min(_D_MIN, p.series_reach)), top, _NODES // 2)
+                    for p in (profile, profile.mirror))
+    return np.concatenate([lower, 2.0 * top - upper[-2::-1]])
+
+
+def _table(profile: Profile, power: float, factor: float) -> _CumulativeIntegral:
+    """The table of G = int factor * alpha^-power ds, with the end rule at
+    each collapsed end.  Where G is finite at s = 0 (power < 1) it is 0
+    there; otherwise it is anchored to 0 at its middle node.  A compact
+    profile needs the mirror of a calibrated kappa1, without which alpha
+    is singular at s*.
 
     The t and F tables have the same nodes and breaks, so their quadratures
     over the nodes ask alpha at the same points, surely in the first pass
     and mostly in the bisections.  ``profile._integrals["alpha"]`` records
     those kernel calls as (y, (alpha, condition)), and a call at the same y
     is read from there."""
-    end, compact = profile.s_domain[1], profile.is_compact
+    compact = profile.is_compact
     if compact and profile.mirror is None:
         raise ValueError("alpha is singular at s_star: the existence integral does not "
                          "vanish at this kappa1")
-    top = math.log(0.5 * end) if compact else math.log(_S_MAX)
-    nodes = np.linspace(math.log(_D_MIN), top, _NODES // 2 if compact else _NODES)
-    if compact:
-        nodes = np.concatenate([nodes, 2.0 * top - nodes[-2::-1]])
+    nodes = _nodes(profile)
+    top = math.log(0.5 * profile.s_domain[1])
     breaks = tuple(math.log(d) if at == "zero" else 2.0 * top - math.log(d)
                    for at, d in profiles.route_switches(profile))
     edges, polys, sums = _leaves(profile, power, factor, nodes[:-1], nodes[1:], breaks,
                                  calls=profile._integrals.setdefault("alpha", []))
-    if not head:
-        # summed outward from the middle node, where G = 0
+    rows = [_end_series(p, power, factor) for p in (profile, profile.mirror)[:1 + compact]]
+    # H from each collapsed end to its end node
+    heads = [_end_rule(power, r, np.array([at]))[0][0]
+             for r, at in zip(rows, (edges[0], 2.0 * top - edges[-1]))]
+    if power < 1.0:
+        prefix = _running_sum(np.concatenate([heads[:1], sums, heads[1:]]))
+        consts = (0.0, prefix[-1])
+    else:  # summed outward from the middle node, where G = 0
         mid = np.searchsorted(edges, nodes[len(nodes) // 2])
         prefix = np.concatenate([-_running_sum(sums[:mid][::-1])[::-1], [0.0],
                                  _running_sum(sums[mid:])])
-        return _CumulativeIntegral(power, factor, edges, prefix, polys, breaks, head)
-    # G from each collapsed end to its end node, by the head: w0 at s = 0, -w0 at s*
-    w0 = np.array([1.0, -1.0][:1 + compact]) * math.exp(0.5 * nodes[0])
-    q = functools.partial(_head_integrand, profile, power, factor)
-    heads = _integrate(q, np.zeros_like(w0), w0)[0]
-    prefix = _running_sum(np.concatenate([heads[:1], sums, -heads[1:]]))
-    return _CumulativeIntegral(power, factor, edges, prefix[:len(edges)], polys, breaks, head,
-                               end=float(prefix[-1]) if compact else math.inf)
+        consts = (prefix[0] - heads[0], prefix[-1] + heads[-1])
+    return _CumulativeIntegral(power, factor, edges, prefix[:len(edges)], polys, breaks,
+                               tuple(zip(consts, rows)))
 
 
 def _arclength(profile: Profile) -> _CumulativeIntegral:
     """The geodesic distance table of the profile, built on first use: rate
-    1/sqrt(alpha), with the delta = w^2 head at each collapsed end."""
+    1/sqrt(alpha)."""
     table = profile._integrals.get("t")
     if table is None:
-        table = profile._integrals["t"] = _table(profile, 0.5, 1.0, head=True)
+        table = profile._integrals["t"] = _table(profile, 0.5, 1.0)
     return table
 
 
@@ -685,7 +684,7 @@ def _flow_potential(profile: Profile) -> _CumulativeIntegral:
     if table is None:
         if profile.kappa1 == 0.0:
             raise ValueError("the flow map needs kappa1 != 0 (otherwise Xi = t)")
-        table = profile._integrals["F"] = _table(profile, 1.0, 1.0 / profile.kappa1, head=False)
+        table = profile._integrals["F"] = _table(profile, 1.0, 1.0 / profile.kappa1)
     return table
 
 

@@ -292,35 +292,3 @@ def exp_poly_integral_exact_zero(p: RationalPoly, a: _RationalLike, b: _Rational
     b = as_rational(b)
     anti = poly_antiderivative(p)
     return poly_eval(anti, b) - poly_eval(anti, a)
-
-
-def exp_poly_integral(p: RationalPoly, kappa: float, a, b) -> float:
-    """integral_a^b exp(-kappa*x) P(x) dx by the closed-form moment identity.
-
-    The interval is shifted so the moments run from 0: with L = b - a and
-    Q(w) = P(a + w),
-
-        value = exp(-kappa*a) * sum_m Q_m * M_m(kappa, L).
-
-    kappa = 0 is handled by the exact antiderivative (never by dividing by
-    kappa).  Endpoints are coerced to exact rationals (floats convert
-    exactly), so the Taylor shift is exact and the only rounding happens in
-    the moments and the final float sum.  A value beyond the double range
-    is +-inf, with the sign of the sum.
-    """
-    if not p:
-        p = [Fraction(0)]
-    a_r = as_rational(a)
-    b_r = as_rational(b)
-    if b_r < a_r:
-        raise ValueError("exp_poly_integral needs a <= b")
-    if kappa == 0:
-        return float(exp_poly_integral_exact_zero(p, a_r, b_r))
-    shifted = poly_shift(p, a_r)
-    values = moments(float(kappa), [float(b_r - a_r)], len(shifted))[:, 0].tolist()
-    # in Python floats, where infinite moments of both signs make NaN with no warning
-    total = sum((float(c) * m for c, m in zip(shifted, values) if c), 0.0)
-    za = -float(kappa) * float(a_r)
-    if za > 709.0:  # exp overflow threshold for doubles
-        return math.copysign(math.inf, total) if total != 0.0 else 0.0
-    return math.exp(za) * total

@@ -41,8 +41,12 @@ measures where P's condition falls below the moment sum's and switches there
 (Profile.split_from).
 
 Near s = 0, where v vanishes, alpha = J/v is evaluated as a Taylor series
-in s, obtained by power-series division (see alpha_series_at_collapse); it
-serves within SERIES_WINDOW.
+in s, obtained by power-series division (see alpha_series_at_collapse).
+The series converges out to rho, the distance from its end to the nearest
+other zero of v, and is trusted within rho/30 (Profile.series_reach), where
+its 14 terms reach rounding; it serves within the smaller of that and
+SERIES_WINDOW.  At a point end, where v does not vanish, the kernel keeps
+J/v, and the series only serves the geometry tables' end rule.
 
 A compact profile has a second collapsed end at s_star, where J/v is 0/0
 (also at a point end, where v does not vanish) and J carries the root's
@@ -51,9 +55,8 @@ residual.  Reflection (factors reversed, charges negated, kappa1 ->
 s_star/2 takes alpha from the mirror profile (Profile.mirror) at delta =
 s_star - s, by its ordinary s = 0 routes.  The halves meet at s_star/2 with
 a step of the root's footprint e^{kappa1 s} I/v.  The mirror's zero series
-serves for delta <= rho/30, capped at s_star/2, rho being the distance from
-s_star to the nearest other zero of v.  At an uncalibrated kappa1 J/v serves
-the whole domain.
+serves within its reach rho/30 at every star end, point ends included,
+capped at s_star/2.  At an uncalibrated kappa1 J/v serves the whole domain.
 
 One kernel evaluates alpha at a whole array of points.  sample() adds the
 derivatives and the linear data; alpha() and alpha_and_condition() return
@@ -77,6 +80,8 @@ from kricci.model import SolitonConfig, mirror_config, validate
 
 #: distance from the s = 0 end (with vanishing v) below which its series is used
 SERIES_WINDOW = 1e-3
+#: the zero series is trusted within 1/_REACH of its radius of convergence
+_REACH = 30.0
 
 #: |kappa1| s up to which the moment route serves when T0 is not snapped,
 #: and the end of the crossover search when it is
@@ -147,9 +152,12 @@ class Profile:
     is immutable after construction apart from the lazy caches: the zero
     series in ``_zero_series``, and in ``_integrals`` the geometry module's
     t and F tables ("t", "F") and the alpha their quadratures evaluated,
-    which the second table reads ("alpha").  ``series_window`` is the
-    distance from s = 0 within which alpha comes from the zero series (0.0
-    where there is none).
+    which the second table reads ("alpha").  ``series_reach`` is rho/30,
+    rho the distance from s = 0 to the nearest other zero of v: the zero
+    series is trusted within it.  ``series_window`` is the distance from
+    s = 0 within which the kernel takes alpha from that series: the reach,
+    capped at SERIES_WINDOW where v vanishes at s = 0 and at s_star/2 on a
+    mirror, and 0.0 at a point end of a parent profile.
     ``mirror`` is the reflected profile that serves the star half of a
     compact profile at a calibrated kappa1, and None otherwise.
     ``split_from`` is the s beyond which J takes the split route (inf when
@@ -173,6 +181,7 @@ class Profile:
     split_from: float
     zero_order: int
     v_float: Tuple[float, ...]
+    series_reach: float
     series_window: float
     sigma_float: Tuple[float, ...]
     dbeta_float: Tuple[float, ...]
@@ -283,7 +292,16 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
             mirror = _mirror(config, v_poly, psi_poly, e_eff, pa)
     return _assemble(config, v_poly, psi_poly, e_eff, k1, s_hi, taylor_table,
                      p_alpha, 0.0 if t0_snapped else t0, t0_snapped, split_from,
-                     zero_order, SERIES_WINDOW if zero_order else 0.0, mirror)
+                     zero_order, _series_reach(config, Fraction(0)),
+                     SERIES_WINDOW if zero_order else 0.0, mirror)
+
+
+def _series_reach(config: SolitonConfig, end: Fraction) -> float:
+    """rho/30, rho the distance from the collapsed end at s = ``end`` to the
+    nearest other zero of v: where alpha's series about that end is trusted."""
+    zeros = (-polyexp.as_rational(sig)
+             for fac, sig in zip(config.factors, config.sigmas) if fac.n)
+    return float(min((abs(end - z) for z in zeros if z != end), default=math.inf)) / _REACH
 
 
 def _taylor_table(psi_poly: list) -> np.ndarray:
@@ -313,26 +331,23 @@ def _mirror(config: SolitonConfig, v_poly: list, psi_poly: list, e_eff: Fraction
     psi_hat = polyexp.poly_neg(reflect(psi_poly))
     k = -float(config.kappa1)
     pa_hat = reflect(pa)  # empty when kappa1 = 0
-    # the zero series serves within 1/30 of its radius of convergence
-    zeros = (-polyexp.as_rational(sig)
-             for fac, sig in zip(config.factors, config.sigmas) if fac.n)
-    rho = min((abs(s_star - z) for z in zeros if z != s_star), default=math.inf)
-    window = min(float(rho) / 30.0, 0.5 * float(s_star))
     e_hat = -(polyexp.as_rational(config.epsilon) * s_star + e_eff)
     return _assemble(mirror_config(replace(config, kappa1=-config.kappa1)),
                      v_hat, psi_hat, e_hat, k, float(s_star), _taylor_table(psi_hat),
                      tuple(float(c) for c in pa_hat) if k else None,
                      -float(pa_hat[0]) if k else 0.0, False,
                      _MOMENT_Z / abs(k) if k else math.inf,
-                     _low_order_zeros(v_hat), window, None)
+                     _low_order_zeros(v_hat), _series_reach(config, s_star),
+                     0.5 * float(s_star), None)
 
 
 def _assemble(config: SolitonConfig, v_poly: list, psi_poly: list, e_eff: Fraction,
               k1: float, s_hi: float, taylor_table: np.ndarray,
               p_alpha: Optional[Tuple[float, ...]], t0: float, t0_snapped: bool,
-              split_from: float, zero_order: int, series_window: float,
+              split_from: float, zero_order: int, series_reach: float, window_cap: float,
               mirror: Optional[Profile]) -> Profile:
-    """The Profile of these polynomials and routes, and its float copies."""
+    """The Profile of these polynomials and routes, and its float copies;
+    the series window is its reach, capped at ``window_cap``."""
     return Profile(
         config=config,
         v_poly=v_poly,
@@ -348,7 +363,8 @@ def _assemble(config: SolitonConfig, v_poly: list, psi_poly: list, e_eff: Fracti
         split_from=split_from,
         zero_order=zero_order,
         v_float=tuple(float(c) for c in v_poly),
-        series_window=series_window,
+        series_reach=series_reach,
+        series_window=min(window_cap, series_reach),
         sigma_float=tuple(float(sig) for sig in config.sigmas),
         dbeta_float=tuple(float(-fac.q) for fac in config.factors),
         eps_float=float(config.epsilon),
@@ -461,7 +477,7 @@ def _kernel(profile: Profile, s, delta=None, derivatives: bool = False):
     """
     s = np.asarray(s, dtype=float)
     lo, hi = profile.s_domain
-    outside = (s < lo - 1e-12) | (s > hi + 1e-12)
+    outside = ~((s >= lo - 1e-12) & (s <= hi + 1e-12) & (s < math.inf))
     if outside.any():
         raise ValueError(f"s = {s[outside].flat[0]} is outside the profile domain [{lo}, {hi}]")
     if profile.mirror is not None:
@@ -557,13 +573,11 @@ def _series_coeffs(profile: Profile) -> Tuple[float, ...]:
     J(s) = e^{k s} int_0^s Psi(x) e^{-k x} dx is expanded by convolution
     and divided by the expansion of v.  The convolution is done in floats;
     the vanishing orders are exact because the rational polynomials carry
-    exact zero coefficients.  At the point end of a mirror v does not
-    vanish and the division has the lead v(0).
+    exact zero coefficients.  At a point end v does not vanish and the
+    division has the lead v(0).
     """
     if profile._zero_series is not None:
         return profile._zero_series
-    if profile.series_window == 0.0:
-        raise ValueError("v nonvanishing at s = 0; plain evaluation suffices")
     k = profile.kappa1
     order = profile.zero_order
     length = order + _SERIES_TERMS + 2
@@ -599,9 +613,8 @@ def alpha_series_at_collapse(profile: Profile, end: str) -> List[float]:
     The expansion variable is the inward distance from the end (s at the
     zero end, s_star - s at the star end, where the series is the mirror's
     zero series), so the linear coefficient is the inward slope: +2 at both
-    ends for calibrated profiles.  Raises ValueError when v does not vanish
-    at s = 0 for the zero end, and at the star end when the configuration's
-    kappa1 does not satisfy the existence condition.
+    ends for calibrated profiles.  Raises ValueError at the star end when
+    the configuration's kappa1 does not satisfy the existence condition.
     """
     if end == "zero":
         return list(_series_coeffs(profile))

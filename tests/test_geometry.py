@@ -16,6 +16,7 @@ import json
 import math
 import pathlib
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,16 @@ def test_arclength_round_trips(steady_profile, expanding_profile, mixed_profile,
     for s in np.linspace(0.01, s_star - 0.01, 12):
         t = t_of_s(mixed_profile, float(s))
         assert s_of_t(mixed_profile, t) == pytest.approx(float(s), rel=1e-13)
+    # below the end node t is the end rule's closed form in y = log(s), which
+    # never forms s, down to the smallest subnormal; there one float spacing
+    # of y is 1.1e-13 of s
+    for s in (1e-305, 1e-308, 1e-309, 5e-324):
+        t = t_of_s(steady_profile, s)
+        assert t == pytest.approx(math.sqrt(2.0 * s), rel=1e-13)
+        assert s_of_t(steady_profile, t) == pytest.approx(s, rel=1e-13)
+    s = s_of_t(steady_profile, 1e-150)
+    assert s == pytest.approx(5e-301, rel=1e-13)
+    assert t_of_s(steady_profile, s) == pytest.approx(1e-150, rel=1e-13)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -81,7 +92,7 @@ def test_arclength_round_trips_across_the_fold(mixed_profile, two_blowdowns_prof
     its neighbouring floats, and up to s* - 1e-15.  t is monotone, and
     strictly increasing between points more than 1e-12 apart (adjacent
     floats may share a t, whose own ulp is larger).  Draws stay above
-    s = 1e-299: the inversion stops at a distance of 1e-300 from an end."""
+    s = 1e-299: below it one float spacing of y exceeds 1e-13 of delta."""
     for prof in (mixed_profile, two_blowdowns_profile):
         s_star = prof.s_domain[1]
         half = 0.5 * s_star
@@ -146,6 +157,38 @@ def test_arclength_matches_adaptive_quadrature(path):
     t = t_of_s(prof, np.array(points))
     for s, ts in zip(points, t):
         assert ts == pytest.approx(_quad_arclength(prof, s), rel=1e-12)
+
+
+def test_arclength_near_the_ends_matches_mpmath(steady_profile, mixed_profile, mp_alpha):
+    """Below the end node t is the end rule's closed form.  Near s = 0 it
+    matches a 30-digit quadrature of alpha^-1/2 in w = sqrt(s) to 2e-15 on
+    both sides of the end node: on the steady profile and on the mixed-
+    charge shrinker (point ends), and on steady.json with a second zero of
+    v at -1e-9, whose series reach 3.3e-11 sets the end node.  At
+    s = 1e-300 the rounding of y = log(s) allows 1e-13.  Near s* the
+    diameter less that quadrature on the mirror's alpha matches t to
+    2e-15."""
+    doc = json.loads((pathlib.Path(__file__).resolve().parents[1] / "configs"
+                      / "steady.json").read_text())
+    close = build_profile(cli._admissible_config(dict(doc, sigmas=[0, "1/1000000000"]),
+                                                 False)[0])
+    assert close.series_reach < 1e-10
+
+    def arclength(alpha, delta):
+        return mp.quad(lambda w: 2 * w / mp.sqrt(alpha(w * w)), [0, mp.sqrt(delta)])
+
+    with mp.workdps(30):
+        for prof in (steady_profile, close, mixed_profile):
+            exact = mp_alpha(prof)
+            for delta in (1e-14, 1e-11, 1e-9, 1e-8, 1e-6):
+                assert t_of_s(prof, delta) == pytest.approx(float(arclength(exact, delta)),
+                                                            rel=2e-15)
+            assert t_of_s(prof, 1e-300) == pytest.approx(float(arclength(exact, 1e-300)),
+                                                         rel=1e-13)
+        s_star, exact = mixed_profile.s_domain[1], mp_alpha(mixed_profile.mirror)
+        for delta in (2.0 ** -45, 2.0 ** -27, 2.0 ** -20):  # s* - delta is a float
+            ref = mp.mpf("4.83608644226425512632") - arclength(exact, delta)
+            assert t_of_s(mixed_profile, s_star - delta) == pytest.approx(float(ref), abs=2e-15)
 
 
 def test_arclength_is_monotone(mixed_profile):
@@ -365,15 +408,6 @@ def test_running_sum_is_neumaiers():
     assert np.any(np.abs(np.cumsum(terms) - exact) > np.spacing(np.abs(exact)))
 
 
-def _table_nodes(prof):
-    """The nodes of the t and F tables, laid out as geometry._table does."""
-    compact = prof.is_compact
-    top = math.log(0.5 * prof.s_domain[1]) if compact else math.log(geometry._S_MAX)
-    nodes = np.linspace(math.log(geometry._D_MIN), top,
-                        geometry._NODES // 2 if compact else geometry._NODES)
-    return np.concatenate([nodes, 2.0 * top - nodes[-2::-1]]) if compact else nodes
-
-
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_interpolated_tables_match_fresh_quadrature(steady_profile, noncompact_profile,
@@ -386,7 +420,7 @@ def test_interpolated_tables_match_fresh_quadrature(steady_profile, noncompact_p
     across the route switches, at the fold s*/2 and its neighbouring
     floats, and at the edges of the leaves."""
     for prof in (steady_profile, noncompact_profile, mixed_profile, two_blowdowns_profile):
-        nodes = _table_nodes(prof)
+        nodes = geometry._nodes(prof)
         for table in (geometry._arclength(prof), geometry._flow_potential(prof)):
             special = list(table.breaks) + data.draw(st.lists(st.sampled_from(table.edges),
                                                               min_size=2, max_size=4))
@@ -401,7 +435,8 @@ def test_interpolated_tables_match_fresh_quadrature(steady_profile, noncompact_p
             k = np.minimum(np.searchsorted(nodes, y, side="right") - 1, len(nodes) - 2)
             at_node, at_next = table.prefix[np.searchsorted(table.edges, nodes[[k, k + 1]])]
             rate = functools.partial(geometry._integrand, prof, table.power, table.factor)
-            fresh = at_node + geometry._integrate(rate, nodes[k], y, table.breaks)[0]
+            fresh = at_node + np.array([geometry._integrate(rate, a, b, table.breaks)[3].sum()
+                                        for a, b in zip(nodes[k], y)])
             scale = np.maximum(np.abs(fresh), np.maximum(np.abs(at_node), np.abs(at_next)))
             assert np.all(np.abs(table.value(prof, y)[0] - fresh) <= 1e-14 * scale)
 
@@ -462,10 +497,12 @@ def test_flow_near_the_compact_diameter(mixed_profile):
         assert f_gap == pytest.approx(shift, rel=1e-7, abs=1e-7)
 
 
-@pytest.mark.parametrize("tau", [0.0, 0.3])
+@pytest.mark.parametrize("tau", [0.0, 0.3, 500.0, 1e6])
 def test_flow_near_the_tip(steady_profile, expanding_profile, tau):
     """The s = 0 tip is fixed by the flow.  Just off it alpha ~ 2s, so
-    F ~ log(s)/(2 kappa1) and the flow scales t by exp(kappa1 * shift)."""
+    F ~ log(s)/(2 kappa1) and the flow scales t by exp(kappa1 * shift),
+    which the end rule's F, linear in y, keeps to any depth: on the steady
+    profile 1e-5 goes to 7e-223 at tau = 500 and underflows to 0 at 1e6."""
     for prof in (steady_profile, expanding_profile):
         assert flow_trajectory(prof, tau, 0.0) == 0.0
         eps = float(prof.config.epsilon)
@@ -480,12 +517,14 @@ def test_flow_near_the_tip(steady_profile, expanding_profile, tau):
 ])
 def test_t_of_s_rejects_points_outside_the_domain(request, fixture, s):
     """Every comparison with NaN is false, and s = inf is not beyond the
-    end of an open profile; both are refused, alone or in an array."""
+    end of an open profile; both are refused, alone or in an array, by
+    t_of_s and by the alpha kernel under sample."""
     prof = request.getfixturevalue(fixture)
-    with pytest.raises(ValueError, match="outside the profile domain"):
-        t_of_s(prof, s)
-    with pytest.raises(ValueError, match="outside the profile domain"):
-        t_of_s(prof, np.array([1.0, s]))
+    for query in (t_of_s, sample):
+        with pytest.raises(ValueError, match="outside the profile domain"):
+            query(prof, s)
+        with pytest.raises(ValueError, match="outside the profile domain"):
+            query(prof, np.array([1.0, s]))
 
 
 def test_flow_rejects_times_outside_the_domain(mixed_profile):

@@ -12,7 +12,6 @@ from kricci import polyexp
 from kricci.polyexp import (
     as_rational,
     build_shifted_product,
-    exp_poly_integral,
     exp_poly_integral_exact_zero,
     moments,
     poly_antiderivative,
@@ -96,25 +95,9 @@ def test_exact_zero_integral_is_a_fraction():
     p = build_shifted_product([(Fraction(3, 2), 2), (Fraction(-3), 2), (Fraction(0), 1)])
     val = exp_poly_integral_exact_zero(p, 0, 2)
     assert val == Fraction(1229, 30)
-    # the float path at kappa = 0 must agree with the rational value
-    assert exp_poly_integral(p, 0.0, 0.0, 2.0) == pytest.approx(float(val), rel=1e-14)
-
-
-def test_exp_poly_integral_matches_quadrature():
-    p = poly_from_coeffs([Fraction(1, 2), Fraction(-2), Fraction(0), Fraction(3)])
-    for kappa in (-1.5, -0.01, 0.4, 6.0):
-        ref, err = quad(
-            lambda x: poly_eval([float(c) for c in p], x) * math.exp(-kappa * x),
-            0.5, 4.0, epsabs=0.0, epsrel=1e-12,
-        )
-        assert exp_poly_integral(p, kappa, 0.5, 4.0) == pytest.approx(ref, rel=1e-10)
-
-
-def test_exp_poly_integral_overflow_is_signed_inf():
-    # e^{-kappa x} with kappa very negative overflows the double range;
-    # the result keeps the sign of the divergent contribution.
-    assert exp_poly_integral([Fraction(1)], -200.0, 0.0, 10.0) == math.inf
-    assert exp_poly_integral([Fraction(-1)], -200.0, 0.0, 10.0) == -math.inf
+    # the moments at kappa = 0 are the power rule, and agree with it
+    weights = moments(0.0, [2.0], len(p))[:, 0]
+    assert sum(float(c) * m for c, m in zip(p, weights)) == pytest.approx(float(val), rel=1e-14)
 
 
 def test_sign_changes():
@@ -194,8 +177,15 @@ def test_moment_matches_adaptive_quadrature(m, kappa, upper):
     kappa=st.floats(min_value=-8.0, max_value=8.0, allow_nan=False),
     split=st.floats(min_value=0.3, max_value=2.7, allow_nan=False),
 )
-def test_exp_poly_integral_is_additive(kappa, split):
+def test_moment_sums_are_additive(kappa, split):
+    """int_0^3 P(x) e^{-kappa x} dx from one column of moments is the sum of
+    the integrals over [0, split] and [split, 3], the second from P shifted
+    to its left end, across the moments' branches."""
     p = poly_from_coeffs([Fraction(1), Fraction(-3), Fraction(2)])
-    whole = exp_poly_integral(p, kappa, 0.0, 3.0)
-    parts = exp_poly_integral(p, kappa, 0.0, split) + exp_poly_integral(p, kappa, split, 3.0)
-    assert parts == pytest.approx(whole, rel=1e-9, abs=1e-12)
+
+    def integral(q, upper):
+        return sum(float(c) * m for c, m in zip(q, moments(kappa, [upper], len(q))[:, 0]))
+
+    parts = integral(p, split) \
+        + math.exp(-kappa * split) * integral(poly_shift(p, Fraction(split)), 3.0 - split)
+    assert parts == pytest.approx(integral(p, 3.0), rel=1e-9, abs=1e-12)

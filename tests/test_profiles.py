@@ -95,10 +95,13 @@ def test_boundary_slope_at_zero(steady_profile, expanding_profile, mixed_profile
         assert smp.dalpha == pytest.approx(2.0, abs=1e-10)
 
 
-def test_series_at_both_collapsed_ends(two_blowdowns_profile, mixed_profile):
-    low = alpha_series_at_collapse(two_blowdowns_profile, "zero")
-    assert low[0] == pytest.approx(0.0, abs=1e-12)
-    assert low[1] == pytest.approx(2.0, abs=1e-10)
+def test_series_at_both_collapsed_ends(two_blowdowns_profile, mixed_profile, steady_profile,
+                                      flat_profile):
+    # a CP^1 zero end, and point zero ends where v(0) != 0
+    for prof in (two_blowdowns_profile, steady_profile, flat_profile):
+        low = alpha_series_at_collapse(prof, "zero")
+        assert low[0] == 0.0
+        assert low[1] == pytest.approx(2.0, abs=1e-10)
     # a CP^1 star end, and a point star end where v(s*) != 0
     for prof in (two_blowdowns_profile, mixed_profile):
         high = alpha_series_at_collapse(prof, "star")
@@ -116,13 +119,6 @@ def test_series_matches_samples_near_the_ends(two_blowdowns_profile):
         assert sample(prof, delta).alpha == pytest.approx(expect, rel=1e-8)
         expect = sum(c * delta**k for k, c in enumerate(high))
         assert sample(prof, s_star - delta).alpha == pytest.approx(expect, rel=1e-8)
-
-
-def test_series_requires_a_vanishing_v(flat_profile, steady_profile):
-    with pytest.raises(ValueError, match="nonvanishing"):
-        alpha_series_at_collapse(flat_profile, "zero")
-    with pytest.raises(ValueError, match="nonvanishing"):
-        alpha_series_at_collapse(steady_profile, "zero")
 
 
 def test_star_series_rejects_an_uncalibrated_kappa1():
@@ -179,7 +175,9 @@ def test_alpha_steps_by_the_footprint_at_the_glue(request, fixture):
     half = 0.5 * float(prof.s_domain[1])
     s = np.array([half, math.nextafter(half, math.inf)])
     values, cond = alpha_and_condition(prof, s)
-    residual = polyexp.exp_poly_integral(prof.psi_poly, prof.kappa1, 0, prof.config.s_star)
+    # I(kappa1) from the moments at s*, as build_profile sums it (row 0 is Psi)
+    residual = prof.taylor_table[0] @ polyexp.moments(prof.kappa1, [prof.s_domain[1]],
+                                                      len(prof.psi_poly))[:, 0]
     footprint = math.exp(prof.kappa1 * half) * residual / sample(prof, half).v
     tol = (1e-14 + cond.sum() * 2.0 ** -52) * values[0]
     assert values[0] - values[1] == pytest.approx(footprint, abs=tol)
@@ -385,6 +383,30 @@ def test_sample_alpha_matches_the_mpmath_closed_form(request, fixture):
         assert abs(a - ref) <= tol * abs(ref), (x, a, mp.nstr(ref, 20), c)
     if prof.zero_order:
         assert any(d == SERIES_WINDOW for _, d in route_switches(prof))
+
+
+@pytest.mark.parametrize("sigma", ["1/1000000000", "1/1000"])
+def test_zero_series_serves_inside_its_radius_of_convergence(mp_alpha, sigma):
+    """Over the factors (1,2,-1) twice with sigmas (0, sigma), v = s (s +
+    sigma) has a second zero at -sigma, so the zero series converges only
+    out to sigma.  It serves within sigma/30, not SERIES_WINDOW (there at
+    sigma = 1e-9 it read alpha ~1e68), and alpha is the 30-digit J/v to
+    1e-14 plus 8 ulps times its condition from s = 1e-15, across the
+    window's edge, out to s = 40."""
+    from kricci.model import BoundaryStructure, Collapse, FanoFactor, derive_config
+
+    prof = build_profile(derive_config(
+        epsilon=0, factors=[FanoFactor(1, 2, -1), FanoFactor(1, 2, -1)],
+        boundary=BoundaryStructure(Collapse.FACTOR), kappa1=-1, sigmas=(0, Fraction(sigma))))
+    assert prof.series_window == float(Fraction(sigma)) / 30.0
+    s = np.concatenate([np.geomspace(1e-15, 40.0, 60),
+                        prof.series_window * np.array([0.999, 1.0, 1.001])])
+    values, cond = alpha_and_condition(prof, s)
+    exact = mp_alpha(prof)
+    with mp.workdps(30):
+        for x, a, c in zip(s, values, cond):
+            ref = exact(x)
+            assert abs(a - ref) <= (1e-14 + 8.0 * c * 2.0 ** -52) * abs(ref), (x, a, ref)
 
 
 def test_alpha_kernel_on_other_routes():
