@@ -121,6 +121,20 @@ def test_series_matches_samples_near_the_ends(two_blowdowns_profile):
         assert sample(prof, s_star - delta).alpha == pytest.approx(expect, rel=1e-8)
 
 
+def test_series_requires_a_vanishing_v(flat_profile, steady_profile, two_blowdowns_profile):
+    """The kernel takes alpha from the zero series only where v vanishes at
+    s = 0.  At a point end (v(0) != 0) the series exists for the geometry
+    tables' end rule, but alpha stays J/v down to s = 0."""
+    for prof in (flat_profile, steady_profile):
+        assert prof.zero_order == 0
+        assert prof.series_window == 0.0
+    assert two_blowdowns_profile.series_window > 0.0
+    # steady representative: alpha = 2 (s^2 + 2s + 2 - 2 e^{-s}) / (s + 2)^2
+    for s in (0.0, 1e-12, 1e-6, 1e-3):
+        exact = 2.0 * (s * s + 2.0 * s - 2.0 * math.expm1(-s)) / (s + 2.0) ** 2
+        assert sample(steady_profile, s).alpha == pytest.approx(exact, rel=1e-10, abs=1e-300)
+
+
 def test_star_series_rejects_an_uncalibrated_kappa1():
     prof = build_profile(acc.compact_two_blowdowns(0.25))
     with pytest.raises(ValueError, match="singular at s_star"):
