@@ -14,31 +14,33 @@ log(s) up to L = log(s*/2), and y = 2L - log(s* - s) beyond, so y runs from
 -inf at s = 0 to +inf at s* (L = inf on an open profile).  On both halves
 ds/dy = delta, the distance from the nearer end, so the integrand is
 delta*rate, smooth up to the ends, and a point near s* keeps the precision
-of its distance, which s itself cannot carry.  The nodes are uniform in y
-from the end node, at delta = 1e-8 or the zero series' reach rho/30 if
-that is less: 420 up to s = 1e5 on an open profile, and on a compact one
-210 up to L and their reflection about it.  On a glued compact profile
-(see profiles) alpha on the star half is the mirror's, so each end is an
-s = 0 end.  _points and _locate convert between y and s.
+of its distance, which s itself cannot carry.  The nodes start at the end
+node, delta = 1e-8 or the zero series' reach rho/30 if that is less: 200
+uniform in y up to s = 1e5 on an open profile, and on a compact one 80 up
+to L, uniform in u where delta = 0.4*log(1 + e^u), so in log(delta) near
+the end and in delta near the fold, and their reflection about L.  On a
+glued compact profile (see profiles) alpha on the star half is the
+mirror's, so each end is an s = 0 end.  _points and _locate convert
+between y and s.
 
-Quadrature.  Each interval between nodes is one 8-point Gauss-Legendre
-panel in y.  Its error is estimated by panel doubling, the rule on the
-panel against the rule on its two halves, and the degree-7 interpolant of
-the panel's rule is checked at its halves' 16 points, which costs no alpha.
-A panel that misses either check by relative 1e-14, above the rounding
-floor of its integrand (from the condition the alpha kernel reports), is
-bisected, which walks toward whichever end is singular; past a fixed depth
+Quadrature.  t and F are integrated in one pass: each interval between
+nodes is one 8-point Gauss-Legendre panel in y, with one alpha for both
+rates.  Its error is estimated by panel doubling, the rule on the panel
+against the rule on its two halves, and the degree-7 interpolant of the
+panel's rule is checked at its halves' 16 points, which costs no alpha.
+A panel that misses either check for either rate by relative 1e-14,
+above the rounding floor of its integrand (from the condition the alpha
+kernel reports), is bisected, its halves' values becoming its children's
+rules, which walks toward whichever end is singular; past a fixed depth
 ValueError is raised.  Panels are also cut where alpha changes evaluation
 route, so that none straddles the small step a route switch makes.  The
-halves of the accepted panels are the table's leaves.  On each the 8
-integrand values the rule took are kept as their degree-7 Legendre
+halves of the accepted panels are the leaves of both tables.  On each the
+8 integrand values the rule took are kept as their degree-7 Legendre
 interpolant, integrated exactly, so a value between the end nodes is the
 prefix at the leaf plus one polynomial, and evaluates no alpha.  The
 prefix is a compensated (Neumaier) sum of the leaves, from the collapsed
-end for t and outward from the middle node for F.  t and F share their
-nodes and breaks, so the table built second reads alpha where the first
-one's quadrature asked it, and calls the kernel only for its own
-bisections.
+end for t and outward from the middle node for F, kept with what its
+rounding left out.
 
 The end rule.  Between a collapsed end and its end node the zero series
 (the mirror's at s*) gives alpha = c1*delta*(1 + A), A = sum a_k delta^k,
@@ -46,9 +48,10 @@ and one recurrence gives (1 + A)^-power = sum b_k delta^k, so G is a
 constant C +- factor * c1^-power * sum b_k delta^(k+1-power)/(k+1-power):
 t = sqrt(2 delta)*(1 + ...) for power 1/2, and for F, power 1, the k = 0
 term is log(delta).  It is evaluated in log(delta), y or 2L - y, without
-forming delta, so t holds down to s = 5e-324 and F has no floor.  The
-series is trusted within rho/30 of its end, hence the end node.  Past the
-last node of an open profile G continues in y, as more quadrature leaves.
+forming delta, so t holds down to s = 5e-324 and F has no floor; t_of_s,
+which holds delta itself, reads it in place of e^y.  The series is
+trusted within rho/30 of its end, hence the end node.  Past the last node
+of an open profile G continues in y, as more quadrature leaves.
 
 Inversion is safeguarded Newton in y over a whole batch of targets, on
 the leaves' polynomials, with dG/dy = delta*rate from the same leaf: a
@@ -77,7 +80,9 @@ from numpy.polynomial import legendre, polynomial
 from kricci import profiles
 from kricci.profiles import Profile, sample
 
-_NODES = 420
+_NODES = 200
+_HALF_NODES = 80
+_FOLD_SCALE = 0.4
 _D_MIN = 1.0e-8
 _S_MAX = 1.0e5
 #: s = e^y is a float below this y
@@ -157,30 +162,33 @@ def _points(profile: Profile, y: np.ndarray):
     return np.where(star, end - delta, delta), delta
 
 
-def _locate(profile: Profile, s: np.ndarray) -> np.ndarray:
-    """The table coordinates y of the points s of the domain."""
+def _locate(profile: Profile, s: np.ndarray):
+    """The table coordinates y of the points s of the domain, and their
+    distance delta from the nearer end, exact since s is a float."""
     end = profile.s_domain[1]
     star = s > 0.5 * end
     delta = np.where(star, np.maximum(end - s, 0.0), s)
     y = np.log(delta, out=np.full(delta.shape, -math.inf), where=delta > 0.0)
-    return np.where(star, 2.0 * math.log(0.5 * end) - y, y) if star.any() else y
+    return (np.where(star, 2.0 * math.log(0.5 * end) - y, y) if star.any() else y), delta
 
 
 def _integrate(q, a: np.ndarray, b: np.ndarray, breaks=()):
-    """The quadrature of q(x) over [a, b] for each entry, by 8-point
-    Gauss-Legendre panels, as its leaves, the halves of the accepted panels:
-    (left ends, right ends, q at their Gauss points, their integrals).
+    """The quadrature of each row of q(x) over [a, b] for each entry, by
+    8-point Gauss-Legendre panels, as its leaves, the halves of the accepted
+    panels: (left ends, right ends, q at their Gauss points, their
+    integrals), the last two with an axis for the rows after the leaves'.
 
-    ``q`` returns the integrand and the relative rounding floor of its value;
-    the rounding of x adds to that floor.  A panel is first cut at the
-    ``breaks`` that lie inside it.  Its error is estimated by doubling: a
-    panel is bisected if its rule and halves differ by more than _PANEL_RTOL
-    of its value plus the rounding floor, or if the degree-7 interpolant of
-    its rule misses the values at its halves' points by more than that, in
-    the integral of the distance.  So each leaf's own interpolant, on half
-    the width, is good to the same tolerance at any point of the leaf.
-    After _MAX_DEPTH bisections, or with more than _MAX_SPLITS failing panels
-    at one depth, ValueError is raised.
+    ``q`` returns one row of integrand values or several, and the relative
+    rounding floor of each; the rounding of x adds to that floor.  A panel
+    is first cut at the ``breaks`` that lie inside it.  It is bisected if,
+    in any row, its rule and halves differ by more than _PANEL_RTOL of its
+    value plus the rounding floor, or the degree-7 interpolant of its rule
+    misses the values at its halves' points by more than that, in the
+    integral of the distance.  So each leaf's own interpolant, on half the
+    width, is good to the same tolerance at any point of the leaf.  A
+    bisected panel's halves are its children's rules, so a child calls q
+    at 16 points, not 24.  After _MAX_DEPTH bisections, or with more than
+    _MAX_SPLITS failing panels at one depth, ValueError is raised.
     """
     a, b = (np.ravel(x) for x in np.broadcast_arrays(a, b))
     leaves = []
@@ -190,38 +198,43 @@ def _integrate(q, a: np.ndarray, b: np.ndarray, breaks=()):
             b_inside = b[inside]
             b = np.concatenate([np.where(inside, cut, b), b_inside])
             a = np.concatenate([a, np.full(len(b_inside), cut)])
+    known = None  # each panel's rule, values and rounding, when its parent evaluated it
     for _ in range(_MAX_DEPTH):
+        n = len(a)
         half = 0.5 * (b - a)
         mid = a + half
         centres = np.concatenate([mid, a + 0.5 * half, mid + 0.5 * half])
         widths = np.concatenate([half, 0.5 * half, 0.5 * half])
-        x = centres[:, None] + widths[:, None] * _GL_X
-        f, floor = (v.reshape(x.shape) for v in q(x.ravel()))
+        x = (centres[:, None] + widths[:, None] * _GL_X)[0 if known is None else n:]
+        f, floor = (np.reshape(v, (-1,) + x.shape) for v in q(x.ravel()))
         # rounding x moves the integrand by |d log f/dx| * ulp(x); the end
         # nodes of the rule estimate that slope
-        first, last = np.abs(f[:, 0]), np.abs(f[:, -1])
-        ratio = np.divide(last, first, out=np.ones(len(f)), where=(first > 0.0) & (last > 0.0))
-        slope = np.abs(np.log(ratio)) / (np.abs(widths) * (_GL_X[-1] - _GL_X[0]) + 1e-300)
-        rounding = np.abs(f) * (floor + slope[:, None] * 2.0 ** -52 * np.abs(x))
+        first, last = np.abs(f[..., 0]), np.abs(f[..., -1])
+        ratio = np.divide(last, first, out=np.ones(first.shape), where=(first > 0.0) & (last > 0.0))
+        slope = np.abs(np.log(ratio)) / (np.abs(widths[-len(x):]) * (_GL_X[-1] - _GL_X[0]) + 1e-300)
+        rounding = np.abs(f) * (floor + slope[..., None] * 2.0 ** -52 * np.abs(x))
+        if known is not None:
+            f, rounding = (np.concatenate(pair, axis=1) for pair in zip(known, (f, rounding)))
         sums = widths * (f @ _GL_W)
         noise = np.abs(widths) * (rounding @ _GL_W)
-        n = len(a)
-        coarse, fine = sums[:n], sums[n:2 * n] + sums[2 * n:]
-        slack = _PANEL_RTOL * np.abs(fine) + noise[:n] + noise[n:2 * n] + noise[2 * n:]
-        halves = f[n:].reshape(2, n, len(_GL_X))
-        miss = np.abs(f[:n] @ _TO_HALVES - halves) \
-            - rounding[:n] @ _TO_HALVES_ABS - rounding[n:].reshape(halves.shape)
-        ok = (np.abs(fine - coarse) <= slack) \
-            & (0.5 * np.abs(half) * (miss @ _GL_W).sum(axis=0) <= _PANEL_RTOL * np.abs(fine))
+        coarse, fine = sums[:, :n], sums[:, n:2 * n] + sums[:, 2 * n:]
+        slack = _PANEL_RTOL * np.abs(fine) + noise[:, :n] + noise[:, n:2 * n] + noise[:, 2 * n:]
+        halves, half_rounding = (v[:, n:].reshape(len(f), 2, n, len(_GL_X)) for v in (f, rounding))
+        miss = np.abs(f[:, None, :n] @ _TO_HALVES - halves) \
+            - rounding[:, None, :n] @ _TO_HALVES_ABS - half_rounding
+        ok = ((np.abs(fine - coarse) <= slack)
+              & (0.5 * np.abs(half) * (miss @ _GL_W).sum(axis=1) <= _PANEL_RTOL * np.abs(fine))
+              ).all(axis=0)
         leaves.append((np.concatenate([a[ok], mid[ok]]), np.concatenate([mid[ok], b[ok]]),
-                       halves[:, ok].reshape(-1, len(_GL_X)),
-                       sums[n:].reshape(2, n)[:, ok].ravel()))
+                       np.moveaxis(halves[:, :, ok], 0, 2).reshape(-1, len(f), len(_GL_X)),
+                       sums[:, n:].reshape(len(f), 2, n)[:, :, ok].reshape(len(f), -1).T))
         if ok.all():
             return tuple(map(np.concatenate, zip(*leaves)))
         bad = ~ok
         if bad.sum() > _MAX_SPLITS:
             break
         a, b = np.concatenate([a[bad], mid[bad]]), np.concatenate([mid[bad], b[bad]])
+        known = tuple(v[:, :, bad].reshape(len(f), -1, len(_GL_X)) for v in (halves, half_rounding))
     raise ValueError(f"quadrature on [{a[bad][0]}, {b[bad][0]}] missed its relative "
                      f"tolerance {_PANEL_RTOL}")
 
@@ -263,9 +276,11 @@ class _CumulativeIntegral:
     alpha^-``power`` on the profile that each method is given (the table
     holds no reference to it, so it is freed with the profile).  ``prefix``
     is G at the ``edges`` of the leaves, the first and last of which are the
-    end nodes.  On leaf j, in v = 0..2 across it, ``polys[:, 0, j]`` holds
-    the power coefficients of the share of the leaf's increment that G has
-    reached, exactly 0 at v = 0, and ``polys[:, 1, j]`` those of dG/dy.
+    end nodes, rounded, and ``carry`` what that rounding left out, so that
+    G between them is rounded once.  On leaf j, in v = 0..2 across it,
+    ``polys[:, 0, j]`` holds the power coefficients of the share of the
+    leaf's increment that G has reached, exactly 0 at v = 0, and
+    ``polys[:, 1, j]`` those of dG/dy.
     ``breaks`` are the y where alpha changes route.
 
     ``ends`` holds the end rule of each collapsed end, s = 0 and on a
@@ -277,13 +292,15 @@ class _CumulativeIntegral:
     factor: float
     edges: np.ndarray
     prefix: np.ndarray
+    carry: np.ndarray
     polys: np.ndarray
     breaks: Tuple[float, ...]
     ends: Tuple[Tuple[float, np.ndarray], ...]
 
-    def value(self, profile: Profile, y: np.ndarray):
+    def value(self, profile: Profile, y: np.ndarray, delta: Optional[np.ndarray] = None):
         """G and dG/dy at the points y; y = -inf and +inf are the collapsed
-        ends."""
+        ends.  ``delta``, when given, is the distance of each point from the
+        nearer end, which the end rule then reads in place of e^y."""
         edges = self.edges
         inside = (y >= edges[0]) & (y <= edges[-1])
         if inside.all():
@@ -296,7 +313,8 @@ class _CumulativeIntegral:
             elif past.any():
                 const, rows = self.ends[side]
                 fold = math.log(0.5 * profile.s_domain[1])
-                g, dg = _end_rule(self.power, rows, 2.0 * fold - y[past] if side else y[past])
+                g, dg = _end_rule(self.power, rows, 2.0 * fold - y[past] if side else y[past],
+                                  None if delta is None else delta[past])
                 out[:, past] = const - g if side else const + g, dg
         return out
 
@@ -308,14 +326,16 @@ class _CumulativeIntegral:
             return self
         more, more_polys, sums = _leaves(profile, self.power, self.factor, edges[-1], hi,
                                          self.breaks)
+        added = _running_sum(np.concatenate([[prefix[-1], self.carry[-1]], sums[0]]))
         return replace(self, edges=np.concatenate([edges, more[1:]]),
-                       prefix=np.concatenate([prefix, prefix[-1] + _running_sum(sums)]),
-                       polys=np.dstack([self.polys, more_polys]))
+                       prefix=np.concatenate([prefix, added[0][2:]]),
+                       carry=np.concatenate([self.carry, added[1][2:]]),
+                       polys=np.dstack([self.polys, more_polys[0]]))
 
     def _on_leaves(self, y: np.ndarray):
         """G and dG/dy at points y between the end nodes: the prefix, and the
         leaf's polynomials by Horner's rule."""
-        edges, prefix = self.edges, self.prefix
+        edges, prefix, carry = self.edges, self.prefix, self.carry
         j = np.minimum(np.searchsorted(edges, y, side="right") - 1, len(edges) - 2)
         v = 2.0 * (y - edges[j]) / (edges[j + 1] - edges[j])
         coeffs = self.polys[:, :, j]
@@ -323,7 +343,8 @@ class _CumulativeIntegral:
         for c in coeffs[-2::-1]:
             out *= v
             out += c
-        out[0] = prefix[j] + (prefix[j + 1] - prefix[j]) * out[0].clip(0.0, 1.0)
+        rise = prefix[j + 1] - prefix[j] + (carry[j + 1] - carry[j])
+        out[0] = prefix[j] + (carry[j] + rise * out[0].clip(0.0, 1.0))
         return out
 
     def invert(self, profile: Profile, target: np.ndarray, what: str) -> np.ndarray:
@@ -405,45 +426,46 @@ class _CumulativeIntegral:
         return lo, hi
 
 
-def _integrand(profile: Profile, power: float, factor: float, y: np.ndarray, calls=None):
+def _integrand(profile: Profile, power, factor, y: np.ndarray):
     """delta * factor * alpha^-power at the table coordinates y, with its
-    relative rounding floor.  alpha is read from the record ``calls``, when
-    given, if it holds this y, and added to it otherwise."""
+    relative rounding floor: one row for each entry of ``power`` and
+    ``factor`` where they are arrays, all from one evaluation of alpha."""
     s, delta = _points(profile, y)
-    alpha = next((known for seen, known in calls or () if np.array_equal(seen, y)), None)
-    if alpha is None:
-        alpha = profiles.alpha_and_condition(profile, s, delta)
-        if calls is not None:
-            calls.append((y, alpha))
-    a, cond = alpha
+    a, cond = profiles.alpha_and_condition(profile, s, delta)
     bad = ~(a > 0.0)
     if bad.any():
         raise ValueError(f"alpha({s[bad][0]}) = {a[bad][0]} <= 0 along the integration path")
+    power, factor = np.asarray(power)[..., None], np.asarray(factor)[..., None]
     return delta * (factor * a ** -power), _FLOOR_ULPS * 2.0 ** -52 * power * cond
 
 
-def _running_sum(terms: np.ndarray) -> np.ndarray:
+def _running_sum(terms: np.ndarray):
     """The cumulative sums of ``terms``, compensated (Neumaier): np.cumsum
     plus the running sum of the exact rounding errors of its additions,
-    each found by TwoSum."""
+    each found by TwoSum; as the sums rounded, and the part of them that
+    the rounding left out."""
     total = np.cumsum(terms)
     before = np.concatenate([[0.0], total[:-1]])
     added = total - before
-    return total + np.cumsum((before - (total - added)) + (terms - added))
+    errors = np.cumsum((before - (total - added)) + (terms - added))
+    rounded = total + errors
+    return rounded, errors - (rounded - total)
 
 
-def _leaves(profile: Profile, power: float, factor: float, a, b, breaks, calls=None):
+def _leaves(profile: Profile, power, factor, a, b, breaks):
     """The quadrature of delta * factor * alpha^-power over the intervals
-    [a, b] in y, as its leaves in order: their edges, their polynomials (see
-    _CumulativeIntegral) and their integrals.  ``calls`` is _integrand's."""
-    q = functools.partial(_integrand, profile, power, factor, calls=calls)
+    [a, b] in y, one row for each entry of the arrays ``power`` and
+    ``factor``, as its leaves in order: their edges, and for each row their
+    polynomials (see _CumulativeIntegral) and their integrals."""
+    q = functools.partial(_integrand, profile, power, factor)
     left, right, values, sums = _integrate(q, a, b, breaks)
     order = np.argsort(left)
     # dG/dy, and its antiderivative over the value of that at v = 2
-    polys = ((values[order] @ _TO_SERIES) @ _TO_LEAF).reshape(-1, 2, 9)
-    whole = polys[:, 0] @ 2.0 ** np.arange(9.0)[:, None]
-    np.divide(polys[:, 0], whole, out=polys[:, 0], where=whole != 0.0)
-    return np.append(left[order], right[order][-1]), polys.transpose(2, 1, 0).copy(), sums[order]
+    polys = ((values[order] @ _TO_SERIES) @ _TO_LEAF).reshape(len(order), -1, 2, 9)
+    whole = polys[:, :, 0] @ 2.0 ** np.arange(9.0)[:, None]
+    np.divide(polys[:, :, 0], whole, out=polys[:, :, 0], where=whole != 0.0)
+    return (np.append(left[order], right[order][-1]), polys.transpose(1, 3, 2, 0).copy(),
+            sums[order].T)
 
 
 def _end_series(profile: Profile, power: float, factor: float) -> np.ndarray:
@@ -463,38 +485,47 @@ def _end_series(profile: Profile, power: float, factor: float) -> np.ndarray:
                       rate])
 
 
-def _end_rule(power: float, rows: np.ndarray, log_delta: np.ndarray):
+def _end_rule(power: float, rows: np.ndarray, log_delta: np.ndarray, delta=None):
     """G past an end node, less its constant, and dG/dy at log_delta, the
-    log of the distance from the end, from the rows of _end_series; delta
-    itself is not formed."""
-    g = polynomial.polyval(np.exp(log_delta), rows.T)
+    log of the distance from the end, from the rows of _end_series.  The
+    distance ``delta`` is read where the caller holds it, and not formed
+    otherwise: e^log_delta would carry only |log delta| * 2^-53 of relative
+    precision, and underflow first."""
+    g = polynomial.polyval(np.exp(log_delta) if delta is None else delta, rows.T)
     if power == 1.0:
         return g[0] + rows[1, 0] * log_delta, g[1]
-    return g * np.exp((1.0 - power) * log_delta)
+    return g * (np.exp((1.0 - power) * log_delta) if delta is None else delta ** (1.0 - power))
 
 
 def _nodes(profile: Profile) -> np.ndarray:
     """The table's nodes in y, laid out as the module docstring says."""
     if not profile.is_compact:
         return np.linspace(math.log(min(_D_MIN, profile.series_reach)), math.log(_S_MAX), _NODES)
-    top = math.log(0.5 * profile.s_domain[1])
-    lower, upper = (np.linspace(math.log(min(_D_MIN, p.series_reach)), top, _NODES // 2)
+    half = 0.5 * profile.s_domain[1]
+    lower, upper = (_half_nodes(min(_D_MIN, p.series_reach), half)
                     for p in (profile, profile.mirror))
-    return np.concatenate([lower, 2.0 * top - upper[-2::-1]])
+    return np.concatenate([lower, 2.0 * math.log(half) - upper[-2::-1]])
 
 
-def _table(profile: Profile, power: float, factor: float) -> _CumulativeIntegral:
-    """The table of G = int factor * alpha^-power ds, with the end rule at
-    each collapsed end.  Where G is finite at s = 0 (power < 1) it is 0
-    there; otherwise it is anchored to 0 at its middle node.  A compact
+def _half_nodes(low: float, high: float) -> np.ndarray:
+    """_HALF_NODES nodes in y = log(delta) from delta = low to high, uniform
+    in u with delta = _FOLD_SCALE * log(1 + e^u): in log(delta) where delta
+    is small, and in delta itself near the fold."""
+    ends = np.array([low, high]) / _FOLD_SCALE
+    u = np.linspace(*(ends + np.log(-np.expm1(-ends))), _HALF_NODES)
+    y = np.log(_FOLD_SCALE * np.logaddexp(0.0, u))
+    y[[0, -1]] = math.log(low), math.log(high)
+    return y
+
+
+def _tables(profile: Profile) -> None:
+    """Build the tables of t = int alpha^-1/2 ds and, where kappa1 != 0, of
+    F = int alpha^-1/kappa1 ds into ``profile._integrals``, from one
+    quadrature of both rates, so that they share their leaves and every
+    alpha.  Each has the end rule at each collapsed end.  t is 0 at s = 0;
+    F, infinite there, is anchored to 0 at its middle node.  A compact
     profile needs the mirror of a calibrated kappa1, without which alpha
-    is singular at s*.
-
-    The t and F tables have the same nodes and breaks, so their quadratures
-    over the nodes ask alpha at the same points, surely in the first pass
-    and mostly in the bisections.  ``profile._integrals["alpha"]`` records
-    those kernel calls as (y, (alpha, condition)), and a call at the same y
-    is read from there."""
+    is singular at s*."""
     compact = profile.is_compact
     if compact and profile.mirror is None:
         raise ValueError("alpha is singular at s_star: the existence integral does not "
@@ -503,31 +534,35 @@ def _table(profile: Profile, power: float, factor: float) -> _CumulativeIntegral
     top = math.log(0.5 * profile.s_domain[1])
     breaks = tuple(math.log(d) if at == "zero" else 2.0 * top - math.log(d)
                    for at, d in profiles.route_switches(profile))
-    edges, polys, sums = _leaves(profile, power, factor, nodes[:-1], nodes[1:], breaks,
-                                 calls=profile._integrals.setdefault("alpha", []))
-    rows = [_end_series(p, power, factor) for p in (profile, profile.mirror)[:1 + compact]]
-    # H from each collapsed end to its end node
-    heads = [_end_rule(power, r, np.array([at]))[0][0]
-             for r, at in zip(rows, (edges[0], 2.0 * top - edges[-1]))]
-    if power < 1.0:
-        prefix = _running_sum(np.concatenate([heads[:1], sums, heads[1:]]))
-        consts = (0.0, prefix[-1])
-    else:  # summed outward from the middle node, where G = 0
-        mid = np.searchsorted(edges, nodes[len(nodes) // 2])
-        prefix = np.concatenate([-_running_sum(sums[:mid][::-1])[::-1], [0.0],
-                                 _running_sum(sums[mid:])])
-        consts = (prefix[0] - heads[0], prefix[-1] + heads[-1])
-    return _CumulativeIntegral(power, factor, edges, prefix[:len(edges)], polys, breaks,
-                               tuple(zip(consts, rows)))
+    rates = {"t": (0.5, 1.0)}
+    if profile.kappa1 != 0.0:
+        rates["F"] = (1.0, 1.0 / profile.kappa1)
+    edges, polys, sums = _leaves(profile, *np.array(list(rates.values())).T,
+                                 nodes[:-1], nodes[1:], breaks)
+    for (name, (power, factor)), row_polys, row_sums in zip(rates.items(), polys, sums):
+        rows = [_end_series(p, power, factor) for p in (profile, profile.mirror)[:1 + compact]]
+        # H from each collapsed end to its end node
+        heads = [_end_rule(power, r, np.array([at]))[0][0]
+                 for r, at in zip(rows, (edges[0], 2.0 * top - edges[-1]))]
+        if power < 1.0:
+            prefix, carry = _running_sum(np.concatenate([heads[:1], row_sums, heads[1:]]))
+            consts = (0.0, prefix[-1])
+        else:  # summed outward from the middle node, where G = 0
+            mid = np.searchsorted(edges, nodes[len(nodes) // 2])
+            sides = zip(_running_sum(row_sums[:mid][::-1]), _running_sum(row_sums[mid:]))
+            prefix, carry = (np.concatenate([-down[::-1], [0.0], up]) for down, up in sides)
+            consts = (prefix[0] - heads[0], prefix[-1] + heads[-1])
+        profile._integrals[name] = _CumulativeIntegral(
+            power, factor, edges, prefix[:len(edges)], carry[:len(edges)], row_polys, breaks,
+            tuple(zip(consts, rows)))
 
 
 def _arclength(profile: Profile) -> _CumulativeIntegral:
-    """The geodesic distance table of the profile, built on first use: rate
-    1/sqrt(alpha)."""
-    table = profile._integrals.get("t")
-    if table is None:
-        table = profile._integrals["t"] = _table(profile, 0.5, 1.0)
-    return table
+    """The geodesic distance table of the profile, built on first use with
+    the flow potential's: rate 1/sqrt(alpha)."""
+    if "t" not in profile._integrals:
+        _tables(profile)
+    return profile._integrals["t"]
 
 
 def _t_points(profile: Profile, t: np.ndarray) -> np.ndarray:
@@ -549,7 +584,7 @@ def t_of_s(profile: Profile, s):
     bad = ~((s_arr >= -1e-15) & (s_arr <= float(hi) + 1e-12) & (s_arr < math.inf))
     if bad.any():
         raise ValueError(f"s = {s_arr[bad].flat[0]} outside the profile domain")
-    t = _arclength(profile).value(profile, _locate(profile, s_arr.reshape(-1)))[0]
+    t = _arclength(profile).value(profile, *_locate(profile, s_arr.reshape(-1)))[0]
     return _as_input(s, t.reshape(s_arr.shape))
 
 
@@ -679,13 +714,13 @@ def completeness_report(profile: Profile) -> CompletenessReport:
 
 
 def _flow_potential(profile: Profile) -> _CumulativeIntegral:
-    """The table of F(s), F' = 1/(kappa1*alpha), built on first use."""
-    table = profile._integrals.get("F")
-    if table is None:
-        if profile.kappa1 == 0.0:
-            raise ValueError("the flow map needs kappa1 != 0 (otherwise Xi = t)")
-        table = profile._integrals["F"] = _table(profile, 1.0, 1.0 / profile.kappa1)
-    return table
+    """The table of F(s), F' = 1/(kappa1*alpha), built on first use with
+    the geodesic distance table."""
+    if profile.kappa1 == 0.0:
+        raise ValueError("the flow map needs kappa1 != 0 (otherwise Xi = t)")
+    if "F" not in profile._integrals:
+        _tables(profile)
+    return profile._integrals["F"]
 
 
 def potential_rate(profile: Profile, t):

@@ -181,7 +181,9 @@ def sign_changes(p: RationalPoly) -> int:
 
 #: terms the moment series adds at once, between convergence checks: at
 #: least _SERIES_BLOCK, and on n columns up to _BLOCK_TERMS / n (at most
-#: _SERIES_BLOCK_MAX), since a small call's cost is per block
+#: _SERIES_BLOCK_MAX), since a small call's cost is per block, but no more
+#: than |z| + 9 sqrt|z| + 10, which covers the terms a column at the
+#: batch's largest |z| takes to pass its peak and fall below SERIES_EPS
 _SERIES_BLOCK = 8
 _SERIES_BLOCK_MAX = 128
 _BLOCK_TERMS = 4096
@@ -225,7 +227,8 @@ def moments(kappa, x, count: int) -> np.ndarray:
         for cols, zc, decay in ((order[:lo][::-1], -zs[:lo][::-1], False),
                                 (order[lo:hi], zs[lo:hi], True)):
             if len(cols):
-                out[:, cols] = _moment_series(decay, zc, x[cols], rows, size)
+                block = min(size, max(_SERIES_BLOCK, int(zc[-1] + 9.0 * math.sqrt(zc[-1]) + 10.0)))
+                out[:, cols] = _moment_series(decay, zc, x[cols], rows, block)
         if hi < len(x):
             zc, kc = zs[hi:], np.broadcast_to(kappa, x.shape)[order[hi:]]
             # e^{-z} z^j/j! and m!/kappa^{m+1} as cumulative products over m
@@ -239,9 +242,12 @@ def _moment_series(decay: bool, z: np.ndarray, x: np.ndarray, rows: np.ndarray,
     """The moments at the points x, in increasing order of z = |kappa x|, by
     the Kummer series where the weight decays (``decay``) and by the
     all-positive one where it grows.  Terms are added ``size`` at a time,
-    each block a cumulative product of the term ratios; a column leaves the
-    sum once its term has passed its peak and is below the series tolerance
-    in every row, or once its weight has overflowed (+inf in every row).
+    each block a cumulative product of the term ratios from the last term
+    of the block before, and summed onto the total in order, so the sums
+    are rounded as one term at a time would round them, whatever ``size``
+    is.  A column leaves the sum once its term has passed its peak and is
+    below the series tolerance in every row, or once its weight has
+    overflowed (+inf in every row).
     """
     if decay:
         term = np.ones((len(rows), len(z)))
@@ -259,14 +265,17 @@ def _moment_series(decay: bool, z: np.ndarray, x: np.ndarray, rows: np.ndarray,
             # one (size, rows, points) array per block, reused in place: with
             # three, a 7,344-point batch paged ~3.5 MB back in on every call
             ratios = zl / (rows + 1 + js)
+            ratios[0] *= term[:, live]
             terms = np.cumprod(ratios, axis=0, out=ratios)
-            terms *= term[:, live]
             term[:, live] = terms[-1]
         else:
-            ws = w[live] * np.cumprod(zl / js[:, 0], axis=0)
+            ratios = zl / js[:, 0]
+            ratios[0] *= w[live]
+            ws = np.cumprod(ratios, axis=0, out=ratios)
             terms = ws[:, None, :] / (rows + js + 1)
             w[live] = ws[-1]
-        total[:, live] += terms.sum(axis=0)
+        terms[0] += total[:, live]
+        total[:, live] = terms.sum(axis=0)
         j += size
         done = (j > zl) & (terms[-1] < SERIES_EPS * total[:, live]).all(axis=0)
         if not decay and w[-1] == math.inf:  # an overflowed weight makes its column +inf

@@ -151,13 +151,13 @@ class Profile:
     else is float machinery derived from them once at build time.  The object
     is immutable after construction apart from the lazy caches: the zero
     series in ``_zero_series``, and in ``_integrals`` the geometry module's
-    t and F tables ("t", "F") and the alpha their quadratures evaluated,
-    which the second table reads ("alpha").  ``series_reach`` is rho/30,
-    rho the distance from s = 0 to the nearest other zero of v: the zero
-    series is trusted within it.  ``series_window`` is the distance from
-    s = 0 within which the kernel takes alpha from that series: the reach,
-    capped at SERIES_WINDOW where v vanishes at s = 0 and at s_star/2 on a
-    mirror, and 0.0 at a point end of a parent profile.
+    t and F tables ("t", and "F" where kappa1 != 0), built in one pass.
+    ``series_reach`` is rho/30, rho the distance from s = 0 to the nearest
+    other zero of v: the zero series is trusted within it.
+    ``series_window`` is the distance from s = 0 within which the kernel
+    takes alpha from that series: the reach, capped at SERIES_WINDOW where
+    v vanishes at s = 0 and at s_star/2 on a mirror, and 0.0 at a point end
+    of a parent profile.
     ``mirror`` is the reflected profile that serves the star half of a
     compact profile at a calibrated kappa1, and None otherwise.
     ``split_from`` is the s beyond which J takes the split route (inf when

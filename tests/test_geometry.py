@@ -12,9 +12,11 @@ independent oracle of t(s) on every admissible config.
 """
 
 import functools
+import itertools
 import json
 import math
 import pathlib
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -164,10 +166,9 @@ def test_arclength_near_the_ends_matches_mpmath(steady_profile, mixed_profile, m
     matches a 30-digit quadrature of alpha^-1/2 in w = sqrt(s) to 2e-15 on
     both sides of the end node: on the steady profile and on the mixed-
     charge shrinker (point ends), and on steady.json with a second zero of
-    v at -1e-9, whose series reach 3.3e-11 sets the end node.  At
-    s = 1e-300 the rounding of y = log(s) allows 1e-13.  Near s* the
-    diameter less that quadrature on the mirror's alpha matches t to
-    2e-15."""
+    v at -1e-9, whose series reach 3.3e-11 sets the end node, and at
+    s = 1e-300.  Near s* the diameter less that quadrature on the mirror's
+    alpha matches t to 2e-15."""
     doc = json.loads((pathlib.Path(__file__).resolve().parents[1] / "configs"
                       / "steady.json").read_text())
     close = build_profile(cli._admissible_config(dict(doc, sigmas=[0, "1/1000000000"]),
@@ -184,11 +185,24 @@ def test_arclength_near_the_ends_matches_mpmath(steady_profile, mixed_profile, m
                 assert t_of_s(prof, delta) == pytest.approx(float(arclength(exact, delta)),
                                                             rel=2e-15)
             assert t_of_s(prof, 1e-300) == pytest.approx(float(arclength(exact, 1e-300)),
-                                                         rel=1e-13)
+                                                         rel=2e-15)
         s_star, exact = mixed_profile.s_domain[1], mp_alpha(mixed_profile.mirror)
         for delta in (2.0 ** -45, 2.0 ** -27, 2.0 ** -20):  # s* - delta is a float
             ref = mp.mpf("4.83608644226425512632") - arclength(exact, delta)
             assert t_of_s(mixed_profile, s_star - delta) == pytest.approx(float(ref), abs=2e-15)
+
+
+def test_arclength_below_the_end_node_reads_s_itself(steady_profile, mixed_profile):
+    """Below the s = 0 end node t_of_s evaluates the end rule from s itself,
+    sqrt(s) in place of e^(y/2), which would carry only |log s| * 2^-53 of
+    relative precision: t is 2 sqrt(s/c1) to 2e-16 relative, down to the
+    smallest subnormal, on point ends with c1 = 2."""
+    for prof in (steady_profile, mixed_profile):
+        c1 = profiles._series_coeffs(prof)[1]
+        assert c1 == 2.0
+        for s in (1e-100, 1e-300, 1e-305, 5e-324):
+            exact = 2 * mp.sqrt(mp.mpf(s) / c1)
+            assert abs(t_of_s(prof, s) - exact) <= 2e-16 * exact
 
 
 def test_arclength_is_monotone(mixed_profile):
@@ -330,19 +344,33 @@ def test_flow_composes_like_a_group_in_the_steady_case(steady_profile):
     assert one == pytest.approx(two, rel=1e-10)
 
 
-def test_cold_compact_tables_stay_cheap(mixed_profile, monkeypatch):
-    """One 8-point Gauss-Legendre panel per node interval, checked by
-    doubling, costs 24 alpha points a panel: about 10.5k for each cold table
-    of the mixed-charge shrinker, counted at the public
-    alpha_and_condition, inside which the mirror serves the star half."""
-    points = []
+def _cold_table_points(prof, monkeypatch):
+    """The alpha points that a cold t table and a cold F table of the
+    profile's config each cost, counted at the public alpha_and_condition,
+    inside which the mirror serves the star half of a compact profile."""
+    points, counts = [], []
     kernel = profiles.alpha_and_condition
     monkeypatch.setattr(profiles, "alpha_and_condition",
                         lambda p, s, d=None: points.append(np.size(s)) or kernel(p, s, d))
     for build_table in (geometry._arclength, geometry._flow_potential):
         points.clear()
-        build_table(build_profile(mixed_profile.config))
-        assert 0 < sum(points) <= 12_000
+        build_table(build_profile(prof.config))
+        counts.append(sum(points))
+    return counts
+
+
+def test_cold_compact_tables_stay_cheap(mixed_profile, monkeypatch):
+    """One 8-point Gauss-Legendre panel per node interval, checked by
+    doubling, costs 24 alpha points a panel, and one pass serves t and F:
+    3,816 points for either cold table of the mixed-charge shrinker (159
+    panels, none bisected).  The budget is that count plus 10%."""
+    assert all(0 < n <= 4_200 for n in _cold_table_points(mixed_profile, monkeypatch))
+
+
+def test_cold_open_tables_stay_cheap(steady_profile, monkeypatch):
+    """The same budget on an open profile: 4,800 points (200 panels, none
+    bisected) for either cold table of the steady soliton, plus 10%."""
+    assert all(0 < n <= 5_300 for n in _cold_table_points(steady_profile, monkeypatch))
 
 
 def test_warm_queries_evaluate_no_alpha(steady_profile, mixed_profile, monkeypatch):
@@ -368,31 +396,38 @@ def test_warm_queries_evaluate_no_alpha(steady_profile, mixed_profile, monkeypat
 
 
 def test_flow_table_reads_the_arclength_tables_alpha(mixed_profile, steady_profile,
-                                                     monkeypatch):
-    """t and F are integrated over the same nodes, so the F table built after
-    the t table reads alpha where the t table's quadrature asked it, and
-    calls the kernel only for panels that it bisects where the t table did
-    not: 24 points a panel, a small share of a cold table's points."""
+                                                     flat_profile, monkeypatch):
+    """t and F are integrated in one pass, from the same alpha, so whichever
+    table is asked for first builds both: the other calls no kernel, and
+    the two share their leaves exactly.  At kappa1 = 0 only t is built, and
+    the flow potential is refused."""
     kernel = profiles.alpha_and_condition
     points = []
     monkeypatch.setattr(profiles, "alpha_and_condition",
                         lambda p, s, d=None: points.append(np.size(s)) or kernel(p, s, d))
     for config in (mixed_profile.config, steady_profile.config):
-        geometry._flow_potential(build_profile(config))
-        cold = sum(points)
-        prof = build_profile(config)
-        geometry._arclength(prof)
-        points.clear()
+        for first, second in ((geometry._arclength, geometry._flow_potential),
+                              (geometry._flow_potential, geometry._arclength)):
+            prof = build_profile(config)
+            first(prof)
+            points.clear()
+            second(prof)
+            assert points == []
+            assert np.array_equal(geometry._arclength(prof).edges,
+                                  geometry._flow_potential(prof).edges)
+    prof = build_profile(flat_profile.config)
+    geometry._arclength(prof)
+    assert set(prof._integrals) == {"t"}
+    with pytest.raises(ValueError, match="kappa1 != 0"):
         geometry._flow_potential(prof)
-        assert all(n % 24 == 0 for n in points)
-        assert sum(points) <= 0.05 * cold
-        points.clear()
 
 
 def test_running_sum_is_neumaiers():
     """The prefix's compensated cumulative sum, done by array operations, is
     Neumaier's loop to the bit, and each partial sum is within an ulp of the
-    exactly rounded math.fsum where the plain cumsum is not."""
+    exactly rounded math.fsum where the plain cumsum is not.  Its carry is
+    what the rounding of each partial sum left out: the two add up to the
+    exact sum within 2^-40 of an ulp."""
     rng = np.random.default_rng(11)
     terms = rng.standard_normal(900) * 10.0 ** rng.uniform(-6.0, 6.0, 900)
     reference, total, carry = [], 0.0, 0.0
@@ -401,11 +436,14 @@ def test_running_sum_is_neumaiers():
         carry += (total - new) + term if abs(total) >= abs(term) else (term - new) + total
         total = new
         reference.append(total + carry)
-    got = geometry._running_sum(terms)
+    got, carry = geometry._running_sum(terms)
     assert got.tolist() == reference
     exact = np.array([math.fsum(terms[:k + 1]) for k in range(len(terms))])
     assert np.all(np.abs(got - exact) <= np.spacing(np.abs(exact)))
     assert np.any(np.abs(np.cumsum(terms) - exact) > np.spacing(np.abs(exact)))
+    for rounded, rest, sum_ in zip(got, carry, itertools.accumulate(map(Fraction, terms))):
+        assert abs(Fraction(rounded) + Fraction(rest) - sum_) \
+            <= Fraction(np.spacing(abs(float(sum_)))) / 2 ** 40
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
