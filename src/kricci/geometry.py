@@ -472,7 +472,7 @@ def _end_series(profile: Profile, power: float, factor: float) -> np.ndarray:
     """The end rule's rows at the s = 0 end of ``profile``: factor*c1^-power
     times the module docstring's b_k (row 1: dG/dy over delta^(1 - power))
     and times b_k/(k + 1 - power) (row 0: G; 0 for the log term)."""
-    c = profiles._series_coeffs(profile)
+    c = profile.zero_series
     if not c[1] > 0.0:
         raise ValueError(f"alpha does not vanish like {c[1]} * delta > 0 at a collapsed end")
     a = [ck / c[1] for ck in c[1:]]  # a[k] multiplies delta^k in 1 + A

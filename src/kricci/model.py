@@ -330,6 +330,9 @@ def validate(config: SolitonConfig) -> ValidationReport:
         expected = Fraction(2) * (n0 + n1 + 2)
         if s_star != expected:
             v.append(f"boundary: s_star = {s_star} but collapsing dimensions give {expected}")
+        if eps != -1:
+            v.append(f"boundary: epsilon = {eps} on a compact interval, whose length "
+                     f"s_star = 2(N0+N*+2) closes alpha only at epsilon = -1")
         if config.boundary.compact_end.collapse is Collapse.FACTOR:
             if r - 1 not in star_set:
                 v.append("boundary: factor r marked collapsing at s_star but sigma_r != -s_star")

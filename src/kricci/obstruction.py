@@ -130,8 +130,9 @@ def futaki_integral(config: SolitonConfig, kappa1: float) -> FutakiEvaluation:
     """
     _require_compact_shrinker(config)
     if kappa1 == 0:
-        exact = polyexp.exp_poly_integral_exact_zero([Fraction(0)] + _weight_poly(config),
-                                                     -(config.n_zero + 1), config.n_star + 1)
+        anti = polyexp.poly_antiderivative([Fraction(0)] + _weight_poly(config))
+        exact = (polyexp.poly_eval(anti, config.n_star + 1)
+                 - polyexp.poly_eval(anti, -config.n_zero - 1))
         return FutakiEvaluation(kappa1=0.0, value=float(exact), exact_value=exact)
     kappa1 = float(kappa1)
     rows, sign = _end_rows(config, (1 if kappa1 >= 0 else -1,))

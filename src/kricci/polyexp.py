@@ -31,7 +31,6 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-Rational = Fraction
 RationalPoly = list  # list[Fraction], ascending degree, trailing zeros trimmed
 
 _RationalLike = Union[int, str, Fraction]
@@ -286,18 +285,3 @@ def _moment_series(decay: bool, z: np.ndarray, x: np.ndarray, rows: np.ndarray,
         sums *= np.exp(-z) / (rows + 1)
     return sums
 
-
-# ---------------------------------------------------------------------------
-# exp-weighted polynomial integrals
-
-
-def exp_poly_integral_exact_zero(p: RationalPoly, a: _RationalLike, b: _RationalLike) -> Fraction:
-    """Exact rational value of integral_a^b P(x) dx (the kappa = 0 case).
-
-    Endpoints must be rational; this is the bit-exact path used to reproduce
-    closed-form constants.
-    """
-    a = as_rational(a)
-    b = as_rational(b)
-    anti = poly_antiderivative(p)
-    return poly_eval(anti, b) - poly_eval(anti, a)

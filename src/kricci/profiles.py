@@ -27,17 +27,19 @@ closed evaluation routes cover the parameter space (Psi = (E_star + eps*x)*v):
     calibrated noncompact shrinkers T0 vanishes identically (that vanishing
     *is* the existence condition), so J is a plain polynomial.
 
-T0 is snapped to exactly zero when it is below 1e-9 of its term-magnitude
-scale: at a numerically solved kappa1 the true value is an exact zero and the
-residue is root-finder noise.  Since P = J - e^{kappa1 s} T0, the residue
-also sits in every coefficient of P, as -T0 kappa1^j/j!.  So a snapped P is
-P at the root, which one Newton step on T0 reaches from the float kappa1,
-and its coefficients below the order zero_order + 1 of J's zero at s = 0
-are exactly zero.  With T0 nonzero the split form itself cancels at small
-s, so the moment route is kept up to |kappa1|*s = 30.  With T0 snapped, the
-moment sum reconstructs a polynomial-sized answer out of e^{kappa1 s}-sized
-terms and loses digits as |kappa1|*s grows, while P does not; build_profile
-measures where P's condition falls below the moment sum's and switches there
+On an open profile T0 is snapped to exactly zero when it is below 1e-9 of
+its term-magnitude scale: that vanishing is the noncompact existence
+condition, so at a numerically solved kappa1 the true value is an exact
+zero and the residue is root-finder noise.  A compact profile never snaps.
+Since P = J - e^{kappa1 s} T0, the residue also sits in every coefficient
+of P, as -T0 kappa1^j/j!.  So a snapped P is P at the root, which one
+Newton step on T0 reaches from the float kappa1, and its coefficients below
+the order of J's zero at s = 0 (one more than v's) are exactly zero.  With
+T0 nonzero the split form itself cancels at small s, so the moment route is
+kept up to |kappa1|*s = 30.  With T0 snapped, the moment sum reconstructs a
+polynomial-sized answer out of e^{kappa1 s}-sized terms and loses digits as
+|kappa1|*s grows, while P does not; build_profile measures where P's
+condition falls below the moment sum's and switches there
 (Profile.split_from).
 
 Near s = 0, where v vanishes, alpha = J/v is evaluated as a Taylor series
@@ -53,10 +55,13 @@ A compact profile has a second collapsed end at s_star, where J/v is 0/0
 residual.  Reflection (factors reversed, charges negated, kappa1 ->
 -kappa1) swaps the ends, so at a calibrated kappa1 the star half s >
 s_star/2 takes alpha from the mirror profile (Profile.mirror) at delta =
-s_star - s, by its ordinary s = 0 routes.  The halves meet at s_star/2 with
-a step of the root's footprint e^{kappa1 s} I/v.  The mirror's zero series
-serves within its reach rho/30 at every star end, point ends included,
-capped at s_star/2.  At an uncalibrated kappa1 J/v serves the whole domain.
+s_star - s, by its ordinary s = 0 routes.  The mirror is built by the same
+constructor from the mirrored configuration (model.mirror_config), which
+is the parent reflected exactly because epsilon = -1 on a compact interval.
+The halves meet at s_star/2 with a step of the root's footprint
+e^{kappa1 s} I/v.  The mirror's zero series serves within its reach rho/30
+at every star end, point ends included, capped at s_star/2.  At an
+uncalibrated kappa1 J/v serves the whole domain.
 
 One kernel evaluates alpha at a whole array of points.  sample() adds the
 derivatives and the linear data; alpha() and alpha_and_condition() return
@@ -116,14 +121,6 @@ def _fconv(a: Sequence[float], b: Sequence[float], length: int) -> List[float]:
     return out
 
 
-def _low_order_zeros(p: Sequence[Fraction]) -> int:
-    """Multiplicity of the root at 0 (count of exact leading zero coeffs)."""
-    for k, c in enumerate(p):
-        if c != 0:
-            return k
-    return len(p)
-
-
 @dataclass
 class ProfileSample:
     """Profile data at the points s: the metric coefficients and the
@@ -149,9 +146,18 @@ class Profile:
 
     ``v_poly`` and ``psi_poly`` are exact rational polynomials; everything
     else is float machinery derived from them once at build time.  The object
-    is immutable after construction apart from the lazy caches: the zero
-    series in ``_zero_series``, and in ``_integrals`` the geometry module's
-    t and F tables ("t", and "F" where kappa1 != 0), built in one pass.
+    is immutable after construction apart from ``_integrals``, the lazy cache
+    of the geometry module's t and F tables ("t", and "F" where kappa1 != 0),
+    built in one pass.
+    ``p_alpha`` is the float particular polynomial P (None when kappa1 = 0)
+    and ``t0`` the float T0, 0.0 where it was snapped.
+    ``split_from`` is the s beyond which J takes the split route (inf when
+    kappa1 = 0).
+    ``v_float`` and ``taylor_table`` (the float coefficients of v and of
+    Psi^(m)/m!, one zero-padded row per m) are what the kernel reads, so it
+    converts no Fraction per point.
+    ``zero_series`` holds the Taylor coefficients of alpha about s = 0,
+    which the kernel's series window and each table's end rule read.
     ``series_reach`` is rho/30, rho the distance from s = 0 to the nearest
     other zero of v: the zero series is trusted within it.
     ``series_window`` is the distance from s = 0 within which the kernel
@@ -160,11 +166,6 @@ class Profile:
     of a parent profile.
     ``mirror`` is the reflected profile that serves the star half of a
     compact profile at a calibrated kappa1, and None otherwise.
-    ``split_from`` is the s beyond which J takes the split route (inf when
-    kappa1 = 0).  The float copies of the sigmas, the beta slopes -q_i, eps
-    and E_eff, and ``taylor_table`` (the float coefficients of Psi^(m)/m!,
-    one zero-padded row per m) are what the kernel reads, so it converts no
-    Fraction per call.
     """
 
     config: SolitonConfig
@@ -177,24 +178,23 @@ class Profile:
     psi_antideriv: Tuple[float, ...]
     p_alpha: Optional[Tuple[float, ...]]
     t0: float
-    t0_snapped: bool
     split_from: float
-    zero_order: int
     v_float: Tuple[float, ...]
     series_reach: float
     series_window: float
-    sigma_float: Tuple[float, ...]
-    dbeta_float: Tuple[float, ...]
-    eps_float: float
-    e_eff_float: float
+    zero_series: Tuple[float, ...]
     taylor_table: np.ndarray = field(repr=False, compare=False)
     mirror: Optional["Profile"] = field(default=None, repr=False, compare=False)
-    _zero_series: Optional[Tuple[float, ...]] = field(default=None, repr=False, compare=False)
     _integrals: Dict[str, Any] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def is_compact(self) -> bool:
         return self.config.is_compact
+
+    @property
+    def t0_snapped(self) -> bool:
+        """Whether T0 was snapped to zero (module docstring)."""
+        return self.kappa1 != 0.0 and self.t0 == 0.0
 
 
 def v_psi_polys(config: SolitonConfig, e_star: Fraction) -> Tuple[list, list]:
@@ -223,47 +223,44 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
     structural = report.structural_violations()
     if structural:
         raise ValueError("inadmissible configuration: " + "; ".join(structural))
+    return _build(config, config.E_star + polyexp.as_rational(e_star_shift))
 
-    e_eff = config.E_star + polyexp.as_rational(e_star_shift)
+
+def _build(config: SolitonConfig, e_eff: Fraction, mirror: bool = False) -> Profile:
+    """The profile of ``config`` with E_star replaced by ``e_eff`` in the
+    alpha equation.  A compact one at a calibrated kappa1 glues on its
+    mirror: the same construction on the mirrored configuration at -kappa1,
+    where E_eff becomes -(eps s_star + E_eff).  ``mirror`` marks that one:
+    it glues nothing on, and its series window is capped at s_star/2.
+    """
     k1 = float(config.kappa1)
-
     v_poly, psi_poly = v_psi_polys(config, e_eff)
     if config.epsilon != 0:
         degree = sum(f.n for f in config.factors) + 1
         assert polyexp.poly_degree(psi_poly) == degree
 
     taylor_table = _taylor_table(psi_poly)
-    zero_order = _low_order_zeros(v_poly)
-    pa: list = []
+    zero_order = next(j for j, c in enumerate(v_poly) if c)  # of v at s = 0
     p_alpha: Optional[Tuple[float, ...]] = None
     t0 = 0.0
-    t0_snapped = False
     split_from = math.inf
     if k1 != 0.0:
+        # the particular polynomial P = -sum_m Psi^(m)/kappa1^(m+1) solves
+        # P' - kappa1 P = Psi: exactly, from the top coefficient down; and
+        # the terms m! psi_m / kappa1^(m+1) of T0 = -P(0)
         kr = Fraction(k1)
-        # particular polynomial P = -sum_m Psi^(m)/kappa1^(m+1), exact then floated
-        der = list(psi_poly)
-        power = kr
-        t0_exact = Fraction(0)
+        pa = [Fraction(0)] * (len(psi_poly) + 1)
+        for j in range(len(psi_poly) - 1, -1, -1):
+            pa[j] = ((j + 1) * pa[j + 1] - psi_poly[j]) / kr
+        terms = [math.factorial(m) * c / kr ** (m + 1) for m, c in enumerate(psi_poly)]
+        p_float = np.array([float(c) for c in pa[:-1]])
+        t0 = float(sum(terms))
         t0_scale = 0.0
         dt0 = 0.0   # dT0/dkappa1, which does not cancel at a simple root
-        fact = 1
-        m = 0
-        while der:
-            pa = polyexp.poly_add(pa, polyexp.poly_scale(der, Fraction(-1) / power))
-            term = fact * psi_poly[m] / power if m < len(psi_poly) else Fraction(0)
-            t0_exact += term
-            t_float = float(term)
+        for m, t_float in enumerate(map(float, terms)):
             t0_scale += abs(t_float)
             dt0 -= (m + 1) * t_float / k1
-            der = polyexp.poly_derivative(der)
-            power *= kr
-            m += 1
-            fact *= m
-        t0 = float(t0_exact)
-        t0_snapped = abs(t0) <= _SNAP_REL * t0_scale
-        p_float = np.array([float(c) for c in pa])
-        if t0_snapped:
+        if not config.is_compact and abs(t0) <= _SNAP_REL * t0_scale:
             # P at the root is P + dk dP/dkappa1 to O(dk^2), with the Newton
             # step dk = -T0/T0' and dP/dkappa1 = sum_m (m+1)! Psi^(m)/m! /
             # kappa1^(m+2); there its coefficients below the order of J's
@@ -272,82 +269,31 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
                 weights = np.cumprod(np.arange(1, len(taylor_table) + 1) / k1) / k1
                 p_float += -t0 / dt0 * (weights @ taylor_table)
             p_float[:zero_order + 1] = 0.0
+            t0 = 0.0
             split_from = _split_crossover(k1, taylor_table, p_float)
         else:
             split_from = _MOMENT_Z / abs(k1)
         p_alpha = tuple(p_float.tolist())
 
     s_hi = math.inf
-    mirror = None
+    glued = None
     if config.is_compact:
         s_hi = float(config.s_star)
-        # the existence condition: the weighted integral of Psi over
-        # [0, s_star] vanishes to 1e-9 of its finite majorant, both summed
-        # from one set of moments (row 0 of the table is Psi); an infinite
-        # moment makes them NaN or inf, and no mirror
-        moments = polyexp.moments(k1, [s_hi], len(psi_poly))[:, 0]
-        with np.errstate(invalid="ignore"):
-            i_star, scale = taylor_table[0] @ moments, np.abs(taylor_table[0]) @ moments
-        if scale < math.inf and abs(i_star) <= _SNAP_REL * max(1e-300, scale):
-            mirror = _mirror(config, v_poly, psi_poly, e_eff, pa)
-    return _assemble(config, v_poly, psi_poly, e_eff, k1, s_hi, taylor_table,
-                     p_alpha, 0.0 if t0_snapped else t0, t0_snapped, split_from,
-                     zero_order, _series_reach(config, Fraction(0)),
-                     SERIES_WINDOW if zero_order else 0.0, mirror)
-
-
-def _series_reach(config: SolitonConfig, end: Fraction) -> float:
-    """rho/30, rho the distance from the collapsed end at s = ``end`` to the
-    nearest other zero of v: where alpha's series about that end is trusted."""
-    zeros = (-polyexp.as_rational(sig)
-             for fac, sig in zip(config.factors, config.sigmas) if fac.n)
-    return float(min((abs(end - z) for z in zeros if z != end), default=math.inf)) / _REACH
-
-
-def _taylor_table(psi_poly: list) -> np.ndarray:
-    """The float coefficients of Psi^(m)/m!, one zero-padded row per m:
-    row m holds binom(m + j, m) psi_{m+j}, each rounded once."""
-    n = len(psi_poly)
-    table = np.zeros((n, n))
-    for m in range(n):
-        for j, c in enumerate(psi_poly[m:]):
-            table[m, j] = c.numerator * math.comb(m + j, m) / c.denominator
-    return table
-
-
-def _mirror(config: SolitonConfig, v_poly: list, psi_poly: list, e_eff: Fraction,
-            pa: list) -> Profile:
-    """The mirror of a calibrated compact profile, in delta = s_star - s:
-    the parent's polynomials p reflected to p(s_star - delta), Psi negated
-    with d/ds (E_eff becomes -(eps s_star + E_eff)), and P as it is (the
-    signs of Psi and kappa1 cancel).  Its T0 = -P(s_star) is not snapped.
-    """
-    s_star = config.s_star
-
-    def reflect(p: list) -> list:
-        return [c if j % 2 == 0 else -c for j, c in enumerate(polyexp.poly_shift(p, s_star))]
-
-    v_hat = reflect(v_poly)
-    psi_hat = polyexp.poly_neg(reflect(psi_poly))
-    k = -float(config.kappa1)
-    pa_hat = reflect(pa)  # empty when kappa1 = 0
-    e_hat = -(polyexp.as_rational(config.epsilon) * s_star + e_eff)
-    return _assemble(mirror_config(replace(config, kappa1=-config.kappa1)),
-                     v_hat, psi_hat, e_hat, k, float(s_star), _taylor_table(psi_hat),
-                     tuple(float(c) for c in pa_hat) if k else None,
-                     -float(pa_hat[0]) if k else 0.0, False,
-                     _MOMENT_Z / abs(k) if k else math.inf,
-                     _low_order_zeros(v_hat), _series_reach(config, s_star),
-                     0.5 * float(s_star), None)
-
-
-def _assemble(config: SolitonConfig, v_poly: list, psi_poly: list, e_eff: Fraction,
-              k1: float, s_hi: float, taylor_table: np.ndarray,
-              p_alpha: Optional[Tuple[float, ...]], t0: float, t0_snapped: bool,
-              split_from: float, zero_order: int, series_reach: float, window_cap: float,
-              mirror: Optional[Profile]) -> Profile:
-    """The Profile of these polynomials and routes, and its float copies;
-    the series window is its reach, capped at ``window_cap``."""
+        if not mirror:
+            # the existence condition: the weighted integral of Psi over
+            # [0, s_star] vanishes to 1e-9 of its finite majorant, both summed
+            # from one set of moments (row 0 of the table is Psi); an infinite
+            # moment makes them NaN or inf, and no mirror
+            moments = polyexp.moments(k1, [s_hi], len(psi_poly))[:, 0]
+            with np.errstate(invalid="ignore"):
+                i_star, scale = taylor_table[0] @ moments, np.abs(taylor_table[0]) @ moments
+            if scale < math.inf and abs(i_star) <= _SNAP_REL * max(1e-300, scale):
+                e_hat = -(polyexp.as_rational(config.epsilon) * config.s_star + e_eff)
+                glued = _build(mirror_config(replace(config, kappa1=-config.kappa1)), e_hat,
+                               mirror=True)
+    v_float = tuple(float(c) for c in v_poly)
+    reach = _series_reach(config)
+    cap = 0.5 * s_hi if mirror else (SERIES_WINDOW if zero_order else 0.0)
     return Profile(
         config=config,
         v_poly=v_poly,
@@ -359,19 +305,33 @@ def _assemble(config: SolitonConfig, v_poly: list, psi_poly: list, e_eff: Fracti
         psi_antideriv=tuple(float(c) for c in polyexp.poly_antiderivative(psi_poly)),
         p_alpha=p_alpha,
         t0=t0,
-        t0_snapped=t0_snapped,
         split_from=split_from,
-        zero_order=zero_order,
-        v_float=tuple(float(c) for c in v_poly),
-        series_reach=series_reach,
-        series_window=min(window_cap, series_reach),
-        sigma_float=tuple(float(sig) for sig in config.sigmas),
-        dbeta_float=tuple(float(-fac.q) for fac in config.factors),
-        eps_float=float(config.epsilon),
-        e_eff_float=float(e_eff),
+        v_float=v_float,
+        series_reach=reach,
+        series_window=min(cap, reach),
+        zero_series=_series_at_zero(k1, psi_poly, v_float, zero_order),
         taylor_table=taylor_table,
-        mirror=mirror,
+        mirror=glued,
     )
+
+
+def _series_reach(config: SolitonConfig) -> float:
+    """rho/30, rho the distance from s = 0 to the nearest other zero of v:
+    where alpha's series about s = 0 is trusted."""
+    zeros = (-polyexp.as_rational(sig)
+             for fac, sig in zip(config.factors, config.sigmas) if fac.n)
+    return float(min((abs(z) for z in zeros if z != 0), default=math.inf)) / _REACH
+
+
+def _taylor_table(psi_poly: list) -> np.ndarray:
+    """The float coefficients of Psi^(m)/m!, one zero-padded row per m:
+    row m holds binom(m + j, m) psi_{m+j}, each rounded once."""
+    n = len(psi_poly)
+    table = np.zeros((n, n))
+    for m in range(n):
+        for j, c in enumerate(psi_poly[m:]):
+            table[m, j] = c.numerator * math.comb(m + j, m) / c.denominator
+    return table
 
 
 def _split_crossover(k: float, table: np.ndarray, p_alpha: Sequence[float]) -> float:
@@ -453,13 +413,14 @@ def _J_and_scale(profile: Profile, x: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     return out[0], out[1]
 
 
-def _log_v_rates(profile: Profile, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _log_v_rates(config: SolitonConfig, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(log v)' and (log v)'' at every point of ``x``."""
     lv1 = np.zeros(x.shape)
     lv2 = np.zeros(x.shape)
-    for fac, db, sig in zip(profile.config.factors, profile.dbeta_float, profile.sigma_float):
+    for fac, sig in zip(config.factors, config.sigmas):
         if fac.n:
-            ratio = db / (db * (x + sig))
+            db = float(-fac.q)
+            ratio = db / (db * (x + float(sig)))
             lv1 += fac.n * ratio
             lv2 -= fac.n * ratio * ratio
     return lv1, lv2
@@ -498,7 +459,7 @@ def _kernel(profile: Profile, s, delta=None, derivatives: bool = False):
     if profile.series_window > 0.0:
         near = s <= profile.series_window
         if near.any():
-            series, x = _series_coeffs(profile), s[near]
+            series, x = profile.zero_series, s[near]
             out[near] = _fhorner(series, x)
             cond[near] = _ratio(_abs_horner(series, x), out[near])
             if derivs is not None:
@@ -518,10 +479,11 @@ def _kernel(profile: Profile, s, delta=None, derivatives: bool = False):
     da = np.full(x.shape, math.nan)
     d2a = np.full(x.shape, math.nan)
     ok = v != 0.0
-    lv1, lv2 = _log_v_rates(profile, x[ok])
+    lv1, lv2 = _log_v_rates(profile.config, x[ok])
     rate = lv1 - profile.kappa1
-    da[ok] = profile.eps_float * x[ok] + profile.e_eff_float - a[ok] * rate
-    d2a[ok] = profile.eps_float - da[ok] * rate - a[ok] * lv2
+    eps = float(profile.config.epsilon)
+    da[ok] = eps * x[ok] + float(profile.E_eff) - a[ok] * rate
+    d2a[ok] = eps - da[ok] * rate - a[ok] * lv2
     derivs[0][rest] = da
     derivs[1][rest] = d2a
     return out, cond, derivs[0], derivs[1]
@@ -567,8 +529,10 @@ def route_switches(profile: Profile) -> List[Tuple[str, float]]:
     return out
 
 
-def _series_coeffs(profile: Profile) -> Tuple[float, ...]:
-    """Taylor coefficients of alpha in s about s = 0, cached.
+def _series_at_zero(k: float, psi_poly: list, v_float: Sequence[float],
+                    order: int) -> Tuple[float, ...]:
+    """Taylor coefficients of alpha in s about s = 0, at kappa1 = ``k``,
+    where v vanishes to the order ``order``.
 
     J(s) = e^{k s} int_0^s Psi(x) e^{-k x} dx is expanded by convolution
     and divided by the expansion of v.  The convolution is done in floats;
@@ -576,13 +540,9 @@ def _series_coeffs(profile: Profile) -> Tuple[float, ...]:
     exact zero coefficients.  At a point end v does not vanish and the
     division has the lead v(0).
     """
-    if profile._zero_series is not None:
-        return profile._zero_series
-    k = profile.kappa1
-    order = profile.zero_order
     length = order + _SERIES_TERMS + 2
-    p_f = [float(c) for c in profile.psi_poly]
-    v_f = list(profile.v_float) + [0.0] * length
+    p_f = [float(c) for c in psi_poly]
+    v_f = list(v_float) + [0.0] * length
 
     e_minus = [1.0]
     e_plus = [1.0]
@@ -602,9 +562,7 @@ def _series_coeffs(profile: Profile) -> Tuple[float, ...]:
         for i in range(1, j + 1):
             tot -= v_f[order + i] * coeffs[j - i]
         coeffs[j] = tot / lead
-
-    profile._zero_series = tuple(coeffs)
-    return profile._zero_series
+    return tuple(coeffs)
 
 
 def alpha_series_at_collapse(profile: Profile, end: str) -> List[float]:
@@ -617,7 +575,7 @@ def alpha_series_at_collapse(profile: Profile, end: str) -> List[float]:
     the configuration's kappa1 does not satisfy the existence condition.
     """
     if end == "zero":
-        return list(_series_coeffs(profile))
+        return list(profile.zero_series)
     if end != "star":
         raise ValueError("end must be 'zero' or 'star'")
     if not profile.is_compact:
@@ -625,7 +583,7 @@ def alpha_series_at_collapse(profile: Profile, end: str) -> List[float]:
     if profile.mirror is None:
         raise ValueError("alpha is singular at s_star: the existence integral does not "
                          "vanish at this kappa1")
-    return list(_series_coeffs(profile.mirror))
+    return list(profile.mirror.zero_series)
 
 
 def sample(profile: Profile, s) -> ProfileSample:
@@ -639,8 +597,9 @@ def sample(profile: Profile, s) -> ProfileSample:
     s = np.asarray(s, dtype=float)
     alpha, _, dalpha, d2alpha = _kernel(profile, s, derivatives=True)
     column = (-1,) + (1,) * s.ndim
-    dbeta = np.reshape(profile.dbeta_float, column)
-    beta = dbeta * (s + np.reshape(profile.sigma_float, column))
+    cfg = profile.config
+    dbeta = np.reshape([float(-fac.q) for fac in cfg.factors], column)
+    beta = dbeta * (s + np.reshape([float(sig) for sig in cfg.sigmas], column))
     k = profile.kappa1
 
     def on_s(x):

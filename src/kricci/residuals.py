@@ -56,7 +56,7 @@ def _log_v_derivatives(profile, smp: ProfileSample):
 class ResidualGrid:
     """Residuals of the full diagnostic battery on a common s-grid.
 
-    r_base and mu are matrices with one row per factor.
+    r_base is a matrix with one row per factor.
     """
 
     s_values: np.ndarray
@@ -64,7 +64,6 @@ class ResidualGrid:
     r_fibre: np.ndarray
     r_base: np.ndarray
     c_values: np.ndarray
-    mu: np.ndarray
     bianchi: np.ndarray
 
 
@@ -108,7 +107,6 @@ def soliton_residuals(profile, smp: ProfileSample) -> ResidualGrid:
         r_fibre=r_fibre,
         r_base=r_base,
         c_values=_first_integral_from(smp, lv1, eps),
-        mu=mu_general(b, smp.dbeta, 0.0, q),
         bianchi=_bianchi_from(smp, lv1, sq_sum, eps),
     )
 

@@ -169,6 +169,20 @@ def test_find_kappa_validates_the_config(tmp_path, capsys, middle):
     assert main(["solve", cfg]) == 3
 
 
+@pytest.mark.parametrize("command", ["find-kappa", "solve"])
+def test_compact_config_off_epsilon_minus_one_is_inadmissible(tmp_path, capsys, command):
+    """The compact existence condition and the interval length hold at
+    epsilon = -1 only; elsewhere find-kappa used to return that root anyway."""
+    doc = {"epsilon": "-1/2",
+           "factors": [{"n": 0, "p": 1, "q": -1}, {"n": 2, "p": 3, "q": 1},
+                       {"n": 2, "p": 3, "q": -2}],
+           "boundary": {"collapse_at_zero": "factor", "compact_end": {"collapse": "circle"}},
+           "kappa1": "solve"}
+    assert main([command, write_config(tmp_path, doc)]) == 3
+    assert ("epsilon = -1/2 on a compact interval, whose length s_star = 2(N0+N*+2) "
+            "closes alpha only at epsilon = -1") in capsys.readouterr().err
+
+
 def test_reconstruct_table(tmp_path, capsys):
     cfg = write_config(tmp_path, FLAT_DOC)
     assert main(["reconstruct", cfg, "--t-max", "2", "--grid", "5"]) == 0

@@ -198,7 +198,7 @@ def test_arclength_below_the_end_node_reads_s_itself(steady_profile, mixed_profi
     relative precision: t is 2 sqrt(s/c1) to 2e-16 relative, down to the
     smallest subnormal, on point ends with c1 = 2."""
     for prof in (steady_profile, mixed_profile):
-        c1 = profiles._series_coeffs(prof)[1]
+        c1 = prof.zero_series[1]
         assert c1 == 2.0
         for s in (1e-100, 1e-300, 1e-305, 5e-324):
             exact = 2 * mp.sqrt(mp.mpf(s) / c1)

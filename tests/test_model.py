@@ -161,6 +161,22 @@ def test_inconsistent_compact_length_is_rejected():
         )
 
 
+@pytest.mark.parametrize("epsilon", [Fraction(-1, 2), -2, 0, 1])
+def test_compact_interval_needs_epsilon_minus_one(epsilon):
+    """s_star = 2(N0+N*+2) makes alpha vanish at s_star with slope -2 only
+    at epsilon = -1; any other epsilon on a compact interval is structural."""
+    cfg = derive_config(
+        epsilon=epsilon,
+        factors=[FanoFactor(0, 1, -1), FanoFactor(2, 3, 1), FanoFactor(2, 3, -2)],
+        boundary=BoundaryStructure(Collapse.FACTOR, CompactEnd(Collapse.CIRCLE)),
+        kappa1=0.3, sigmas=(0, 1, 2) if epsilon == 0 else None,
+    )
+    message = (f"boundary: epsilon = {Fraction(epsilon)} on a compact interval, whose length "
+               "s_star = 2(N0+N*+2) closes alpha only at epsilon = -1")
+    assert message in validate(cfg).structural_violations()
+    assert not any("epsilon" in v for v in validate(mixed_charges()).violations)
+
+
 def test_mirror_swaps_ends_and_negates_charges():
     cfg = mixed_charges()
     mir = mirror_config(cfg)

@@ -13,7 +13,6 @@ from kricci import polyexp
 from kricci.polyexp import (
     as_rational,
     build_shifted_product,
-    exp_poly_integral_exact_zero,
     moments,
     poly_antiderivative,
     poly_derivative,
@@ -93,8 +92,11 @@ def test_build_shifted_product_expansion():
 
 
 def test_exact_zero_integral_is_a_fraction():
+    """At kappa = 0 the integral is the antiderivative's difference, an
+    exact Fraction, as futaki_integral takes it."""
     p = build_shifted_product([(Fraction(3, 2), 2), (Fraction(-3), 2), (Fraction(0), 1)])
-    val = exp_poly_integral_exact_zero(p, 0, 2)
+    anti = poly_antiderivative(p)
+    val = poly_eval(anti, Fraction(2)) - poly_eval(anti, Fraction(0))
     assert val == Fraction(1229, 30)
     # the moments at kappa = 0 are the power rule, and agree with it
     weights = moments(0.0, [2.0], len(p))[:, 0]

@@ -12,7 +12,9 @@ tail integral cancel exactly).  They exercise the moment-based evaluation at
 both signs of kappa1 and far out on the domain.
 """
 
+import json
 import math
+import pathlib
 from fractions import Fraction
 
 import mpmath as mp
@@ -126,7 +128,7 @@ def test_series_requires_a_vanishing_v(flat_profile, steady_profile, two_blowdow
     s = 0.  At a point end (v(0) != 0) the series exists for the geometry
     tables' end rule, but alpha stays J/v down to s = 0."""
     for prof in (flat_profile, steady_profile):
-        assert prof.zero_order == 0
+        assert prof.v_poly[0] != 0
         assert prof.series_window == 0.0
     assert two_blowdowns_profile.series_window > 0.0
     # steady representative: alpha = 2 (s^2 + 2s + 2 - 2 e^{-s}) / (s + 2)^2
@@ -161,21 +163,69 @@ def test_mirror_window_is_sized_by_the_radius_of_convergence(
 
 
 def test_mirror_is_the_reflected_configuration(mixed_profile, two_blowdowns_profile):
-    """The mirror's polynomials, reflected from the parent's, are those of
-    the mirrored configuration at -kappa1, and its P is the parent's
-    reflected."""
-    from kricci.profiles import v_psi_polys
-
+    """The mirror, built from the mirrored configuration at -kappa1, is the
+    parent reflected to delta = s* - s, exactly: its v is v(s* - delta), its
+    Psi is -Psi(s* - delta) (Psi changes sign with d/ds), and its P is
+    P(s* - delta), with P = -Q from _q_poly (the signs of Psi and kappa1
+    cancel); its floats are theirs rounded once, and T0 = -P(0)."""
     for prof in (mixed_profile, two_blowdowns_profile):
         mirror = prof.mirror
+        s_star = prof.config.s_star
+
+        def reflect(p):
+            return [c if j % 2 == 0 else -c for j, c in enumerate(polyexp.poly_shift(p, s_star))]
+
         assert mirror.kappa1 == -prof.kappa1
         assert mirror.s_domain == prof.s_domain
-        assert (mirror.v_poly, mirror.psi_poly) == v_psi_polys(mirror.config, mirror.E_eff)
-        s_star = float(prof.s_domain[1])
-        for delta in (0.5, 1.5):
-            p_here = sum(c * (s_star - delta) ** j for j, c in enumerate(prof.p_alpha))
-            p_there = sum(c * delta ** j for j, c in enumerate(mirror.p_alpha))
-            assert p_there == pytest.approx(p_here, rel=1e-13)
+        assert mirror.v_poly == reflect(prof.v_poly)
+        assert mirror.psi_poly == polyexp.poly_neg(reflect(prof.psi_poly))
+        p_hat = reflect(polyexp.poly_neg(_q_poly(prof.psi_poly, Fraction(prof.kappa1))))
+        assert mirror.p_alpha == tuple(float(c) for c in p_hat)
+        assert mirror.t0 == float(-p_hat[0])
+
+
+@pytest.fixture(scope="module")
+def suite_and_config_profiles():
+    """The acceptance suite's profiles and those of every admissible
+    configs/*.json, kappa1 solved where the config asks for it."""
+    from kricci import cli
+
+    profiles = dict(acc.full_suite_profiles())
+    for path in sorted((pathlib.Path(__file__).resolve().parents[1] / "configs").glob("*.json")):
+        if path.name != "invalid-positive-charge.json":
+            doc = json.loads(path.read_text())
+            profiles[path.name] = build_profile(
+                cli._admissible_config(doc, doc["kappa1"] == "solve")[0])
+    return profiles
+
+
+def test_particular_polynomial_is_the_quadratic_sum(suite_and_config_profiles):
+    """Every unsnapped P and T0, of a profile or of its mirror, is bit for
+    bit the rounding of the exact P = -Q summed by _q_poly, and of T0 =
+    -P(0): the linear recurrence build_profile runs is exact."""
+    checked = 0
+    for name, parent in suite_and_config_profiles.items():
+        for prof in (parent, parent.mirror):
+            if prof is None or prof.kappa1 == 0.0 or prof.t0_snapped:
+                continue
+            Q = _q_poly(prof.psi_poly, Fraction(prof.kappa1))
+            assert prof.p_alpha == tuple(float(-c) for c in Q), name
+            assert prof.t0 == float(Q[0]), name
+            checked += 1
+    assert checked >= 10
+
+
+def test_only_open_profiles_snap_t0(suite_and_config_profiles):
+    """Snapping T0 is the noncompact existence condition: no compact
+    profile and no mirror reports a snapped T0, while the calibrated
+    noncompact shrinkers do."""
+    profiles = suite_and_config_profiles.values()
+    compact = [p for p in profiles if p.is_compact]
+    assert len(compact) >= 5 and all(p.mirror is not None for p in compact)
+    for prof in compact:
+        assert not prof.t0_snapped and not prof.mirror.t0_snapped
+    assert suite_and_config_profiles["noncompact-shrinker.json"].t0_snapped
+    assert suite_and_config_profiles["shrinking-noncompact"].t0_snapped
 
 
 @pytest.mark.parametrize("fixture", ["mixed_profile", "two_blowdowns_profile"])
@@ -308,6 +358,22 @@ def _mpq(c):
     return mp.mpf(c.numerator) / c.denominator
 
 
+def _q_poly(psi_poly, k):
+    """Q = sum_m Psi^(m)/k^(m+1) = -P exactly, summed derivative by
+    derivative in O(deg^2) Fraction operations."""
+    Q, der, power = [Fraction(0)] * len(psi_poly), list(psi_poly), k
+    while der:
+        for j, c in enumerate(der):
+            Q[j] += c / power
+        der, power = [j * c for j, c in enumerate(der)][1:], power * k
+    return Q
+
+
+def _zero_order(prof):
+    """The order to which v vanishes at s = 0."""
+    return next(j for j, c in enumerate(prof.v_poly) if c)
+
+
 def _closed_form_alpha(prof, points):
     """alpha = J/v at each point, at 50 digits, from the exact rational
     v_poly and psi_poly and the exact value of the float kappa1.
@@ -324,25 +390,16 @@ def _closed_form_alpha(prof, points):
     kappa1 = 0, Q is minus the antiderivative of Psi and the exponential
     is 1."""
     glued = prof.mirror is not None
-
-    def q_poly(k):
-        Q, der, power = [Fraction(0)] * len(prof.psi_poly), list(prof.psi_poly), k
-        while der:
-            for j, c in enumerate(der):
-                Q[j] += c / power
-            der, power = [j * c for j, c in enumerate(der)][1:], power * k
-        return Q
-
     k = Fraction(prof.kappa1)
     if k == 0:
         Q = [Fraction(0)] + [-c / (j + 1) for j, c in enumerate(prof.psi_poly)]
         calibrated = Q
     else:
-        Q = q_poly(k)
+        Q = _q_poly(prof.psi_poly, k)
         # Q(0) = sum_m m! psi_m / k^(m+1), so dQ(0)/dk = -sum_m (m+1)! psi_m / k^(m+2)
         dq0 = -sum(math.factorial(m + 1) * c / k ** (m + 2) for m, c in enumerate(prof.psi_poly))
-        calibrated = [Fraction(0) if j <= prof.zero_order else c
-                      for j, c in enumerate(q_poly(k - Q[0] / dq0))]
+        calibrated = [Fraction(0) if j <= _zero_order(prof) else c
+                      for j, c in enumerate(_q_poly(prof.psi_poly, k - Q[0] / dq0))]
     hi = prof.s_domain[1]
     with mp.workdps(50):
         def horner(coeffs, x):
@@ -395,7 +452,7 @@ def test_sample_alpha_matches_the_mpmath_closed_form(request, fixture):
     for x, a, c, ref in zip(s, values, cond, _closed_form_alpha(prof, s)):
         tol = 1e-14 + 8.0 * c * 2.0 ** -52
         assert abs(a - ref) <= tol * abs(ref), (x, a, mp.nstr(ref, 20), c)
-    if prof.zero_order:
+    if _zero_order(prof):
         assert any(d == SERIES_WINDOW for _, d in route_switches(prof))
 
 
@@ -452,7 +509,8 @@ def test_snapped_split_route_starts_where_it_is_better_conditioned(noncompact_pr
     and alpha's condition stays small on both sides."""
     prof = noncompact_profile
     assert prof.t0_snapped and prof.kappa1 * prof.split_from < 10.0
-    assert prof.p_alpha[:prof.zero_order + 1] == (0.0,) * (prof.zero_order + 1)
+    order = _zero_order(prof)
+    assert prof.p_alpha[:order + 1] == (0.0,) * (order + 1)
     assert ("zero", prof.split_from) in route_switches(prof)
     _, cond = alpha_and_condition(prof, np.geomspace(1e-3, 1e4, 4000))
     assert cond.max() <= 10.0
@@ -492,7 +550,9 @@ def test_sample_rejects_out_of_domain_points(steady_profile, mixed_profile):
 
 
 def test_structurally_broken_configs_do_not_build():
-    from kricci.model import BoundaryStructure, Collapse, FanoFactor, derive_config
+    """A positive first charge, and a compact interval at epsilon != -1,
+    where the mirrored configuration is not the reflected one."""
+    from kricci.model import BoundaryStructure, Collapse, CompactEnd, FanoFactor, derive_config
 
     cfg = derive_config(
         epsilon=-1,
@@ -501,4 +561,13 @@ def test_structurally_broken_configs_do_not_build():
         kappa1=0.7,
     )
     with pytest.raises(ValueError, match="inadmissible configuration"):
+        build_profile(cfg)
+    cfg = derive_config(
+        epsilon=Fraction(-1, 2),
+        factors=[FanoFactor(0, 1, -1), FanoFactor(2, 3, 1), FanoFactor(2, 3, -2)],
+        boundary=BoundaryStructure(Collapse.FACTOR, compact_end=CompactEnd(Collapse.CIRCLE)),
+        kappa1=0.39368379919727475,
+    )
+    with pytest.raises(ValueError, match="inadmissible configuration: .*closes alpha only at "
+                                         "epsilon = -1"):
         build_profile(cfg)
