@@ -175,7 +175,6 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-    elapsed: float
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -210,24 +209,20 @@ def criterion_1_exact_values() -> CriterionResult:
         1, "exact-obstruction-values", ok,
         f"{'; '.join(details)}; float rel err {worst_rel:.2e}; "
         + ("within the 1 s budget" if elapsed < 1.0 else f"over the 1 s budget ({elapsed:.2f} s)"),
-        elapsed,
     )
 
 
 def criterion_2_value_at_half() -> CriterionResult:
-    t0 = time.perf_counter()
     ev = futaki_integral(compact_mixed_charges(), 0.5)
     err = abs(ev.value - (-0.7289))
     ok = err < 5.0e-4
     return CriterionResult(
         2, "obstruction-at-half", ok,
         f"I(1/2) = {ev.value:.6f}, |diff from -0.7289| = {err:.2e}",
-        time.perf_counter() - t0,
     )
 
 
 def criterion_3_compact_roots() -> CriterionResult:
-    t0 = time.perf_counter()
     root_mixed = find_kappa1_compact(compact_mixed_charges())
     in_window = 0.0 < root_mixed.kappa1 < 0.5
     small = abs(root_mixed.residual) < 1.0e-10
@@ -242,12 +237,10 @@ def criterion_3_compact_roots() -> CriterionResult:
     return CriterionResult(
         3, "compact-roots", ok,
         f"{detail}; |I(root)| = {abs(root_mixed.residual):.2e}",
-        time.perf_counter() - t0,
     )
 
 
 def criterion_4_noncompact_root() -> CriterionResult:
-    t0 = time.perf_counter()
     rr = find_kappa1_noncompact(noncompact_shrinker_small())
     target = 1.0 / math.sqrt(2.0)
     err = abs(rr.kappa1 - target)
@@ -256,7 +249,6 @@ def criterion_4_noncompact_root() -> CriterionResult:
         4, "noncompact-root-certificate", ok,
         f"kappa1 = {rr.kappa1!r}, |diff from 1/sqrt(2)| = {err:.2e}, "
         f"certificate = {rr.uniqueness_certificate}",
-        time.perf_counter() - t0,
     )
 
 
@@ -276,7 +268,7 @@ def criterion_5_residual_suite() -> CriterionResult:
     t0 = time.perf_counter()
     worst_eq = 0.0
     worst_ci = 0.0
-    for name, prof in class_representatives().items():
+    for prof in class_representatives().values():
         grid = default_grid(prof)
         res = soliton_residuals(prof, sample(prof, grid))
         eq_max = max(
@@ -293,12 +285,10 @@ def criterion_5_residual_suite() -> CriterionResult:
         5, "residual-suite", ok,
         f"max residual {worst_eq:.2e}; first-integral span {worst_ci:.2e}; "
         + ("within the 10 s budget" if elapsed < 10.0 else f"over the 10 s budget ({elapsed:.2f} s)"),
-        elapsed,
     )
 
 
 def criterion_6_closed_forms() -> CriterionResult:
-    t0 = time.perf_counter()
     pts = np.linspace(0.0, 20.0, 50)
     prof_flat = build_profile(flat_config())
     prof_cigar = build_profile(cigar_config())
@@ -308,7 +298,6 @@ def criterion_6_closed_forms() -> CriterionResult:
     return CriterionResult(
         6, "closed-form-recovery", ok,
         f"max pointwise error {worst:.2e} on 50 points",
-        time.perf_counter() - t0,
     )
 
 
@@ -326,11 +315,10 @@ def full_suite_profiles() -> Dict[str, Profile]:
 
 
 def criterion_7_boundary_normalization() -> CriterionResult:
-    t0 = time.perf_counter()
     worst0 = 0.0
     worst_slope = 0.0
     worst_star = 0.0
-    for name, prof in full_suite_profiles().items():
+    for prof in full_suite_profiles().values():
         smp = sample(prof, 0.0)
         worst0 = max(worst0, abs(smp.alpha))
         worst_slope = max(worst_slope, abs(smp.dalpha - 2.0))
@@ -341,12 +329,10 @@ def criterion_7_boundary_normalization() -> CriterionResult:
         7, "boundary-normalization", ok,
         f"max |alpha(0)| {worst0:.2e}; max |alpha'(0)-2| {worst_slope:.2e}; "
         f"max |alpha(s*)| {worst_star:.2e}",
-        time.perf_counter() - t0,
     )
 
 
 def criterion_8_reflection_identity() -> CriterionResult:
-    t0 = time.perf_counter()
     cfg = compact_mixed_charges()
     worst = 0.0
     for k1 in (0.0, 0.3, -0.7):
@@ -356,12 +342,10 @@ def criterion_8_reflection_identity() -> CriterionResult:
     return CriterionResult(
         8, "reflection-identity", ok,
         f"worst relative mismatch {worst:.2e} at kappa1 in {{0, 0.3, -0.7}}",
-        time.perf_counter() - t0,
     )
 
 
 def criterion_9_asymptotic_slopes() -> CriterionResult:
-    t0 = time.perf_counter()
     prof_s = build_profile(steady_representative())
     a3, a4 = alpha(prof_s, np.array([1.0e3, 1.0e4]))
     steady_dev = abs(a4 / a3 - 1.0)
@@ -379,12 +363,10 @@ def criterion_9_asymptotic_slopes() -> CriterionResult:
         f"steady alpha(1e4)/alpha(1e3)-1 = {steady_dev:.4f}; "
         f"expanding alpha/s-1 = {exp_dev:.4f}; "
         f"shrinker kappa1*alpha/s-1 = {shr_dev:.4f}",
-        time.perf_counter() - t0,
     )
 
 
 def criterion_10_einstein_limit() -> CriterionResult:
-    t0 = time.perf_counter()
     grid = np.geomspace(1.0e-2, 100.0, 80)
     base = build_profile(steady_representative(kappa1=0))
     alpha0 = alpha(base, grid)
@@ -396,12 +378,10 @@ def criterion_10_einstein_limit() -> CriterionResult:
     return CriterionResult(
         10, "einstein-limit", ok,
         "sup|alpha_k - alpha_0| = " + ", ".join(f"{s:.4f}" for s in sups),
-        time.perf_counter() - t0,
     )
 
 
 def criterion_11_detuned_conservation() -> CriterionResult:
-    t0 = time.perf_counter()
     prof = build_profile(steady_representative(), e_star_shift=0.1)
     grid = default_grid(prof, n=120, s_max=10.0)
     vals = bianchi_quantity(prof, sample(prof, grid))
@@ -414,7 +394,6 @@ def criterion_11_detuned_conservation() -> CriterionResult:
         f"min |value| {floor:.2e} (needs >= 1e-3); the combination is "
         "identically zero for any constant offset, so the floor clause "
         "cannot hold",
-        time.perf_counter() - t0,
     )
 
 
@@ -434,7 +413,6 @@ def _flow_grid_deviation(prof: Profile, taus: Sequence[float], ts: Sequence[floa
 
 
 def criterion_12_flow_equation() -> CriterionResult:
-    t0 = time.perf_counter()
     reps = class_representatives()
     worst: Dict[str, float] = {}
     taus = np.linspace(-0.45, 0.45, 10)
@@ -450,7 +428,6 @@ def criterion_12_flow_equation() -> CriterionResult:
     return CriterionResult(
         12, "flow-equation", ok,
         f"max |dXi/dtau - udot(Xi)/(1+eps*tau)|: {detail}",
-        time.perf_counter() - t0,
     )
 
 

@@ -387,6 +387,9 @@ def cmd_solve(args) -> int:
 def cmd_futaki(args) -> int:
     doc = load_config(args.config)
     config = config_from_document(doc)
+    structural = validate(config).structural_violations()
+    if structural:
+        raise InadmissibleError("; ".join(structural))
     if not (config.is_compact and float(config.epsilon) < 0):
         raise InadmissibleError("the sweep needs a compact shrinking configuration")
     if args.steps < 2:

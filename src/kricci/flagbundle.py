@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from kricci.model import (
     BoundaryStructure,

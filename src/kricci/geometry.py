@@ -51,7 +51,13 @@ term is log(delta).  It is evaluated in log(delta), y or 2L - y, without
 forming delta, so t holds down to s = 5e-324 and F has no floor; t_of_s,
 which holds delta itself, reads it in place of e^y.  The series is
 trusted within rho/30 of its end, hence the end node.  Past the last node
-of an open profile G continues in y, as more quadrature leaves.
+of an open profile G continues on the nodes' own spacing in y, in blocks
+of 16 node intervals, each integrated on its own the first time a point
+needs it and then kept: a block is the same whatever batch or query first
+asked for it, so a point past the last node gets the same float alone or
+in any batch.  (numpy's matmul, on which the quadrature's sums run, rounds
+a row differently with the number of rows, so one quadrature of the whole
+stretch a batch needs would not be.)
 
 Inversion is safeguarded Newton in y over a whole batch of targets, on
 the leaves' polynomials, with dG/dy = delta*rate from the same leaf: a
@@ -60,9 +66,9 @@ it, a bisection whenever a step leaves the bracket, and a stop once the
 step is below 1e-14 in y (a relative tolerance in delta) or one float
 spacing of y.  Past the end node of a collapsed end the end rule's leading
 term, inverted, gives the start, one unit of y inside a bracket.  Past the
-last node of an open profile the bracket doubles in y until G at its end
-holds the target, and is beyond reach only where s or alpha leaves the
-floats.  t_of_s, s_of_t and flow_trajectory take arrays, and the flow
+last node of an open profile the table first grows block by block until G
+at its end holds every target; a target is beyond reach once the next
+block would end where s or alpha leaves the floats.  t_of_s, s_of_t and flow_trajectory take arrays, and the flow
 composes its three maps in y.
 """
 
@@ -70,9 +76,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial import legendre, polynomial
@@ -85,6 +91,8 @@ _HALF_NODES = 80
 _FOLD_SCALE = 0.4
 _D_MIN = 1.0e-8
 _S_MAX = 1.0e5
+#: node intervals in each block past the last node of an open table
+_FAR_BLOCK = 16
 #: s = e^y is a float below this y
 _Y_MAX = math.log(np.finfo(float).max)
 _GL_X, _GL_W = legendre.leggauss(8)
@@ -285,7 +293,9 @@ class _CumulativeIntegral:
 
     ``ends`` holds the end rule of each collapsed end, s = 0 and on a
     compact profile s*, as (C, rows): past the end node G = C + H at s = 0
-    and C - H at s*, H from _end_rule on the rows of _end_series.
+    and C - H at s*, H from _end_rule on the rows of _end_series.  ``far``
+    keeps the blocks of leaves past the last node of an open profile, as
+    _leaves returns them, in order from the last node (see _extended).
     """
 
     power: float
@@ -296,6 +306,7 @@ class _CumulativeIntegral:
     polys: np.ndarray
     breaks: Tuple[float, ...]
     ends: Tuple[Tuple[float, np.ndarray], ...]
+    far: List[tuple] = field(default_factory=list)
 
     def value(self, profile: Profile, y: np.ndarray, delta: Optional[np.ndarray] = None):
         """G and dG/dy at the points y; y = -inf and +inf are the collapsed
@@ -319,18 +330,26 @@ class _CumulativeIntegral:
         return out
 
     def _extended(self, profile: Profile, hi: float) -> "_CumulativeIntegral":
-        """The table of an open profile with leaves added past its last
-        node up to y = hi: G continues in y."""
-        edges, prefix = self.edges, self.prefix
-        if profile.is_compact or hi <= edges[-1]:
+        """The table of an open profile with the blocks of ``far`` added
+        past its last node, built first as far as the one that holds y = hi.
+        Block k is the quadrature of the k-th run of _FAR_BLOCK node
+        intervals at the nodes' own spacing, on its own, and is kept: a
+        leaf depends neither on how far a batch reaches nor on the queries
+        before it."""
+        edges, prefix, far = self.edges, self.prefix, self.far
+        if profile.is_compact or hi < edges[-1]:
             return self
-        more, more_polys, sums = _leaves(profile, self.power, self.factor, edges[-1], hi,
-                                         self.breaks)
-        added = _running_sum(np.concatenate([[prefix[-1], self.carry[-1]], sums[0]]))
-        return replace(self, edges=np.concatenate([edges, more[1:]]),
+        last, span = _far_layout(profile)
+        while not far or far[-1][0][-1] <= min(hi, _Y_MAX):
+            nodes = last + span * (len(far) + np.arange(_FAR_BLOCK + 1) / _FAR_BLOCK)
+            far.append(_leaves(profile, self.power, self.factor, nodes[:-1], nodes[1:],
+                               self.breaks))
+        more, polys, sums = zip(*far)
+        added = _running_sum(np.concatenate([[prefix[-1], self.carry[-1]], *(s[0] for s in sums)]))
+        return replace(self, edges=np.concatenate([edges, *(e[1:] for e in more)]),
                        prefix=np.concatenate([prefix, added[0][2:]]),
                        carry=np.concatenate([self.carry, added[1][2:]]),
-                       polys=np.dstack([self.polys, more_polys[0]]))
+                       polys=np.dstack([self.polys, *(p[0] for p in polys)]))
 
     def _on_leaves(self, y: np.ndarray):
         """G and dG/dy at points y between the end nodes: the prefix, and the
@@ -350,8 +369,17 @@ class _CumulativeIntegral:
     def invert(self, profile: Profile, target: np.ndarray, what: str) -> np.ndarray:
         """The points y where G = target, for each target; ``what`` names G
         in error messages."""
-        edges, prefix = self.edges, self.prefix
-        sign = 1.0 if prefix[-1] > prefix[0] else -1.0  # F falls if kappa1 < 0
+        sign = 1.0 if self.prefix[-1] > self.prefix[0] else -1.0  # F falls if kappa1 < 0
+        # past the last node of an open profile, blocks of far leaves until G
+        # at the end holds every target, within the floats of s and alpha
+        table, goal = self, np.max(sign * target, initial=-math.inf)
+        while not profile.is_compact and sign * table.prefix[-1] < goal:
+            end = table.edges[-1] + _far_layout(profile)[1]
+            a = profiles.alpha(profile, *_points(profile, np.array([min(end, _Y_MAX)])))
+            if not (end <= _Y_MAX and 0.0 < a[0] < math.inf):
+                raise ValueError(f"{what} = {sign * goal} beyond the reachable range")
+            table = self._extended(profile, table.edges[-1])
+        edges, prefix = table.edges, table.prefix
         # G at the collapsed ends: its constant C where finite (t), else infinite
         at_ends = np.array([c for c, _ in self.ends]) if self.power < 1.0 \
             else np.array([-sign, sign][:len(self.ends)]) * math.inf
@@ -367,10 +395,6 @@ class _CumulativeIntegral:
                                        where=rise != 0.0).clip(0.0, 1.0)
         y = np.where(gap[:, 0] <= 0.0, -math.inf, math.inf)
         solve = (gap[:, 0] > 0.0) & ~(profile.is_compact & (gap[:, -1] >= 0.0))
-        far = last & solve & (not profile.is_compact)
-        if far.any():
-            lo[far], hi[far] = self._reach(profile, target[far], sign, what)
-            x[far] = hi[far]
         for side, (const, rows) in enumerate(self.ends):
             # past an end node G = C +- H(log delta); H's leading term,
             # inverted, is well within one unit of the target in log delta
@@ -390,40 +414,12 @@ class _CumulativeIntegral:
             if not (np.isfinite(outer).all() and (miss <= 0.0).all()):
                 raise ValueError(f"{what} = {target[at][0]} is not bracketed past the end node")
 
-        table = self._extended(profile, hi[solve].max(initial=-math.inf))
-
         def residual(xs, live):
             g, dg = table.value(profile, xs)
             return g - target[solve][live], dg
 
         y[solve] = _newton(residual, lo[solve], hi[solve], x[solve])
         return y
-
-    def _reach(self, profile: Profile, target: np.ndarray, sign: float, what: str):
-        """A bracket [lo, hi] in y past the last node of an open profile for
-        each target: its length doubles until G(hi) holds the target, and it
-        is halved back wherever s or alpha leaves the float range at hi."""
-        lo = np.full(target.shape, self.edges[-1])
-        hi = np.full(target.shape, _Y_MAX)  # out of range, until G there holds the target
-        length = np.ones(target.shape)
-        live = np.arange(target.size)
-        while live.size:
-            probe = np.minimum(lo[live] + length[live], 0.5 * (lo[live] + hi[live]))
-            s, delta = _points(profile, probe)
-            a = profiles.alpha(profile, s, delta)
-            inside = (a > 0.0) & (a < math.inf)
-            holds = np.zeros(live.shape, dtype=bool)
-            reached = self.value(profile, probe[inside])[0] - target[live[inside]]
-            holds[inside] = sign * reached >= 0.0
-            hi[live[holds | ~inside]] = probe[holds | ~inside]
-            short = inside & ~holds
-            lo[live[short]] = probe[short]
-            length[live[short]] *= 2.0
-            stuck = hi[live] - lo[live] <= np.maximum(_NEWTON_TOL, np.spacing(hi[live]))
-            if (stuck & ~holds).any():
-                raise ValueError(f"{what} = {target[live].max()} beyond the reachable range")
-            live = live[~holds]
-        return lo, hi
 
 
 def _integrand(profile: Profile, power, factor, y: np.ndarray):
@@ -505,6 +501,13 @@ def _nodes(profile: Profile) -> np.ndarray:
     lower, upper = (_half_nodes(min(_D_MIN, p.series_reach), half)
                     for p in (profile, profile.mirror))
     return np.concatenate([lower, 2.0 * math.log(half) - upper[-2::-1]])
+
+
+def _far_layout(profile: Profile) -> Tuple[float, float]:
+    """The last node of an open profile, and the length in y of each block
+    of _FAR_BLOCK node intervals that its tables add past it."""
+    below, last = _nodes(profile)[-2:]
+    return last, _FAR_BLOCK * (last - below)
 
 
 def _half_nodes(low: float, high: float) -> np.ndarray:

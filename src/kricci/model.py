@@ -26,7 +26,7 @@ it does no floating-point numerics beyond simple comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -171,7 +171,6 @@ class SolitonConfig:
 class ValidationReport:
     soliton_class: SolitonClass
     violations: tuple
-    derived: dict = field(default_factory=dict)
 
     @property
     def admissible(self) -> bool:
@@ -436,21 +435,7 @@ def validate(config: SolitonConfig) -> ValidationReport:
                     f"class: noncompact-shrinker inequality -(N0+1)q < p failed for factor {i+1}"
                 )
 
-    soliton_class = classify(config)
-    derived = {
-        "E_star": config.E_star,
-        "sigmas": config.sigmas,
-        "c": config.c,
-        "s_star": config.s_star,
-        "class": soliton_class.value,
-        "n_zero": n0,
-        "n_star": config.n_star,
-    }
-    return ValidationReport(
-        soliton_class=soliton_class,
-        violations=tuple(v),
-        derived=derived,
-    )
+    return ValidationReport(soliton_class=classify(config), violations=tuple(v))
 
 
 def _close(a, b, tol: float = 1e-12) -> bool:

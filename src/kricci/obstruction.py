@@ -242,10 +242,15 @@ def find_kappa1_noncompact(config: SolitonConfig) -> RootResult:
             f"1); the configuration does not admit the standard growth argument"
         )
 
-    def g(y: float) -> float:
-        return polyexp.poly_eval(chi, float(y))
+    coeffs = [float(c) for c in reversed(chi)]   # Horner order, converted once
 
-    lo, glo = 0.0, g(0.0)
+    def g(y: float) -> float:
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * y + c
+        return acc
+
+    lo = 0.0
     hi = 1.0
     while g(hi) > 0:
         lo = hi

@@ -68,16 +68,6 @@ def poly_degree(p: RationalPoly) -> int:
     return len(p) - 1
 
 
-def poly_add(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
-
-
 def poly_neg(a: RationalPoly) -> RationalPoly:
     return [-c for c in a]
 

@@ -59,7 +59,6 @@ class ResidualGrid:
     r_base is a matrix with one row per factor.
     """
 
-    s_values: np.ndarray
     r_t: np.ndarray
     r_fibre: np.ndarray
     r_base: np.ndarray
@@ -102,7 +101,6 @@ def soliton_residuals(profile, smp: ProfileSample) -> ResidualGrid:
               + 0.5 * a * ratio * lv1 - 0.5 * a * ratio * dphi
               - p / b + 0.5 * q2 * a / (b * b) - 0.5 * eps)
     return ResidualGrid(
-        s_values=smp.s,
         r_t=r_t,
         r_fibre=r_fibre,
         r_base=r_base,
@@ -170,7 +168,6 @@ class TCoordinateResiduals:
     """Residuals of the t-coordinate system on the interior of a uniform
     grid (two points trimmed at each end by the 4th-order stencils)."""
 
-    t_indices: slice
     r_t: np.ndarray
     r_fibre: np.ndarray
     r_base: np.ndarray
@@ -210,7 +207,7 @@ def t_coordinate_residuals(h: float, f: Sequence[float],
 
     eps = float(epsilon)
     mid = slice(2, npts - 2)
-    fm, um = f[mid], u[mid]
+    fm = f[mid]
     df, d2f = _fd1(f, h), _fd2(f, h)
     du, d2u = _fd1(u, h), _fd2(u, h)
     dg = [_fd1(gi, h) for gi in g]
@@ -240,5 +237,4 @@ def t_coordinate_residuals(h: float, f: Sequence[float],
                      - du * ratio - ps[i] / gm[i] ** 2
                      + 0.5 * qs[i] ** 2 * fm ** 2 / gm[i] ** 4 - 0.5 * eps)
 
-    return TCoordinateResiduals(t_indices=mid, r_t=r_t, r_fibre=r_fibre,
-                                r_base=r_base)
+    return TCoordinateResiduals(r_t=r_t, r_fibre=r_fibre, r_base=r_base)

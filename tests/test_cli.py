@@ -169,18 +169,33 @@ def test_find_kappa_validates_the_config(tmp_path, capsys, middle):
     assert main(["solve", cfg]) == 3
 
 
+HALF_EPSILON_DOC = {
+    "epsilon": "-1/2",
+    "factors": [{"n": 0, "p": 1, "q": -1}, {"n": 2, "p": 3, "q": 1}, {"n": 2, "p": 3, "q": -2}],
+    "boundary": {"collapse_at_zero": "factor", "compact_end": {"collapse": "circle"}},
+    "kappa1": "solve",
+}
+
+
 @pytest.mark.parametrize("command", ["find-kappa", "solve"])
 def test_compact_config_off_epsilon_minus_one_is_inadmissible(tmp_path, capsys, command):
     """The compact existence condition and the interval length hold at
     epsilon = -1 only; elsewhere find-kappa used to return that root anyway."""
-    doc = {"epsilon": "-1/2",
-           "factors": [{"n": 0, "p": 1, "q": -1}, {"n": 2, "p": 3, "q": 1},
-                       {"n": 2, "p": 3, "q": -2}],
-           "boundary": {"collapse_at_zero": "factor", "compact_end": {"collapse": "circle"}},
-           "kappa1": "solve"}
-    assert main([command, write_config(tmp_path, doc)]) == 3
+    assert main([command, write_config(tmp_path, HALF_EPSILON_DOC)]) == 3
     assert ("epsilon = -1/2 on a compact interval, whose length s_star = 2(N0+N*+2) "
             "closes alpha only at epsilon = -1") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [json.loads((CONFIGS / "invalid-positive-charge.json").read_text()),
+                                 HALF_EPSILON_DOC], ids=["invalid-positive-charge", "half-epsilon"])
+def test_futaki_refuses_structural_violations(tmp_path, capsys, doc):
+    """futaki refuses a structurally broken config as solve does, with the
+    same message, in place of sweeping an integral that is not its own."""
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve", cfg]) == 3
+    refused = capsys.readouterr().err
+    assert main(["futaki", cfg, "--kappa-min", "-1", "--kappa-max", "1", "--steps", "5"]) == 3
+    assert capsys.readouterr().err == refused
 
 
 def test_reconstruct_table(tmp_path, capsys):

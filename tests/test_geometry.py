@@ -480,10 +480,33 @@ def test_interpolated_tables_match_fresh_quadrature(steady_profile, noncompact_p
 
 
 def test_open_tables_invert_as_far_as_the_target(flat_profile):
-    """Past the last node an open table's bracket grows in y until it holds
-    the target: on the flat cone s = t^2/2 out to t = 1e12 (s = 5e23)."""
-    t = np.array([1e3, 1e7, 1e9, 1e12])
+    """Past the last node an open table grows block by block until it holds
+    the target: on the flat cone s = t^2/2 out to t = 1e65 (s = 5e129).
+    The bracket that doubled in y up to the target once left Newton short
+    of its iterations at t = 1e60."""
+    t = np.array([1e3, 1e7, 1e9, 1e12, 1e60, 1e65])
     assert s_of_t(flat_profile, t) == pytest.approx(0.5 * t * t, rel=1e-13)
+
+
+@pytest.mark.parametrize("fixture", ["steady_profile", "expanding_profile", "flat_profile",
+                                     "noncompact_profile"])
+def test_far_queries_do_not_depend_on_the_batch(request, fixture):
+    """Past the last node an open table grows by blocks of node intervals,
+    each integrated on its own and kept, so a point gets the same float
+    alone, in a batch that reaches farther, and after that batch."""
+    prof = request.getfixturevalue(fixture)
+    config = prof.config
+    s = np.array([2e5, 1e6, 3e8])
+    t, far_t = t_of_s(build_profile(config), s), t_of_s(build_profile(config), 1e12)
+    queries = [(t_of_s, s, 1e12), (s_of_t, t, far_t)]
+    if prof.kappa1 != 0.0:
+        queries += [(lambda p, x, tau=tau: flow_trajectory(p, tau, x), t, far_t)
+                    for tau in (0.5, 0.9)]
+    for query, near, far in queries:
+        alone = [query(build_profile(config), np.array([x]))[0] for x in near]
+        warm = build_profile(config)
+        assert query(warm, np.append(near, far))[:-1].tolist() == alone
+        assert [query(warm, np.array([x]))[0] for x in near] == alone
 
 
 def test_unreachable_targets_stop_where_alpha_leaves_the_floats():
