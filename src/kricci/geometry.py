@@ -52,12 +52,12 @@ forming delta, so t holds down to s = 5e-324 and F has no floor; t_of_s,
 which holds delta itself, reads it in place of e^y.  The series is
 trusted within rho/30 of its end, hence the end node.  Past the last node
 of an open profile G continues on the nodes' own spacing in y, in blocks
-of 16 node intervals, each integrated on its own the first time a point
-needs it and then kept: a block is the same whatever batch or query first
-asked for it, so a point past the last node gets the same float alone or
-in any batch.  (numpy's matmul, on which the quadrature's sums run, rounds
-a row differently with the number of rows, so one quadrature of the whole
-stretch a batch needs would not be.)
+of 16 node intervals, each integrated on its own when first needed and
+kept while s and alpha are positive floats at its end, so a point read
+from its block gets the same float alone or in any batch, which one
+quadrature of a batch's whole stretch would not (numpy's matmul rounds a
+row differently with the number of rows).  From the first block out of
+reach on, a point is integrated alone from that block's start up to it.
 
 Inversion is safeguarded Newton in y over a whole batch of targets, on
 the leaves' polynomials, with dG/dy = delta*rate from the same leaf: a
@@ -68,15 +68,15 @@ spacing of y.  Past the end node of a collapsed end the end rule's leading
 term, inverted, gives the start, one unit of y inside a bracket.  Past the
 last node of an open profile the table first grows block by block until G
 at its end holds every target; a target is beyond reach once the next
-block would end where s or alpha leaves the floats.  t_of_s, s_of_t and flow_trajectory take arrays, and the flow
-composes its three maps in y.
+block would end where s or alpha leaves the floats.  t_of_s, s_of_t and
+flow_trajectory take arrays, and the flow composes its three maps in y.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -294,8 +294,8 @@ class _CumulativeIntegral:
     ``ends`` holds the end rule of each collapsed end, s = 0 and on a
     compact profile s*, as (C, rows): past the end node G = C + H at s = 0
     and C - H at s*, H from _end_rule on the rows of _end_series.  ``far``
-    keeps the blocks of leaves past the last node of an open profile, as
-    _leaves returns them, in order from the last node (see _extended).
+    keeps the blocks of leaves past the last node of an open profile, in
+    order from it, each as its edges, prefix, carry and polys (see _grow).
     """
 
     power: float
@@ -313,14 +313,15 @@ class _CumulativeIntegral:
         ends.  ``delta``, when given, is the distance of each point from the
         nearer end, which the end rule then reads in place of e^y."""
         edges = self.edges
+        leaves = (edges, self.prefix, self.carry, self.polys)
         inside = (y >= edges[0]) & (y <= edges[-1])
         if inside.all():
-            return self._on_leaves(y)
+            return _on_leaves(*leaves, y)
         out = np.empty((2,) + y.shape)
-        out[:, inside] = self._on_leaves(y[inside])
+        out[:, inside] = _on_leaves(*leaves, y[inside])
         for side, past in enumerate((y < edges[0], y > edges[-1])):
             if past.any() and side == len(self.ends):  # past the last node of an open profile
-                out[:, past] = self._extended(profile, y[past].max())._on_leaves(y[past])
+                out[:, past] = self._beyond(profile, y[past])
             elif past.any():
                 const, rows = self.ends[side]
                 fold = math.log(0.5 * profile.s_domain[1])
@@ -329,57 +330,63 @@ class _CumulativeIntegral:
                 out[:, past] = const - g if side else const + g, dg
         return out
 
-    def _extended(self, profile: Profile, hi: float) -> "_CumulativeIntegral":
-        """The table of an open profile with the blocks of ``far`` added
-        past its last node, built first as far as the one that holds y = hi.
-        Block k is the quadrature of the k-th run of _FAR_BLOCK node
-        intervals at the nodes' own spacing, on its own, and is kept: a
-        leaf depends neither on how far a batch reaches nor on the queries
-        before it."""
-        edges, prefix, far = self.edges, self.prefix, self.far
-        if profile.is_compact or hi < edges[-1]:
-            return self
+    def _beyond(self, profile: Profile, y: np.ndarray) -> np.ndarray:
+        """G and dG/dy at points y past the last node of an open profile,
+        each read from the far block whose (start, end] holds it alone.
+        From the first block out of reach on, a point is integrated alone
+        from that block's start, so alpha is read nowhere past it; where
+        alpha is inf, the rate is read as 0, as in the table itself."""
         last, span = _far_layout(profile)
-        while not far or far[-1][0][-1] <= min(hi, _Y_MAX):
-            nodes = last + span * (len(far) + np.arange(_FAR_BLOCK + 1) / _FAR_BLOCK)
-            far.append(_leaves(profile, self.power, self.factor, nodes[:-1], nodes[1:],
-                               self.breaks))
-        more, polys, sums = zip(*far)
-        added = _running_sum(np.concatenate([[prefix[-1], self.carry[-1]], *(s[0] for s in sums)]))
-        return replace(self, edges=np.concatenate([edges, *(e[1:] for e in more)]),
-                       prefix=np.concatenate([prefix, added[0][2:]]),
-                       carry=np.concatenate([self.carry, added[1][2:]]),
-                       polys=np.dstack([self.polys, *(p[0] for p in polys)]))
-
-    def _on_leaves(self, y: np.ndarray):
-        """G and dG/dy at points y between the end nodes: the prefix, and the
-        leaf's polynomials by Horner's rule."""
-        edges, prefix, carry = self.edges, self.prefix, self.carry
-        j = np.minimum(np.searchsorted(edges, y, side="right") - 1, len(edges) - 2)
-        v = 2.0 * (y - edges[j]) / (edges[j + 1] - edges[j])
-        coeffs = self.polys[:, :, j]
-        out = coeffs[-1].copy()
-        for c in coeffs[-2::-1]:
-            out *= v
-            out += c
-        rise = prefix[j + 1] - prefix[j] + (carry[j + 1] - carry[j])
-        out[0] = prefix[j] + (carry[j] + rise * out[0].clip(0.0, 1.0))
+        starts = last + span * np.arange(math.ceil((y.max() - last) / span) + 1.0)
+        k = np.searchsorted(starts, y) - 1
+        out = np.empty((2,) + y.shape)
+        for block in np.unique(k):
+            at = np.flatnonzero(k == block)
+            if self._block(profile, block) is not None:
+                out[:, at] = _on_leaves(*self.far[block], y[at])
+                continue
+            if not (_alpha_at(profile, y[at]) > 0.0).all():
+                raise ValueError(f"s = {math.exp(y[at].max()):.6g} beyond the reachable range")
+            reach = len(self.far)
+            for i in at:
+                piece = self._piece(profile, reach, starts[reach:reach + 1], y[i:i + 1])
+                out[:, i] = _on_leaves(*piece, y[i:i + 1])[:, 0]
         return out
+
+    def _block(self, profile: Profile, k: int):
+        """Far block k, the quadrature of the k-th run of _FAR_BLOCK node
+        intervals at the nodes' own spacing, on its own, so the same for any
+        query; integrated on first use and kept in ``far``.  None if it, or
+        a block before it, would end where s or alpha is not a float > 0."""
+        last, span = _far_layout(profile)
+        while len(self.far) <= k:
+            nodes = last + span * (len(self.far) + np.arange(_FAR_BLOCK + 1) / _FAR_BLOCK)
+            if not (nodes[-1] <= _Y_MAX and 0.0 < _alpha_at(profile, nodes[-1:])[0] < math.inf):
+                return None
+            self.far.append(self._piece(profile, len(self.far), nodes[:-1], nodes[1:]))
+        return self.far[k]
+
+    def _piece(self, profile: Profile, block: int, a: np.ndarray, b: np.ndarray):
+        """The leaves over the intervals [a, b] past the last node, with G
+        summed on from the start of far block ``block``, for _on_leaves."""
+        edges, polys, sums = _leaves(profile, self.power, self.factor, a, b, self.breaks)
+        _, prefix, carry, _ = self.far[block - 1] if block else (None, self.prefix, self.carry, None)
+        prefix, carry = _running_sum(np.concatenate([[prefix[-1], carry[-1]], sums[0]]))
+        return edges, prefix[1:], carry[1:], polys[0]
 
     def invert(self, profile: Profile, target: np.ndarray, what: str) -> np.ndarray:
         """The points y where G = target, for each target; ``what`` names G
         in error messages."""
         sign = 1.0 if self.prefix[-1] > self.prefix[0] else -1.0  # F falls if kappa1 < 0
-        # past the last node of an open profile, blocks of far leaves until G
-        # at the end holds every target, within the floats of s and alpha
-        table, goal = self, np.max(sign * target, initial=-math.inf)
-        while not profile.is_compact and sign * table.prefix[-1] < goal:
-            end = table.edges[-1] + _far_layout(profile)[1]
-            a = profiles.alpha(profile, *_points(profile, np.array([min(end, _Y_MAX)])))
-            if not (end <= _Y_MAX and 0.0 < a[0] < math.inf):
+        # past the last node of an open profile, far blocks until G at the end holds every target
+        blocks, goal = 0, np.max(sign * target, initial=-math.inf)
+        while not profile.is_compact and \
+                sign * (self.far[blocks - 1][1] if blocks else self.prefix)[-1] < goal:
+            if self._block(profile, blocks) is None:
                 raise ValueError(f"{what} = {sign * goal} beyond the reachable range")
-            table = self._extended(profile, table.edges[-1])
-        edges, prefix = table.edges, table.prefix
+            blocks += 1
+        edges, prefix = (np.concatenate([whole, *(part[1:] for part in parts)])
+                         for whole, *parts in zip((self.edges, self.prefix), *self.far[:blocks]))
         # G at the collapsed ends: its constant C where finite (t), else infinite
         at_ends = np.array([c for c, _ in self.ends]) if self.power < 1.0 \
             else np.array([-sign, sign][:len(self.ends)]) * math.inf
@@ -415,11 +422,34 @@ class _CumulativeIntegral:
                 raise ValueError(f"{what} = {target[at][0]} is not bracketed past the end node")
 
         def residual(xs, live):
-            g, dg = table.value(profile, xs)
+            g, dg = self.value(profile, xs)
             return g - target[solve][live], dg
 
         y[solve] = _newton(residual, lo[solve], hi[solve], x[solve])
         return y
+
+
+def _on_leaves(edges, prefix, carry, polys, y: np.ndarray):
+    """G and dG/dy at points y between the first and last of the ``edges``
+    of a table's leaves (see _CumulativeIntegral): the prefix, and the
+    leaf's polynomials by Horner's rule."""
+    j = np.minimum(np.searchsorted(edges, y, side="right") - 1, len(edges) - 2)
+    v = 2.0 * (y - edges[j]) / (edges[j + 1] - edges[j])
+    coeffs = polys[:, :, j]
+    out = coeffs[-1].copy()
+    for c in coeffs[-2::-1]:
+        out *= v
+        out += c
+    rise = prefix[j + 1] - prefix[j] + (carry[j + 1] - carry[j])
+    out[0] = prefix[j] + (carry[j] + rise * out[0].clip(0.0, 1.0))
+    return out
+
+
+def _alpha_at(profile: Profile, y: np.ndarray) -> np.ndarray:
+    """alpha at the points y of an open profile, inf where it overflows,
+    which is what the caller asks, so without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return profiles.alpha(profile, *_points(profile, np.minimum(y, _Y_MAX)))
 
 
 def _integrand(profile: Profile, power, factor, y: np.ndarray):
@@ -649,56 +679,30 @@ def completeness_report(profile: Profile) -> CompletenessReport:
     sign makes alpha vanish at finite s or grow exponentially; either way
     the geodesic length is finite and the metric is incomplete.
     """
-    cfg = profile.config
-    eps = float(cfg.epsilon)
-    k1 = profile.kappa1
+    eps, k1 = float(profile.config.epsilon), profile.kappa1
     slopes: Dict[str, float] = {}
-
     if profile.is_compact:
         length = t_of_s(profile, profile.s_domain[1])
         slopes["t_star"] = length
         return CompletenessReport(CompletenessClass.COMPACT, slopes, length)
 
-    def tail_diag() -> None:
+    if eps >= 0.0 and k1 > 0.0:  # alpha grows exponentially, finite total distance
+        if eps == 0.0:
+            slopes["alpha_growth_rate"] = k1
+        return CompletenessReport(
+            CompletenessClass.INCOMPLETE, slopes, t_of_s(profile, 200.0 / k1),
+            note="kappa1 > 0: exponential alpha growth, bounded geodesic distance")
+    if eps >= 0.0 or (k1 > 0.0 and profile.t0_snapped):  # the tail of alpha at s = 1e4
         a3, a4 = profiles.alpha(profile, np.array([1.0e3, 1.0e4])).tolist()
-        slopes["alpha_1e3"] = a3
-        slopes["alpha_1e4"] = a4
-        slopes["alpha_over_s_1e4"] = a4 / 1.0e4
-
-    if eps == 0.0:
-        if k1 < 0.0:
-            tail_diag()
-            slopes["alpha_tail_ratio"] = slopes["alpha_1e4"] / slopes["alpha_1e3"]
-            return CompletenessReport(
-                CompletenessClass.CIGAR_PARABOLOID, slopes, math.inf)
-        if k1 == 0.0:
-            tail_diag()
-            return CompletenessReport(
-                CompletenessClass.ASYMPTOTICALLY_CONICAL, slopes, math.inf,
-                note="kappa1 = 0: Einstein representative of the steady family")
-        # kappa1 > 0: alpha grows exponentially, finite total distance
-        length = t_of_s(profile, 200.0 / k1)
-        slopes["alpha_growth_rate"] = k1
+        slopes.update(alpha_1e3=a3, alpha_1e4=a4, alpha_over_s_1e4=a4 / 1.0e4)
+        if eps == 0.0 and k1 < 0.0:
+            slopes["alpha_tail_ratio"] = a4 / a3
+            return CompletenessReport(CompletenessClass.CIGAR_PARABOLOID, slopes, math.inf)
+        if eps < 0.0:  # calibrated noncompact shrinking
+            slopes["alpha_over_s_times_kappa1"] = slopes["alpha_over_s_1e4"] * k1
         return CompletenessReport(
-            CompletenessClass.INCOMPLETE, slopes, length,
-            note="kappa1 > 0: exponential alpha growth, bounded geodesic distance")
-
-    if eps > 0.0:
-        if k1 <= 0.0:
-            tail_diag()
-            return CompletenessReport(
-                CompletenessClass.ASYMPTOTICALLY_CONICAL, slopes, math.inf)
-        length = t_of_s(profile, 200.0 / k1)
-        return CompletenessReport(
-            CompletenessClass.INCOMPLETE, slopes, length,
-            note="kappa1 > 0: exponential alpha growth, bounded geodesic distance")
-
-    # noncompact shrinking
-    if k1 > 0.0 and profile.t0_snapped:
-        tail_diag()
-        slopes["alpha_over_s_times_kappa1"] = slopes["alpha_over_s_1e4"] * k1
-        return CompletenessReport(
-            CompletenessClass.ASYMPTOTICALLY_CONICAL, slopes, math.inf)
+            CompletenessClass.ASYMPTOTICALLY_CONICAL, slopes, math.inf,
+            note="kappa1 = 0: Einstein representative of the steady family" if eps == 0.0 else "")
     crossing = _alpha_zero_crossing(profile)
     if crossing is not None:
         slopes["alpha_zero_at_s"] = crossing

@@ -519,6 +519,46 @@ def test_unreachable_targets_stop_where_alpha_leaves_the_floats():
         s_of_t(prof, 1.001 * length)
 
 
+@pytest.mark.parametrize("fixture, s, asymptote", [
+    ("flat_profile", 1e307, lambda s: math.sqrt(2.0 * s)),
+    ("flat_profile", 8.9e307, lambda s: math.sqrt(2.0 * s)),
+    ("expanding_profile", 2.2e102, lambda s: 2.0 * math.sqrt(s)),
+    ("steady_profile", 2.5e153, lambda s: s / math.sqrt(2.0)),
+])
+def test_t_of_s_reaches_as_far_as_alpha_is_a_float(request, fixture, s, asymptote):
+    """A far block runs about 11x in s.  Where alpha leaves the floats
+    inside the block that holds s (flat: alpha = 2s overflows at 9e307;
+    expanding at 2.24e102; steady at 2.9e153), t is integrated from the
+    block's start up to s alone, the same float in a batch.  t meets its
+    asymptote: sqrt(2s) on the flat cone, 2 sqrt(s) with alpha ~ s, and
+    s/sqrt(2) with alpha ~ 2."""
+    config = request.getfixturevalue(fixture).config
+    t = t_of_s(build_profile(config), s)
+    assert t == pytest.approx(asymptote(s), rel=1e-13)
+    assert t_of_s(build_profile(config), np.array([2e5, s]))[1] == t
+
+
+@pytest.mark.parametrize("zero", [3e5, 9.9e5])
+def test_t_of_s_stops_short_of_a_zero_of_alpha_past_the_last_node(steady_profile, monkeypatch,
+                                                                  zero):
+    """completeness_report takes t just short of the first zero of alpha,
+    which it looks for up to s = 1e6, inside the first far block.  Here the
+    steady profile's alpha is made -1 from ``zero`` on.  t just short of it
+    reads no alpha past it, and is the unchanged profile's t."""
+    s = zero * (1.0 - 1e-9)
+    expected = t_of_s(build_profile(steady_profile.config), s)
+    kernel = profiles.alpha_and_condition
+
+    def with_a_zero(p, x, d=None):
+        a, cond = kernel(p, x, d)
+        return np.where(x < zero, a, -1.0), cond
+
+    monkeypatch.setattr(profiles, "alpha_and_condition", with_a_zero)
+    prof = build_profile(steady_profile.config)
+    assert geometry._alpha_zero_crossing(prof) == pytest.approx(zero, rel=1e-12)
+    assert t_of_s(prof, s) == pytest.approx(expected, rel=1e-14)
+
+
 def test_flow_near_the_compact_diameter(mixed_profile):
     """Past the last node F continues in y = 2 log(s*/2) - log(s* - s), so
     the flow works up to the diameter T, which it fixes.  At tau = 0.2 the
