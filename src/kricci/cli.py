@@ -16,15 +16,18 @@ Config files are JSON documents with the keys
 
 Rationals may be written as numbers or strings like "3/2".  Unknown keys
 anywhere in the document are rejected.  Exit codes: 0 success, 2 schema
-error (the document does not conform to the dialect above), 3 inadmissible
-configuration (it conforms but fails validation, has the wrong class for
-the command, or is compact with a kappa1 that misses the existence
-condition), 4 numeric failure.
+error (the document does not conform to the dialect above, or a flag value
+is malformed: a NaN or infinite --s-max, --t-max, --tau, --kappa-min or
+--kappa-max, an --s-max or --t-max <= 0, a --grid < 2 or a --steps < 2),
+3 inadmissible configuration (it conforms but fails validation, has the
+wrong class for the command, or is compact with a kappa1 that misses the
+existence condition), 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -47,6 +50,7 @@ from kricci.obstruction import (
     find_kappa1_compact,
     find_kappa1_noncompact,
     futaki_integral,
+    futaki_sweep,
 )
 from kricci.profiles import build_profile, sample
 from kricci.residuals import default_grid, soliton_residuals
@@ -392,10 +396,8 @@ def cmd_futaki(args) -> int:
         raise InadmissibleError("; ".join(structural))
     if not (config.is_compact and float(config.epsilon) < 0):
         raise InadmissibleError("the sweep needs a compact shrinking configuration")
-    if args.steps < 2:
-        raise SchemaError("--steps must be at least 2")
     ks = np.linspace(args.kappa_min, args.kappa_max, args.steps)
-    values = [futaki_integral(config, float(k)).value for k in ks]
+    values = futaki_sweep(config, ks.tolist())
     _write_csv(None, ["kappa1", "integral"], np.column_stack([ks, values]).tolist())
     for i in range(len(values) - 1):
         if values[i] == 0.0 or (values[i] < 0.0) != (values[i + 1] < 0.0):
@@ -438,8 +440,6 @@ def _admissible_profile(doc: Dict[str, Any]):
 def cmd_reconstruct(args) -> int:
     doc = load_config(args.config)
     profile = _admissible_profile(doc)
-    if args.t_max <= 0:
-        raise SchemaError("--t-max must be positive")
     if profile.is_compact:
         diameter = geometry.t_of_s(profile, profile.s_domain[1])
         if args.t_max > diameter:
@@ -483,7 +483,27 @@ def cmd_paper_examples(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_flags(args) -> None:
+    """Refuse the flag values no command can use, as schema errors."""
+    for flag in ("s_max", "t_max", "tau", "kappa_min", "kappa_max"):
+        value = getattr(args, flag, None)
+        if value is not None and not math.isfinite(value):
+            raise SchemaError(f"--{flag.replace('_', '-')} must be finite, got {value!r}")
+    for flag in ("s_max", "t_max"):
+        value = getattr(args, flag, None)
+        if value is not None and value <= 0:
+            raise SchemaError(f"--{flag.replace('_', '-')} must be positive")
+    for flag in ("grid", "steps"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 2:
+            raise SchemaError(f"--{flag} must be at least 2")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    main() call in the process; parse_args leaves no state on it.  It holds
+    no command function: main() looks up cmd_<command> when it runs."""
     parser = argparse.ArgumentParser(
         prog="kricci",
         description="Explicit cohomogeneity-one gradient Kahler-Ricci solitons: "
@@ -497,45 +517,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write the sample table here")
     p.add_argument("--s-max", type=float, dest="s_max", help="far end of the sampling grid")
     p.add_argument("--grid", type=int, help="number of grid points")
-    p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("futaki", help="sweep the existence integral over kappa1")
     p.add_argument("config")
     p.add_argument("--kappa-min", type=float, required=True)
     p.add_argument("--kappa-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.set_defaults(fn=cmd_futaki)
 
     p = sub.add_parser("find-kappa", help="solve the existence condition for kappa1")
     p.add_argument("config")
     p.add_argument("--out", help="write the JSON result here (default: stdout)")
-    p.set_defaults(fn=cmd_find_kappa)
 
     p = sub.add_parser("reconstruct", help="metric functions on a t-grid (CSV)")
     p.add_argument("config")
     p.add_argument("--t-max", type=float, required=True, dest="t_max")
     p.add_argument("--grid", type=int, help="number of grid points")
     p.add_argument("--csv", help="write the table here (default: stdout)")
-    p.set_defaults(fn=cmd_reconstruct)
 
     p = sub.add_parser("flow", help="self-similarity flow map at one flow time (CSV)")
     p.add_argument("config")
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--grid", type=int, help="number of grid points")
     p.add_argument("--csv", help="write the table here (default: stdout)")
-    p.set_defaults(fn=cmd_flow)
 
-    p = sub.add_parser("paper-examples", help="run the acceptance suite")
-    p.set_defaults(fn=cmd_paper_examples)
+    sub.add_parser("paper-examples", help="run the acceptance suite")
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        _check_flags(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except SchemaError as exc:
         return _fail(EXIT_SCHEMA, f"schema error: {exc}")
     except InadmissibleError as exc:

@@ -30,7 +30,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,7 +79,14 @@ def _weight_poly(config: SolitonConfig) -> list:
     return polyexp.build_shifted_product(shifts)
 
 
-def _end_rows(config: SolitonConfig, sides=(1, -1)):
+def _integral_at_zero(config: SolitonConfig, w: list) -> Fraction:
+    """I(0) = int x w dx over (-N0-1, N*+1), exactly."""
+    anti = polyexp.poly_antiderivative([Fraction(0)] + w)
+    return (polyexp.poly_eval(anti, config.n_star + 1)
+            - polyexp.poly_eval(anti, -config.n_zero - 1))
+
+
+def _end_rows(config: SolitonConfig, w: list, sides=(1, -1)):
     """The float coefficients of |w|, x|w| and x^2|w| in the distance d from
     an end, x = -N0-1 + d (side 1) or x = N*+1 - d (side -1), as rows per
     side, and the sign of w on the interval (|w| = sign w).  Summed at the
@@ -87,7 +94,6 @@ def _end_rows(config: SolitonConfig, sides=(1, -1)):
     where the mass is, so they cancel less, and their rates are positive,
     so they never overflow."""
     n0, n_star = config.n_zero, config.n_star
-    w = _weight_poly(config)
     sign = 1 if polyexp.poly_eval(w, Fraction(n_star - n0, 2)) > 0 else -1
     rows = {}
     for side in sides:
@@ -129,15 +135,25 @@ def futaki_integral(config: SolitonConfig, kappa1: float) -> FutakiEvaluation:
     end the measure leans towards, as the root finder sums it.
     """
     _require_compact_shrinker(config)
+    w = _weight_poly(config)
     if kappa1 == 0:
-        anti = polyexp.poly_antiderivative([Fraction(0)] + _weight_poly(config))
-        exact = (polyexp.poly_eval(anti, config.n_star + 1)
-                 - polyexp.poly_eval(anti, -config.n_zero - 1))
+        exact = _integral_at_zero(config, w)
         return FutakiEvaluation(kappa1=0.0, value=float(exact), exact_value=exact)
     kappa1 = float(kappa1)
-    rows, sign = _end_rows(config, (1 if kappa1 >= 0 else -1,))
+    rows, sign = _end_rows(config, w, (1 if kappa1 >= 0 else -1,))
     return FutakiEvaluation(kappa1=kappa1, value=_lean_integral(config, rows, sign, kappa1),
                             exact_value=None)
+
+
+def futaki_sweep(config: SolitonConfig, kappas: Sequence[float]) -> List[float]:
+    """``futaki_integral(config, k).value`` at every k, with w, its exact
+    integral at 0 and its end rows built once for the whole sweep."""
+    _require_compact_shrinker(config)
+    w = _weight_poly(config)
+    at_zero = float(_integral_at_zero(config, w))
+    rows, sign = _end_rows(config, w)
+    return [at_zero if k == 0 else _lean_integral(config, rows, sign, float(k))
+            for k in kappas]
 
 
 def find_kappa1_compact(config: SolitonConfig) -> RootResult:
@@ -161,10 +177,11 @@ def find_kappa1_compact(config: SolitonConfig) -> RootResult:
             f"the weight of the obstruction integral vanishes at x = {inside[0]} "
             f"inside ({-(n0 + 1)}, {n_star + 1}); no uniqueness certificate"
         )
-    if futaki_integral(config, 0).exact_value == 0:
+    w = _weight_poly(config)
+    if _integral_at_zero(config, w) == 0:
         return RootResult(kappa1=0.0, bracket=(0.0, 0.0), residual=0.0,
                           iterations=0, uniqueness_certificate=1)
-    rows, sign = _end_rows(config)
+    rows, sign = _end_rows(config, w)
 
     def mean_var(k: float) -> Tuple[float, float]:
         z, m1, m2 = _lean_sums(config, rows, k)

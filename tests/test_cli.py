@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kricci import acceptance, profiles
-from kricci.cli import main
+from kricci import acceptance, cli, profiles
+from kricci.cli import _write_csv, main
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -292,6 +292,87 @@ def test_non_finite_numbers_are_a_schema_error(tmp_path, capsys, doc):
     cfg = write_config(tmp_path, doc)   # json writes NaN / Infinity literals
     assert main(["solve", cfg]) == 2
     assert "schema error" in capsys.readouterr().err
+
+
+STEADY = str(CONFIGS / "steady.json")
+COMPACT = str(CONFIGS / "compact-shrinker.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", STEADY, "--tau", "nan"],
+    ["flow", STEADY, "--tau", "inf"],
+    ["flow", STEADY, "--tau", "0.3", "--grid", "0"],
+    ["solve", STEADY, "--grid", "0"],
+    ["solve", STEADY, "--grid", "-3"],
+    ["solve", STEADY, "--grid", "1"],
+    ["solve", STEADY, "--s-max", "0"],
+    ["solve", STEADY, "--s-max", "-1"],
+    ["solve", STEADY, "--s-max", "nan"],
+    ["solve", STEADY, "--s-max", "inf"],
+    ["reconstruct", STEADY, "--t-max", "1", "--grid", "0"],
+    ["reconstruct", STEADY, "--t-max", "nan"],
+    ["reconstruct", STEADY, "--t-max", "inf"],
+    ["futaki", COMPACT, "--kappa-min", "nan", "--kappa-max", "1", "--steps", "3"],
+    ["futaki", COMPACT, "--kappa-min", "-1", "--kappa-max", "inf", "--steps", "3"],
+], ids=lambda argv: " ".join(argv[:1] + argv[2:]))
+def test_malformed_flag_values_are_schema_errors(capsys, argv):
+    """A flag value no command can use is refused as the same value under a
+    document key is: exit 2, and no table."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("schema error: --")
+
+
+def test_a_rejected_call_leaves_the_shared_parser_as_it_was(tmp_path, capsys):
+    """After argparse refuses a call that set --csv, --grid and --out before
+    its bad value, a valid call in the same process prints what it prints
+    in a process of its own."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    alone = subprocess.run([sys.executable, "-m", "kricci.cli", "solve", STEADY],
+                           capture_output=True, text=True, env=env, timeout=300)
+    assert alone.returncode == 0, alone.stderr
+    leak = tmp_path / "leak"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", STEADY, "--csv", str(leak) + ".csv", "--out", str(leak) + ".json",
+              "--grid", "12", "--s-max", "wide"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["solve", STEADY]) == 0
+    assert capsys.readouterr().out == alone.stdout
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_runs_the_command_function_bound_when_it_runs(monkeypatch):
+    """The shared parser holds no command function, so a command replaced
+    after the parser was built (as a tracer wraps it) is the one that runs."""
+    assert main(["find-kappa", COMPACT, "--out", os.devnull]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_find_kappa", lambda args: calls.append(args.config) or 0)
+    assert main(["find-kappa", COMPACT]) == 0
+    assert calls == [COMPACT]
+
+
+def test_write_csv_matches_the_per_row_repr(tmp_path, capsys):
+    """Every float is written by its own repr, signed zero, subnormals,
+    NaN and infinities included, and an empty table is its header."""
+    def reference(header, rows):
+        lines = [",".join(header)]
+        lines.extend(",".join(map(repr, row)) for row in rows)
+        return "\n".join(lines) + "\n"
+
+    special = [-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, math.nan, math.inf, -math.inf]
+    rng = np.random.default_rng(7)
+    wide = (rng.standard_normal((200, 8)) * 10.0 ** rng.integers(-320, 300, (200, 8))).tolist()
+    for header, rows in [(["a", "b"], [special[i:i + 2] for i in range(0, 8, 2)]),
+                         (["v"], [[x] for x in special]),
+                         ([f"c{i}" for i in range(8)], [special] + wide),
+                         (["t", "xi"], [])]:
+        _write_csv(None, header, rows)
+        assert capsys.readouterr().out == reference(header, rows)
+        _write_csv(str(tmp_path / "table.csv"), header, rows)
+        assert (tmp_path / "table.csv").read_text() == reference(header, rows)
 
 
 def test_solve_requested_on_non_shrinker_is_inadmissible(tmp_path, capsys):

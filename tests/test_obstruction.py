@@ -28,6 +28,7 @@ from kricci.obstruction import (
     find_kappa1_compact,
     find_kappa1_noncompact,
     futaki_integral,
+    futaki_sweep,
     symmetry_identity_check,
 )
 
@@ -55,6 +56,17 @@ def test_float_value_away_from_zero():
     ev = futaki_integral(acc.compact_mixed_charges(), 0.5)
     assert ev.exact_value is None
     assert ev.value == pytest.approx(-0.7289221039962626, rel=1e-12)
+
+
+def test_sweep_gives_the_bits_of_one_integral_per_point():
+    """The sweep builds w and its end rows once; each value is still
+    futaki_integral's, bit for bit, on both ends and at an exact zero."""
+    kappas = [-3.7, -1.0, -0.25, -0.0, 0.0, 1e-300, 0.5, 2.0, 40.0]
+    for builder in acc.COMPACT_SUITE.values():
+        config = builder()
+        sweep = futaki_sweep(config, kappas)
+        assert list(map(repr, sweep)) == [repr(futaki_integral(config, k).value)
+                                          for k in kappas]
 
 
 def test_integral_matches_direct_quadrature():
