@@ -12,8 +12,9 @@ shrinkers, a moment polynomial for noncompact ones) that govern existence.
 
 Modules
 -------
-polyexp      exact rational polynomials and exp-weighted moment integrals
-model        problem data, derivation of constants, admissibility checks
+polyexp      exact integer polynomials and exp-weighted moment integrals
+model        problem data, derivation of constants, admissibility checks,
+             the exact core of a config
 profiles     closed-form solution profiles alpha, beta_i, phi and derivatives
 residuals    ODE residuals, first integral, conservation quantity
 obstruction  the existence integral and both root finders

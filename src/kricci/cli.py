@@ -44,7 +44,9 @@ from kricci.model import (
     FanoFactor,
     SolitonConfig,
     derive_config,
+    structural_violations,
     validate,
+    with_kappa1,
 )
 from kricci.obstruction import (
     find_kappa1_compact,
@@ -224,12 +226,14 @@ def _admissible_config(doc: Dict[str, Any], solve: bool):
     With `solve`, kappa1 is solved first; that needs a structurally sound
     shrinking instance, since class-tag violations about the placeholder
     kappa1 are expected at that stage.  The instance returned, solved or
-    not, passes every check of `validate`.
+    not, passes every check of `validate`.  The structural clauses do not
+    read kappa1, so they run once, before the root; the solved config keeps
+    the exact core the root finder built.
     """
     config = config_from_document(doc)
+    structural = structural_violations(config)
     root = None
     if solve:
-        structural = validate(config).structural_violations()
         if structural:
             raise InadmissibleError("; ".join(structural))
         if float(config.epsilon) >= 0:
@@ -243,14 +247,8 @@ def _admissible_config(doc: Dict[str, Any], solve: bool):
                 root = find_kappa1_noncompact(config)
         except (RuntimeError, ValueError) as exc:
             raise NumericFailure(str(exc)) from exc
-        config = derive_config(
-            epsilon=config.epsilon,
-            factors=config.factors,
-            boundary=config.boundary,
-            kappa1=root.kappa1,
-            kappa0=config.kappa0,
-        )
-    report = validate(config)
+        config = with_kappa1(config, root.kappa1)
+    report = validate(config, structural)
     if not report.admissible:
         raise InadmissibleError("; ".join(report.violations))
     return config, root, report
@@ -391,7 +389,7 @@ def cmd_solve(args) -> int:
 def cmd_futaki(args) -> int:
     doc = load_config(args.config)
     config = config_from_document(doc)
-    structural = validate(config).structural_violations()
+    structural = structural_violations(config)
     if structural:
         raise InadmissibleError("; ".join(structural))
     if not (config.is_compact and float(config.epsilon) < 0):

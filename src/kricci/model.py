@@ -20,17 +20,23 @@ The solution family is linear in s:
 
 and alpha is determined by a first-order linear ODE whose right-hand side is
 eps*s + E_star.  This module derives (E_star, sigma_i, c, s_star) from the
-boundary data and checks every algebraic constraint the family must satisfy;
-it does no floating-point numerics beyond simple comparisons.
+boundary data and checks every algebraic constraint the family must satisfy.
+It also builds a config's exact core (exact_core): its polynomials in
+integers, built once and read by the profile, the root finders and the
+obstruction integral; their float copies are the only floating point here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from kricci import polyexp
 from kricci.polyexp import as_rational
 
 Number = Union[int, float, Fraction]
@@ -121,6 +127,14 @@ class SolitonConfig:
     E_star:  right-hand-side constant of the alpha equation
              alpha' + alpha((log v)' - kappa1) = eps*s + E_star.
     c:       value of the first integral (= kappa1*(E_star - eps*kappa0)).
+    zero_indices, star_indices: the factors whose beta vanishes at s = 0
+             and at s_star, read off the sigmas (sigma_i = 0, sigma_i =
+             -s_star), so validate can hold them against the boundary
+             structure; n_zero and n_star, their total complex dimensions.
+    length:  L = n_zero + n_star + 2, the length of the obstruction
+             interval (-N0-1, N*+1).
+    core:    the exact core (exact_core), built on first use.  A replace()
+             drops it; with_kappa1 keeps it, since kappa1 does not enter it.
     """
 
     epsilon: Number
@@ -131,6 +145,24 @@ class SolitonConfig:
     sigmas: tuple
     E_star: Fraction
     c: Number
+    zero_indices: tuple = field(init=False, repr=False, compare=False)
+    star_indices: tuple = field(init=False, repr=False, compare=False)
+    n_zero: int = field(init=False, repr=False, compare=False)
+    n_star: int = field(init=False, repr=False, compare=False)
+    length: int = field(init=False, repr=False, compare=False)
+    core: Optional["ExactCore"] = field(init=False, default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        zero = tuple(i for i, s in enumerate(self.sigmas) if s == 0)
+        star = ()
+        if self.s_star is not None:
+            at_star = -self.s_star
+            star = tuple(i for i, s in enumerate(self.sigmas) if s == at_star)
+        n_zero = sum(self.factors[i].n for i in zero)
+        n_star = sum(self.factors[i].n for i in star)
+        for name, value in (("zero_indices", zero), ("star_indices", star), ("n_zero", n_zero),
+                            ("n_star", n_star), ("length", n_zero + n_star + 2)):
+            object.__setattr__(self, name, value)
 
     @property
     def r(self) -> int:
@@ -146,44 +178,51 @@ class SolitonConfig:
     def is_compact(self) -> bool:
         return self.boundary.compact_end is not None
 
-    def collapsing_zero_indices(self) -> tuple:
-        """Indices of factors whose beta vanishes at s = 0 (sigma_i = 0)."""
-        return tuple(i for i, s in enumerate(self.sigmas) if s == 0)
 
-    def collapsing_star_indices(self) -> tuple:
-        """Indices of factors whose beta vanishes at s = s_star."""
-        if self.s_star is None:
-            return ()
-        return tuple(i for i, s in enumerate(self.sigmas) if s == -self.s_star)
+@dataclass(frozen=True, eq=False)
+class ExactCore:
+    """The exact polynomials of a config, as integer coefficients (ascending)
+    over one positive denominator per family, so that int / den rounds each
+    once, as float(Fraction) does.
 
-    @property
-    def n_zero(self) -> int:
-        """Total complex dimension collapsing at s = 0."""
-        return sum(self.factors[i].n for i in self.collapsing_zero_indices())
+    ``v`` and ``psi``: v = prod_i beta_i^{n_i} and Psi = (E_star + eps s) v
+    in s, over ``den``.  On a compact shrinker (None elsewhere), the
+    obstruction weight w = prod_{n_i > 0} (x - p_i/q_i)^{n_i}: ``rows[side]``
+    holds the float coefficients of |w|, x|w| and x^2|w| in the distance d
+    from an end, x = -N0-1 + d (side 1) or x = N*+1 - d (side -1); ``sign``
+    is the sign of w on the interval (|w| = sign w, taken at its midpoint)
+    and ``at_zero`` is I(0) = int x w dx over it.
+    """
 
-    @property
-    def n_star(self) -> int:
-        """Total complex dimension collapsing at s = s_star."""
-        return sum(self.factors[i].n for i in self.collapsing_star_indices())
+    den: int
+    v: tuple
+    psi: tuple
+    rows: Optional[dict] = None
+    sign: int = 0
+    at_zero: Optional[Fraction] = None
 
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """``structural`` holds the violations of structural_violations(config),
+    ``at_kappa1`` those of the first integral and of the class sign
+    conditions on kappa1 (prefixed "class:")."""
+
     soliton_class: SolitonClass
-    violations: tuple
+    structural: tuple
+    at_kappa1: tuple
+
+    @property
+    def violations(self) -> tuple:
+        return self.structural + self.at_kappa1
 
     @property
     def admissible(self) -> bool:
-        return not self.violations
+        return not (self.structural or self.at_kappa1)
 
     def structural_violations(self) -> tuple:
-        """Violations that make the closed-form profile itself meaningless
-        (wrong boundary constants, nonpositive beta).  Class-level sign
-        conditions on kappa1 are excluded: profiles with the wrong kappa1
-        sign are still well-defined curves, merely geometrically incomplete,
-        and the geometry module probes exactly those.
-        """
-        return tuple(v for v in self.violations if not v.startswith("class:"))
+        """See structural_violations(config)."""
+        return self.structural
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +321,21 @@ def _base_class(config: SolitonConfig) -> SolitonClass:
     )
 
 
-def validate(config: SolitonConfig) -> ValidationReport:
-    """Check every algebraic admissibility condition of the instance.
-
-    Failures are report entries, never exceptions.  Entries prefixed
-    "class:" concern the sign conditions on kappa1 for the given soliton
-    class; all others are structural (see ValidationReport).
+def structural_violations(config: SolitonConfig) -> tuple:
+    """The violations that make the closed-form profile itself meaningless:
+    wrong boundary constants, an inconsistent E_star or sigma, nonpositive
+    beta.  None of these clauses reads kappa1 or c, so one pass serves the
+    config at every kappa1.  The class-level sign conditions on kappa1 are
+    not among them: profiles with the wrong kappa1 sign are still
+    well-defined curves, merely geometrically incomplete, and the geometry
+    module probes exactly those.
     """
     v: list = []
     factors = config.factors
     r = len(factors)
     eps = config.epsilon
-    cls = _base_class(config)
 
-    zero_set = set(config.collapsing_zero_indices())
-    star_set = set(config.collapsing_star_indices())
+    zero_set, star_set = set(config.zero_indices), set(config.star_indices)
     n0 = config.n_zero
 
     # -- boundary structure at s = 0
@@ -369,12 +408,6 @@ def validate(config: SolitonConfig) -> ValidationReport:
                     f"({lhs} != {config.E_star})"
                 )
 
-    # -- first integral constant
-    if config.kappa1 != 0:
-        resid = config.E_star - eps * config.kappa0 - config.c / config.kappa1
-        if not _close(resid, 0):
-            v.append(f"derived: first-integral constant inconsistent (residual {resid})")
-
     # -- beta positivity on the open interior
     hi = config.s_star
     for i, fac in enumerate(factors):
@@ -386,9 +419,33 @@ def validate(config: SolitonConfig) -> ValidationReport:
             interior_ok = b0 >= 0 and -fac.q > 0
         if not interior_ok:
             v.append(f"beta: beta_{i+1} is not positive on the open interior")
+    return tuple(v)
+
+
+def validate(config: SolitonConfig, structural: Optional[tuple] = None) -> ValidationReport:
+    """Check every algebraic admissibility condition of the instance.
+
+    Failures are report entries, never exceptions: the structural ones
+    (``structural`` when the caller already has structural_violations of
+    this config, or of it at another kappa1), then the first integral and
+    the class sign conditions on kappa1, prefixed "class:".
+    """
+    if structural is None:
+        structural = structural_violations(config)
+    v: list = []
+    eps = config.epsilon
+    cls = _base_class(config)
+    zero_set, star_set = set(config.zero_indices), set(config.star_indices)
+    n0 = config.n_zero
+
+    # -- first integral constant
+    if config.kappa1 != 0:
+        resid = config.E_star - eps * config.kappa0 - config.c / config.kappa1
+        if not _close(resid, 0):
+            v.append(f"derived: first-integral constant inconsistent (residual {resid})")
 
     # -- class-specific inequality families; n = 0 factors are skipped
-    active = [(i, f) for i, f in enumerate(factors) if f.n > 0]
+    active = [(i, f) for i, f in enumerate(config.factors) if f.n > 0]
     if cls is SolitonClass.STEADY:
         if config.is_compact:
             v.append("class: steady configurations on a compact s-interval are rejected")
@@ -435,7 +492,8 @@ def validate(config: SolitonConfig) -> ValidationReport:
                     f"class: noncompact-shrinker inequality -(N0+1)q < p failed for factor {i+1}"
                 )
 
-    return ValidationReport(soliton_class=classify(config), violations=tuple(v))
+    return ValidationReport(soliton_class=classify(config), structural=structural,
+                            at_kappa1=tuple(v))
 
 
 def _close(a, b, tol: float = 1e-12) -> bool:
@@ -467,3 +525,54 @@ def mirror_config(config: SolitonConfig) -> SolitonConfig:
         kappa1=config.kappa1,
         kappa0=config.kappa0,
     )
+
+
+def with_kappa1(config: SolitonConfig, kappa1: Number) -> SolitonConfig:
+    """``config`` at another kappa1, with c = kappa1 (E_star - eps kappa0) as
+    derive_config gives it.  It keeps config's exact core, which kappa1 does
+    not enter."""
+    k1 = _exact_or_float(kappa1)
+    out = replace(config, kappa1=k1, c=k1 * (config.E_star - config.epsilon * config.kappa0))
+    object.__setattr__(out, "core", config.core)
+    return out
+
+
+def v_psi(config: SolitonConfig, e: Fraction) -> Tuple[tuple, tuple, int]:
+    """v = prod_i beta_i^{n_i} and Psi = (e + eps s) v, exactly: their
+    integer coefficients in s and their common positive denominator."""
+    v, den = polyexp.linear_product([(-fac.q, -fac.q * as_rational(sig), fac.n)
+                                     for fac, sig in zip(config.factors, config.sigmas) if fac.n])
+    psi, psi_den = polyexp.linear_product([(config.epsilon, e, 1)], v, den)
+    return tuple(c * (psi_den // den) for c in v), tuple(psi), psi_den
+
+
+def exact_core(config: SolitonConfig) -> ExactCore:
+    """The exact core of ``config`` (ExactCore), built on the first call and
+    kept on the config."""
+    if config.core is None:
+        object.__setattr__(config, "core", _build_core(config))
+    return config.core
+
+
+def _build_core(config: SolitonConfig) -> ExactCore:
+    v, psi, den = v_psi(config, config.E_star)
+    if not config.is_compact or config.epsilon >= 0:
+        return ExactCore(den, v, psi)
+    w, w_den = polyexp.linear_product([(1, -fac.p / fac.q, fac.n)
+                                       for fac in config.factors if fac.n])
+    mid = config.n_star - config.n_zero  # 2^deg(w) w(mid/2): w's sign on the interval
+    sign = 1 if sum(c * mid ** k * 2 ** (len(w) - 1 - k) for k, c in enumerate(w)) > 0 else -1
+    rows, shifted = {}, {}
+    for side, end in ((1, -(config.n_zero + 1)), (-1, config.n_star + 1)):
+        xw = shifted[side] = [polyexp.taylor_shift(w, end)]  # x^j w in x - end, j = 0, 1, 2
+        for _ in range(2):
+            xw.append(polyexp.linear_product([(1, end, 1)], xw[-1])[0])
+        rows[side] = np.zeros((3, len(w) + 2))
+        for j, p in enumerate(xw):
+            rows[side][j, :len(p)] = [c / w_den for c in p]
+        rows[side] *= sign * side ** np.arange(len(w) + 2)  # |w| = sign w, and d = side (x - end)
+    xw = shifted[1][1]  # I(0) = int_0^L x w dd, over one common denominator
+    m = math.lcm(*range(1, len(xw) + 1))
+    at_zero = Fraction(sum(c * (m // (k + 1)) * config.length ** (k + 1) for k, c in enumerate(xw)),
+                       m * w_den)
+    return ExactCore(den, v, psi, rows, sign, at_zero)

@@ -32,11 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from kricci import polyexp
-from kricci.model import SolitonConfig, mirror_config
-from kricci.profiles import v_psi_polys
+from kricci.model import ExactCore, SolitonConfig, exact_core, mirror_config
 
 _MAX_BISECT = 200
 _MAX_NEWTON = 100
@@ -73,55 +70,24 @@ def _require_compact_shrinker(config: SolitonConfig) -> None:
         )
 
 
-def _weight_poly(config: SolitonConfig) -> list:
-    """w = prod_{n_i > 0} (x - p_i/q_i)^{n_i}, exactly."""
-    shifts = [(-fac.p / fac.q, fac.n) for fac in config.factors if fac.n > 0]
-    return polyexp.build_shifted_product(shifts)
-
-
-def _integral_at_zero(config: SolitonConfig, w: list) -> Fraction:
-    """I(0) = int x w dx over (-N0-1, N*+1), exactly."""
-    anti = polyexp.poly_antiderivative([Fraction(0)] + w)
-    return (polyexp.poly_eval(anti, config.n_star + 1)
-            - polyexp.poly_eval(anti, -config.n_zero - 1))
-
-
-def _end_rows(config: SolitonConfig, w: list, sides=(1, -1)):
-    """The float coefficients of |w|, x|w| and x^2|w| in the distance d from
-    an end, x = -N0-1 + d (side 1) or x = N*+1 - d (side -1), as rows per
-    side, and the sign of w on the interval (|w| = sign w).  Summed at the
-    end the measure leans towards (see _lean_sums), the sums expand about
-    where the mass is, so they cancel less, and their rates are positive,
-    so they never overflow."""
-    n0, n_star = config.n_zero, config.n_star
-    sign = 1 if polyexp.poly_eval(w, Fraction(n_star - n0, 2)) > 0 else -1
-    rows = {}
-    for side in sides:
-        end = -(n0 + 1) if side == 1 else n_star + 1
-        rows[side] = np.zeros((3, len(w) + 2))
-        for j in range(3):  # x^j w
-            shifted = polyexp.poly_shift([Fraction(0)] * j + w, end)
-            rows[side][j, :len(shifted)] = [float(c) for c in shifted]
-        rows[side] *= sign * side ** np.arange(len(w) + 2)  # |w| = sign w, and d = side (x - end)
-    return rows, sign
-
-
-def _lean_sums(config: SolitonConfig, rows: dict, k: float) -> list:
-    """Z, Z <x> and Z <x^2>: int_0^L e^{-2|k| d} x^j |w| dd at the end the
-    measure leans towards at kappa1 = k (the left one for k >= 0), from one
-    moments call.  Near the root Z <x> cancels, so each sum adds its rounded
-    terms exactly (math.fsum)."""
-    side = rows[1 if k >= 0 else -1]
-    length = config.n_zero + config.n_star + 2
+def _lean_sums(core: ExactCore, length: int, k: float) -> list:
+    """Z, Z <x> and Z <x^2>: int_0^L e^{-2|k| d} x^j |w| dd, L = ``length``,
+    at the end the measure leans towards at kappa1 = k (the left one for
+    k >= 0), from one moments call over the exact core's float rows.  Summed
+    at that end the sums expand about where the mass is, so they cancel
+    less, and their rates are positive, so they never overflow.  Near the
+    root Z <x> cancels, so each sum adds its rounded terms exactly."""
+    side = core.rows[1 if k >= 0 else -1]
     terms = side * polyexp.moments(2.0 * abs(k), [length], side.shape[1])[:, 0]
     return [math.fsum(row) for row in terms.tolist()]
 
 
-def _lean_integral(config: SolitonConfig, rows: dict, sign: int, k: float) -> float:
-    """I(k) = sign Z <x>, times e^{-2 k s*/2} for k < 0, whose sums start
-    at the right end (+-inf where that factor overflows)."""
-    value = sign * _lean_sums(config, rows, k)[1]
-    grow = -2.0 * k * (config.n_zero + config.n_star + 2)
+def _lean_integral(core: ExactCore, length: int, k: float, m1: float) -> float:
+    """I(k) = sign Z <x>, from the Z <x> that _lean_sums gave at k, times
+    e^{-2 k L} for k < 0, whose sums start at the right end (+-inf where
+    that factor overflows)."""
+    value = core.sign * m1
+    grow = -2.0 * k * length
     if grow > 709.0:  # exp overflow threshold for doubles
         return math.copysign(math.inf, value) if value else value
     return value * math.exp(grow) if grow > 0.0 else value
@@ -135,25 +101,19 @@ def futaki_integral(config: SolitonConfig, kappa1: float) -> FutakiEvaluation:
     end the measure leans towards, as the root finder sums it.
     """
     _require_compact_shrinker(config)
-    w = _weight_poly(config)
+    core = exact_core(config)
     if kappa1 == 0:
-        exact = _integral_at_zero(config, w)
-        return FutakiEvaluation(kappa1=0.0, value=float(exact), exact_value=exact)
+        return FutakiEvaluation(kappa1=0.0, value=float(core.at_zero), exact_value=core.at_zero)
     kappa1 = float(kappa1)
-    rows, sign = _end_rows(config, w, (1 if kappa1 >= 0 else -1,))
-    return FutakiEvaluation(kappa1=kappa1, value=_lean_integral(config, rows, sign, kappa1),
+    m1 = _lean_sums(core, config.length, kappa1)[1]
+    return FutakiEvaluation(kappa1=kappa1, value=_lean_integral(core, config.length, kappa1, m1),
                             exact_value=None)
 
 
 def futaki_sweep(config: SolitonConfig, kappas: Sequence[float]) -> List[float]:
-    """``futaki_integral(config, k).value`` at every k, with w, its exact
-    integral at 0 and its end rows built once for the whole sweep."""
-    _require_compact_shrinker(config)
-    w = _weight_poly(config)
-    at_zero = float(_integral_at_zero(config, w))
-    rows, sign = _end_rows(config, w)
-    return [at_zero if k == 0 else _lean_integral(config, rows, sign, float(k))
-            for k in kappas]
+    """``futaki_integral(config, k).value`` at every k, all read from the
+    config's one exact core."""
+    return [futaki_integral(config, k).value for k in kappas]
 
 
 def find_kappa1_compact(config: SolitonConfig) -> RootResult:
@@ -177,23 +137,23 @@ def find_kappa1_compact(config: SolitonConfig) -> RootResult:
             f"the weight of the obstruction integral vanishes at x = {inside[0]} "
             f"inside ({-(n0 + 1)}, {n_star + 1}); no uniqueness certificate"
         )
-    w = _weight_poly(config)
-    if _integral_at_zero(config, w) == 0:
+    core = exact_core(config)
+    if core.at_zero == 0:
         return RootResult(kappa1=0.0, bracket=(0.0, 0.0), residual=0.0,
                           iterations=0, uniqueness_certificate=1)
-    rows, sign = _end_rows(config, w)
 
-    def mean_var(k: float) -> Tuple[float, float]:
-        z, m1, m2 = _lean_sums(config, rows, k)
+    def mean_var(k: float) -> Tuple[float, float, float]:
+        """<x> and Var(x) at k, and the Z <x> they came from."""
+        z, m1, m2 = _lean_sums(core, config.length, k)
         if not (0.0 < z < math.inf and math.isfinite(m1) and math.isfinite(m2)):
             raise RuntimeError(f"the obstruction moments are not finite at kappa1 = {k!r}")
         mean = m1 / z
-        return mean, m2 / z - mean * mean
+        return mean, m2 / z - mean * mean, m1
 
     lo, hi = -math.inf, math.inf  # <x> > 0 at lo, < 0 at hi, and lo < k < hi
     k = 0.0
     for iterations in range(_MAX_NEWTON):
-        mean, var = mean_var(k)
+        mean, var, m1 = mean_var(k)
         if abs(mean) <= 8.0 * _EPS * math.sqrt(max(var, 0.0)):
             break
         lo_k, hi_k = (k, hi) if mean > 0 else (lo, k)
@@ -223,20 +183,18 @@ def find_kappa1_compact(config: SolitonConfig) -> RootResult:
 
     bracket = (beyond(-1.0) if math.isinf(lo) else lo,
                beyond(+1.0) if math.isinf(hi) else hi)
+    # the loop left off just after evaluating at k, so m1 is Z <x> there
     return RootResult(kappa1=k, bracket=bracket,
-                      residual=abs(_lean_integral(config, rows, sign, k)),
+                      residual=abs(_lean_integral(core, config.length, k, m1)),
                       iterations=iterations, uniqueness_certificate=1)
 
 
 def chi_poly(config: SolitonConfig) -> list:
     """chi(y) = sum_{k >= N0} k! a_k y^{k-N0} with a_k the coefficients of
     Psi = (E_star + eps*x) * prod beta_i(x)^{n_i}, exactly."""
-    _, psi = v_psi_polys(config, config.E_star)
-    n0 = next(k for k, c in enumerate(psi) if c != 0)
-    fact = math.factorial
-    return polyexp.poly_from_coeffs(
-        [fact(k) * psi[k] for k in range(n0, len(psi))]
-    )
+    core = exact_core(config)
+    n0 = next(k for k, c in enumerate(core.psi) if c != 0)
+    return [Fraction(math.factorial(k) * core.psi[k], core.den) for k in range(n0, len(core.psi))]
 
 
 def find_kappa1_noncompact(config: SolitonConfig) -> RootResult:

@@ -1,8 +1,9 @@
-"""Exact rational polynomial arithmetic and exp-weighted moment integrals.
+"""Exact polynomial arithmetic in integers and exp-weighted moment integrals.
 
-A polynomial is represented as a list of `fractions.Fraction` coefficients in
-ascending degree order with trailing zeros trimmed; the zero polynomial is
-the empty list.  All polynomial arithmetic is exact.
+An exact polynomial is a list of integer coefficients in ascending degree
+order with trailing zeros trimmed, over one positive denominator; the zero
+polynomial is the empty list.  Integer c / den rounds each coefficient once,
+as float(Fraction(c, den)) does.  All polynomial arithmetic is exact.
 
 The single numerical task of this module is the closed-form evaluation of
 
@@ -27,11 +28,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
-
-RationalPoly = list  # list[Fraction], ascending degree, trailing zeros trimmed
 
 _RationalLike = Union[int, str, Fraction]
 
@@ -43,117 +42,45 @@ def as_rational(x: _RationalLike) -> Fraction:
     """Coerce ints, Fractions, floats and strings like '3/2' to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)  # exact binary value
+    if isinstance(x, (int, str, float)):
+        return Fraction(x)  # a float's exact binary value
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-def poly_from_coeffs(coeffs: Iterable[_RationalLike]) -> RationalPoly:
-    """Build a polynomial from ascending coefficients, normalizing to Fraction."""
-    return _trim([as_rational(c) for c in coeffs])
-
-
-def _trim(coeffs: list) -> RationalPoly:
+def _trim(coeffs: list) -> list:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
 
 
-def poly_degree(p: RationalPoly) -> int:
-    """Degree of p; the zero polynomial has degree -1 by convention."""
-    return len(p) - 1
+def linear_product(factors: Sequence[tuple], coeffs: Sequence[int] = (1,),
+                   den: int = 1) -> Tuple[list, int]:
+    """The polynomial coeffs/den times prod (a x + b)^n over the (a, b, n)
+    triples, a and b rational: its integer coefficients, ascending with
+    trailing zeros trimmed, and their positive denominator."""
+    out = list(coeffs)
+    for a, b, n in factors:
+        a, b = as_rational(a), as_rational(b)
+        d = math.lcm(a.denominator, b.denominator)
+        a, b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+        for _ in range(n):
+            out = [a * lo + b * hi for lo, hi in zip([0] + out, out + [0])]
+            den *= d
+    return _trim(out), den
 
 
-def poly_neg(a: RationalPoly) -> RationalPoly:
-    return [-c for c in a]
-
-
-def poly_scale(a: RationalPoly, r: _RationalLike) -> RationalPoly:
-    r = as_rational(r)
-    if r == 0:
-        return []
-    return [c * r for c in a]
-
-
-def poly_mul(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    """Exact product; degree adds unless either factor is zero."""
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _trim(out)
-
-
-def poly_pow(a: RationalPoly, k: int) -> RationalPoly:
-    if k < 0:
-        raise ValueError("negative power of a polynomial")
-    out = [Fraction(1)]
-    for _ in range(k):
-        out = poly_mul(out, a)
-    return out
-
-
-def poly_derivative(a: RationalPoly) -> RationalPoly:
-    return _trim([c * i for i, c in enumerate(a)][1:])
-
-
-def poly_antiderivative(a: RationalPoly) -> RationalPoly:
-    """Antiderivative with zero constant term (exact)."""
-    return _trim([Fraction(0)] + [c / (i + 1) for i, c in enumerate(a)])
-
-
-def poly_eval(a: RationalPoly, x):
-    """Horner evaluation; exact when x is int/Fraction, float otherwise."""
-    if isinstance(x, (int, Fraction)):
-        acc = Fraction(0)
-    else:
-        acc = 0.0
-        a = [float(c) for c in a]
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def poly_shift(a: RationalPoly, h: _RationalLike) -> RationalPoly:
-    """Return the coefficients of a(x + h), exactly (Taylor shift), in
-    integers: with h = p/q, D the common denominator of a and n its degree,
-    a(x + h) = B(q x + p) / (D q^n), where B(z) = D q^n a(z/q)."""
-    h = as_rational(h)
-    if not a or h == 0:
-        return _trim([Fraction(c) for c in a])
-    p, q = h.numerator, h.denominator
-    n = len(a) - 1
-    den = math.lcm(*(c.denominator for c in a))
-    out = [c.numerator * (den // c.denominator) * q ** (n - j) for j, c in enumerate(a)]
-    # repeated synthetic division by (z + p) accumulates B(z + p)
+def taylor_shift(coeffs: Sequence[int], h: int) -> list:
+    """The integer coefficients of a(x + h), for integer coefficients a and
+    an integer h: repeated synthetic division by (x - h) gives a(x + h)."""
+    out = list(coeffs)
+    n = len(out) - 1
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
-            out[j] += p * out[j + 1]
-    return _trim([Fraction(c, den * q ** (n - j)) for j, c in enumerate(out)])
-
-
-def build_shifted_product(shifts: Sequence[tuple]) -> RationalPoly:
-    """Product of linear factors: prod_i (x + sigma_i)^{n_i}.
-
-    `shifts` is a sequence of (sigma, n) pairs; the empty product is 1.
-    """
-    out = [Fraction(1)]
-    for sigma, n in shifts:
-        if n < 0:
-            raise ValueError("negative multiplicity in shifted product")
-        out = poly_mul(out, poly_pow([as_rational(sigma), Fraction(1)], n))
+            out[j] += h * out[j + 1]
     return out
 
 
-def sign_changes(p: RationalPoly) -> int:
+def sign_changes(p: Sequence) -> int:
     """Number of sign changes in the nonzero coefficient sequence.
 
     By Descartes's rule of signs this bounds (and, modulo parity, counts)

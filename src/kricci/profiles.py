@@ -81,7 +81,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from kricci import polyexp
-from kricci.model import SolitonConfig, mirror_config, validate
+from kricci.model import SolitonConfig, exact_core, mirror_config, structural_violations, v_psi
 
 #: distance from the s = 0 end (with vanishing v) below which its series is used
 SERIES_WINDOW = 1e-3
@@ -144,11 +144,13 @@ class ProfileSample:
 class Profile:
     """A fully precomputed solution profile.
 
-    ``v_poly`` and ``psi_poly`` are exact rational polynomials; everything
-    else is float machinery derived from them once at build time.  The object
-    is immutable after construction apart from ``_integrals``, the lazy cache
-    of the geometry module's t and F tables ("t", and "F" where kappa1 != 0),
-    built in one pass.
+    ``v_poly`` and ``psi_poly`` are v and Psi exactly, as integer
+    coefficients over their common denominator ``poly_den`` (the config's
+    exact core, reflected on a mirror); everything else is float machinery
+    derived from them once at build time.  The object is immutable after
+    construction apart from ``_integrals``, the lazy cache of the geometry
+    module's t and F tables ("t", and "F" where kappa1 != 0), built in one
+    pass.
     ``p_alpha`` is the float particular polynomial P (None when kappa1 = 0)
     and ``t0`` the float T0, 0.0 where it was snapped.
     ``split_from`` is the s beyond which J takes the split route (inf when
@@ -169,8 +171,9 @@ class Profile:
     """
 
     config: SolitonConfig
-    v_poly: list
-    psi_poly: list
+    v_poly: tuple
+    psi_poly: tuple
+    poly_den: int
     s_domain: Tuple[float, float]
     E_eff: Fraction
     kappa1: float
@@ -197,20 +200,6 @@ class Profile:
         return self.kappa1 != 0.0 and self.t0 == 0.0
 
 
-def v_psi_polys(config: SolitonConfig, e_star: Fraction) -> Tuple[list, list]:
-    """v = prod_i beta_i^{n_i} and Psi = (e_star + eps*x)*v, exactly."""
-    shifts = []
-    const = Fraction(1)
-    for fac, sig in zip(config.factors, config.sigmas):
-        if fac.n == 0:
-            continue
-        shifts.append((polyexp.as_rational(sig), fac.n))
-        const *= (-fac.q) ** fac.n
-    v_poly = polyexp.poly_scale(polyexp.build_shifted_product(shifts), const)
-    psi_poly = polyexp.poly_mul([e_star, polyexp.as_rational(config.epsilon)], v_poly)
-    return v_poly, psi_poly
-
-
 def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profile:
     """Assemble the closed-form profile for an admissible configuration.
 
@@ -219,45 +208,51 @@ def build_profile(config: SolitonConfig, *, e_star_shift: float = 0.0) -> Profil
     exists to produce deliberately detuned profiles for conservation-law
     diagnostics; the default 0.0 is the actual solution.
     """
-    report = validate(config)
-    structural = report.structural_violations()
+    structural = structural_violations(config)
     if structural:
         raise ValueError("inadmissible configuration: " + "; ".join(structural))
-    return _build(config, config.E_star + polyexp.as_rational(e_star_shift))
+    e_eff = config.E_star + polyexp.as_rational(e_star_shift)
+    core = exact_core(config)
+    polys = (core.v, core.psi, core.den) if e_eff == config.E_star else v_psi(config, e_eff)
+    return _build(config, e_eff, polys)
 
 
-def _build(config: SolitonConfig, e_eff: Fraction, mirror: bool = False) -> Profile:
+def _build(config: SolitonConfig, e_eff: Fraction, polys: tuple, mirror: bool = False) -> Profile:
     """The profile of ``config`` with E_star replaced by ``e_eff`` in the
-    alpha equation.  A compact one at a calibrated kappa1 glues on its
-    mirror: the same construction on the mirrored configuration at -kappa1,
-    where E_eff becomes -(eps s_star + E_eff).  ``mirror`` marks that one:
-    it glues nothing on, and its series window is capped at s_star/2.
+    alpha equation, whose v and Psi are ``polys`` = (v, Psi, denominator).
+    A compact one at a calibrated kappa1 glues on its mirror: the same
+    construction on the mirrored configuration at -kappa1, where E_eff
+    becomes -(eps s_star + E_eff), and v and Psi are the parent's at
+    s_star - delta, Psi negated.  ``mirror`` marks that one: it glues
+    nothing on, and its series window is capped at s_star/2.
     """
     k1 = float(config.kappa1)
-    v_poly, psi_poly = v_psi_polys(config, e_eff)
+    v_poly, psi_poly, den = polys
     if config.epsilon != 0:
-        degree = sum(f.n for f in config.factors) + 1
-        assert polyexp.poly_degree(psi_poly) == degree
+        assert len(psi_poly) == sum(f.n for f in config.factors) + 2
 
-    taylor_table = _taylor_table(psi_poly)
+    taylor_table = _taylor_table(psi_poly, den)
     zero_order = next(j for j, c in enumerate(v_poly) if c)  # of v at s = 0
     p_alpha: Optional[Tuple[float, ...]] = None
     t0 = 0.0
     split_from = math.inf
     if k1 != 0.0:
         # the particular polynomial P = -sum_m Psi^(m)/kappa1^(m+1) solves
-        # P' - kappa1 P = Psi: exactly, from the top coefficient down; and
-        # the terms m! psi_m / kappa1^(m+1) of T0 = -P(0)
-        kr = Fraction(k1)
-        pa = [Fraction(0)] * (len(psi_poly) + 1)
-        for j in range(len(psi_poly) - 1, -1, -1):
-            pa[j] = ((j + 1) * pa[j + 1] - psi_poly[j]) / kr
-        terms = [math.factorial(m) * c / kr ** (m + 1) for m, c in enumerate(psi_poly)]
-        p_float = np.array([float(c) for c in pa[:-1]])
-        t0 = float(sum(terms))
+        # P' - kappa1 P = Psi: exactly, from the top coefficient down, with
+        # kappa1 = a/b and P_j = y_j / (den a^(n-j)) in integers; and the
+        # terms m! psi_m / kappa1^(m+1) of T0 = -P(0), over den a^n
+        a, b = k1.as_integer_ratio()
+        n = len(psi_poly)
+        y, p_float = 0, np.zeros(n)
+        for j in range(n - 1, -1, -1):
+            y = b * ((j + 1) * y - psi_poly[j] * a ** (n - j - 1))
+            p_float[j] = y / (den * a ** (n - j))
+        terms = [math.factorial(m) * c * b ** (m + 1) for m, c in enumerate(psi_poly)]
+        t0 = sum(t * a ** (n - 1 - m) for m, t in enumerate(terms)) / (den * a ** n)
         t0_scale = 0.0
         dt0 = 0.0   # dT0/dkappa1, which does not cancel at a simple root
-        for m, t_float in enumerate(map(float, terms)):
+        for m, t in enumerate(terms):
+            t_float = t / (den * a ** (m + 1))
             t0_scale += abs(t_float)
             dt0 -= (m + 1) * t_float / k1
         if not config.is_compact and abs(t0) <= _SNAP_REL * t0_scale:
@@ -289,30 +284,38 @@ def _build(config: SolitonConfig, e_eff: Fraction, mirror: bool = False) -> Prof
                 i_star, scale = taylor_table[0] @ moments, np.abs(taylor_table[0]) @ moments
             if scale < math.inf and abs(i_star) <= _SNAP_REL * max(1e-300, scale):
                 e_hat = -(polyexp.as_rational(config.epsilon) * config.s_star + e_eff)
+                s_star = int(config.s_star)  # 2 (N0 + N* + 2)
+                reflected = (_reflect(v_poly, s_star, 1), _reflect(psi_poly, s_star, -1), den)
                 glued = _build(mirror_config(replace(config, kappa1=-config.kappa1)), e_hat,
-                               mirror=True)
-    v_float = tuple(float(c) for c in v_poly)
+                               reflected, mirror=True)
+    v_float = tuple(c / den for c in v_poly)
     reach = _series_reach(config)
     cap = 0.5 * s_hi if mirror else (SERIES_WINDOW if zero_order else 0.0)
     return Profile(
         config=config,
         v_poly=v_poly,
         psi_poly=psi_poly,
+        poly_den=den,
         s_domain=(0.0, s_hi),
         E_eff=e_eff,
         kappa1=k1,
         kappa0=float(config.kappa0),
-        psi_antideriv=tuple(float(c) for c in polyexp.poly_antiderivative(psi_poly)),
+        psi_antideriv=(0.0, *(c / (den * (j + 1)) for j, c in enumerate(psi_poly))) if psi_poly else (),
         p_alpha=p_alpha,
         t0=t0,
         split_from=split_from,
         v_float=v_float,
         series_reach=reach,
         series_window=min(cap, reach),
-        zero_series=_series_at_zero(k1, psi_poly, v_float, zero_order),
+        zero_series=_series_at_zero(k1, [c / den for c in psi_poly], v_float, zero_order),
         taylor_table=taylor_table,
         mirror=glued,
     )
+
+
+def _reflect(coeffs: tuple, h: int, sign: int) -> tuple:
+    """sign * a(h - x), exactly, for integer coefficients a and integer h."""
+    return tuple(c * sign * (-1) ** j for j, c in enumerate(polyexp.taylor_shift(coeffs, h)))
 
 
 def _series_reach(config: SolitonConfig) -> float:
@@ -323,14 +326,15 @@ def _series_reach(config: SolitonConfig) -> float:
     return float(min((abs(z) for z in zeros if z != 0), default=math.inf)) / _REACH
 
 
-def _taylor_table(psi_poly: list) -> np.ndarray:
+def _taylor_table(psi_poly: tuple, den: int) -> np.ndarray:
     """The float coefficients of Psi^(m)/m!, one zero-padded row per m:
-    row m holds binom(m + j, m) psi_{m+j}, each rounded once."""
+    row m holds binom(m + j, m) psi_{m+j}, each rounded once, from Psi's
+    integer coefficients over ``den``."""
     n = len(psi_poly)
     table = np.zeros((n, n))
     for m in range(n):
         for j, c in enumerate(psi_poly[m:]):
-            table[m, j] = c.numerator * math.comb(m + j, m) / c.denominator
+            table[m, j] = c * math.comb(m + j, m) / den
     return table
 
 
@@ -529,19 +533,19 @@ def route_switches(profile: Profile) -> List[Tuple[str, float]]:
     return out
 
 
-def _series_at_zero(k: float, psi_poly: list, v_float: Sequence[float],
+def _series_at_zero(k: float, p_f: Sequence[float], v_float: Sequence[float],
                     order: int) -> Tuple[float, ...]:
     """Taylor coefficients of alpha in s about s = 0, at kappa1 = ``k``,
-    where v vanishes to the order ``order``.
+    from the float coefficients ``p_f`` of Psi and ``v_float`` of v, where
+    v vanishes to the order ``order``.
 
     J(s) = e^{k s} int_0^s Psi(x) e^{-k x} dx is expanded by convolution
     and divided by the expansion of v.  The convolution is done in floats;
-    the vanishing orders are exact because the rational polynomials carry
+    the vanishing orders are exact because the exact polynomials carry
     exact zero coefficients.  At a point end v does not vanish and the
     division has the lead v(0).
     """
     length = order + _SERIES_TERMS + 2
-    p_f = [float(c) for c in psi_poly]
     v_f = list(v_float) + [0.0] * length
 
     e_minus = [1.0]

@@ -71,8 +71,9 @@ def mp_alpha():
     so nothing cancels near s = 0.  On a mirror, s is the distance from s*."""
     def of(prof):
         k = mp.mpf(prof.kappa1)
-        psi = [(j, mp.mpf(c.numerator) / c.denominator) for j, c in enumerate(prof.psi_poly) if c]
-        v = [mp.mpf(c.numerator) / c.denominator for c in reversed(prof.v_poly)]
+        den = mp.mpf(prof.poly_den)
+        psi = [(j, mp.mpf(c) / den) for j, c in enumerate(prof.psi_poly) if c]
+        v = [mp.mpf(c) / den for c in reversed(prof.v_poly)]
 
         def alpha(s):
             s = mp.mpf(s)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kricci import acceptance, cli, profiles
+from kricci import acceptance, cli, model, profiles
 from kricci.cli import _write_csv, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,6 +108,41 @@ def test_solve_samples_its_grid_in_one_call(tmp_path, capsys, monkeypatch, name)
     capsys.readouterr()
     assert calls == [(40,)]
     assert len(csv_path.read_text().splitlines()) == 41
+
+
+def _count_calls(monkeypatch, counts, real, name):
+    """Replace ``real`` wherever a kricci module holds it by a wrapper that
+    counts its calls in ``counts[name]``."""
+    counts[name] = 0
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("kricci"):
+            for attr, obj in list(vars(module).items()):
+                if obj is real:
+                    monkeypatch.setattr(module, attr, counted)
+
+
+@pytest.mark.parametrize("argv, cores, mirrors", [
+    (["find-kappa", str(CONFIGS / "compact-shrinker.json")], 1, 0),
+    (["solve", str(CONFIGS / "compact-shrinker.json"), "--grid", "24"], 1, 1),
+    (["solve", str(CONFIGS / "noncompact-shrinker.json"), "--grid", "24"], 1, 0),
+])
+def test_one_exact_core_and_one_validate_per_command(capsys, monkeypatch, argv, cores, mirrors):
+    """A command builds its config's exact core once: the root finder, the
+    futaki block and the profile read it, and the mirror's v and Psi are
+    the parent's reflected.  The full validate runs once, on the solved
+    config; the structural clauses ran before the root."""
+    counts = {}
+    for real, name in ((model._build_core, "core"), (model.validate, "validate"),
+                       (model.mirror_config, "mirror")):
+        _count_calls(monkeypatch, counts, real, name)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert counts == {"core": cores, "validate": 1, "mirror": mirrors}
 
 
 def test_csv_values_round_trip_to_doubles(tmp_path):

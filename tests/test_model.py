@@ -1,5 +1,6 @@
 """Constant derivation, admissibility checking, and classification."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,9 @@ from kricci.model import (
     classify,
     derive_config,
     mirror_config,
+    structural_violations,
     validate,
+    with_kappa1,
 )
 
 COMPACT = BoundaryStructure(Collapse.FACTOR, CompactEnd(Collapse.FACTOR))
@@ -208,8 +211,8 @@ def test_factor_input_guards():
 
 def test_collapsing_index_bookkeeping():
     cfg = mixed_charges()
-    assert cfg.collapsing_zero_indices() == (0,)
-    assert cfg.collapsing_star_indices() == (3,)
+    assert cfg.zero_indices == (0,)
+    assert cfg.star_indices == (3,)
     assert cfg.r == 4
 
 
@@ -220,3 +223,37 @@ def test_degenerate_sigma_with_circle_collapse_is_flagged():
     )
     report = validate(cfg)
     assert any("circle-only collapse" in v for v in report.violations)
+
+
+def test_collapsing_dimensions_are_read_off_the_sigmas():
+    """n_zero and n_star count every factor whose sigma puts its beta to
+    zero at an end, as validate needs them, not the factors the boundary
+    marks (derive_config's count, which fixed E_star = 2(1 + 1)): here a
+    second factor with sigma = 0 makes N0 = 3, and validate flags it.  The
+    counts hold after a replace() of kappa1, which rebuilds them, and in
+    with_kappa1, which keeps the structural clauses' verdict."""
+    cfg = derive_config(
+        epsilon=0, factors=[FanoFactor(1, 2, -1), FanoFactor(2, 3, -3)],
+        boundary=OPEN, kappa1=-1, sigmas=(0, 0),
+    )
+    report = validate(cfg)
+    assert "boundary: sigma_2 = 0 on a non-collapsing factor (degenerate)" in report.violations
+    assert "derived: E_star = 4 but collapse at zero gives 8" in report.violations
+    for c in (cfg, dataclasses.replace(cfg, kappa1=-2), with_kappa1(cfg, -0.5)):
+        assert (c.zero_indices, c.n_zero, c.n_star, c.length) == ((0, 1), 3, 0, 5)
+        assert structural_violations(c) == report.structural_violations()
+    compact = dataclasses.replace(mixed_charges(), kappa1=0.7)
+    assert (compact.star_indices, compact.n_star, compact.length) == ((3,), 0, 2)
+
+
+def test_validate_runs_the_kappa1_clauses_on_given_structural_ones():
+    """validate(config, structural) trusts the structural verdict it is
+    given and adds the first-integral and class clauses, in that order."""
+    cfg = derive_config(
+        epsilon=-1, factors=[FanoFactor(0, 1, -1), FanoFactor(1, 2, -1)],
+        boundary=OPEN, kappa1=-0.5,
+    )
+    report = validate(cfg, ("beta: given",))
+    assert report.violations == ("beta: given", "class: noncompact shrinker requires kappa1 > 0")
+    assert report.structural_violations() == ("beta: given",)
+    assert validate(cfg).violations == ("class: noncompact shrinker requires kappa1 > 0",)

@@ -9,11 +9,13 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from fraction_polys import fractions, obstruction_data, v_psi_polys
 from kricci import acceptance as acc
 from kricci.model import (
     BoundaryStructure,
@@ -21,8 +23,11 @@ from kricci.model import (
     CompactEnd,
     FanoFactor,
     derive_config,
+    exact_core,
     validate,
+    with_kappa1,
 )
+from kricci.profiles import build_profile
 from kricci.obstruction import (
     chi_poly,
     find_kappa1_compact,
@@ -128,6 +133,55 @@ def compact_shrinkers(draw):
         boundary=BoundaryStructure(Collapse.FACTOR, CompactEnd(Collapse.FACTOR)),
         kappa1=0,
     )
+
+
+@st.composite
+def rational_compact_shrinkers(draw):
+    """Admissible compact shrinkers with rational charges and the strict
+    unit charge off: ends with p/q = -(N0+1) and N*+1, and 1-3 middle
+    factors with p from 1 to 2n + 4, so p > n + 1 is drawn too."""
+    n0, n_star = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    charge = st.fractions(min_value=Fraction(1, 4), max_value=Fraction(3), max_denominator=4)
+    q0, q1 = -draw(charge), draw(charge)
+    middle = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 3))
+        p = draw(st.fractions(min_value=1, max_value=2 * n + 4, max_denominator=3))
+        # -(N0+1) q < p and (N*+1) q < p; q = +-1/4 always qualifies
+        q = draw(st.sampled_from([q for q in (Fraction(a, b) for a in range(-12, 13) if a
+                                              for b in range(1, 5))
+                                  if -(n0 + 1) * q < p and (n_star + 1) * q < p]))
+        middle.append(FanoFactor(n, p, q))
+    return derive_config(
+        epsilon=-1,
+        factors=[FanoFactor(n0, -(n0 + 1) * q0, q0), *middle,
+                 FanoFactor(n_star, (n_star + 1) * q1, q1)],
+        boundary=BoundaryStructure(Collapse.FACTOR, CompactEnd(Collapse.FACTOR),
+                                   strict_unit_charge=False),
+        kappa1=0,
+    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(rational_compact_shrinkers())
+def test_integer_core_is_the_fraction_reference(cfg):
+    """The exact core's float end rows, the sign of w and the exact I(0)
+    are, bit for bit, those of w built in Fractions and shifted to each end
+    by poly_shift.  Its v and Psi are those of v_psi_polys, and so are the
+    mirror's, which the profile at the root reflects from the parent's."""
+    assert validate(cfg).admissible
+    core = exact_core(cfg)
+    rows, sign, at_zero = obstruction_data(cfg)
+    assert (core.sign, core.at_zero) == (sign, at_zero)
+    for side in (1, -1):
+        assert core.rows[side].tobytes() == rows[side].tobytes()
+    assert (fractions(core.v, core.den), fractions(core.psi, core.den)) == \
+        v_psi_polys(cfg, cfg.E_star)
+    prof = build_profile(with_kappa1(cfg, find_kappa1_compact(cfg).kappa1))
+    mirror = prof.mirror
+    assert mirror is not None and prof.config.core is core
+    assert (fractions(mirror.v_poly, mirror.poly_den), fractions(mirror.psi_poly, mirror.poly_den)) \
+        == v_psi_polys(mirror.config, mirror.E_eff)
 
 
 def _mp_obstruction(cfg, kappa):

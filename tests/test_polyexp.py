@@ -1,4 +1,7 @@
-"""Exact polynomial arithmetic and the exp-weighted moment evaluator."""
+"""Exact polynomial arithmetic and the exp-weighted moment evaluator.
+
+The package's integer polynomials are checked against the Fraction helpers
+of fraction_polys, which are tested here too, since they are the oracle."""
 
 import math
 import time
@@ -9,19 +12,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from kricci import polyexp
-from kricci.polyexp import (
-    as_rational,
+from fraction_polys import (
     build_shifted_product,
-    moments,
+    fractions,
     poly_antiderivative,
+    poly_degree,
     poly_derivative,
     poly_eval,
     poly_from_coeffs,
     poly_mul,
     poly_shift,
-    sign_changes,
 )
+from kricci.polyexp import as_rational, linear_product, moments, sign_changes, taylor_shift
 
 # Frozen oracles for M(m, kappa, upper) = integral of x^m e^{-kappa x} over
 # [0, upper], computed with 50-digit arbitrary-precision quadrature and
@@ -119,13 +121,46 @@ def test_as_rational_accepts_fraction_strings():
 def test_poly_trim_and_degree():
     p = poly_from_coeffs([1, 2, 0, 0])
     assert p == [Fraction(1), Fraction(2)]
-    assert polyexp.poly_degree(p) == 1
+    assert poly_degree(p) == 1
 
 
 rational = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
 )
 small_poly = st.lists(rational, min_size=1, max_size=6)
+
+
+def test_linear_product_expansion():
+    """(x + 3/2)^2 (x - 3)^2 x, by hand, as integers over 4; and Psi's
+    factor with a zero slope leaves no trailing zero."""
+    p, den = linear_product([(1, Fraction(3, 2), 2), (1, -3, 2), (1, 0, 1)])
+    assert fractions(p, den) == [0, Fraction(81, 4), Fraction(27, 2), Fraction(-27, 4), -3, 1]
+    assert den == 4
+    assert linear_product([(0, Fraction(5, 3), 1)], p, den) == ([5 * c for c in p], 12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(roots=st.lists(st.tuples(rational, rational.filter(bool), st.integers(0, 3)), max_size=4),
+       start=small_poly)
+def test_linear_product_is_the_fraction_product(roots, start):
+    """linear_product equals the product of its factors in Fractions, from
+    any starting polynomial over any denominator."""
+    start = poly_from_coeffs(start) or [Fraction(1)]
+    den = math.lcm(*(c.denominator for c in start))
+    expect = start
+    for b, a, n in roots:
+        for _ in range(n):
+            expect = poly_mul(expect, [b, a])
+    got, got_den = linear_product([(a, b, n) for b, a, n in roots],
+                                  [int(c * den) for c in start], den)
+    assert got_den > 0 and fractions(got, got_den) == expect
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.lists(st.integers(-10**6, 10**6), max_size=8), h=st.integers(-40, 40))
+def test_taylor_shift_is_the_fraction_shift(p, h):
+    """The integer Taylor shift equals the binomial expansion of a(x + h)."""
+    assert poly_from_coeffs(taylor_shift(p, h)) == poly_shift(poly_from_coeffs(p), h)
 
 
 @settings(max_examples=80, deadline=None)

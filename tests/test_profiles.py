@@ -21,6 +21,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from fraction_polys import fractions, poly_neg, poly_shift, v_psi_polys
 from kricci import acceptance as acc
 from kricci import polyexp
 from kricci.obstruction import find_kappa1_noncompact
@@ -167,19 +168,21 @@ def test_mirror_is_the_reflected_configuration(mixed_profile, two_blowdowns_prof
     parent reflected to delta = s* - s, exactly: its v is v(s* - delta), its
     Psi is -Psi(s* - delta) (Psi changes sign with d/ds), and its P is
     P(s* - delta), with P = -Q from _q_poly (the signs of Psi and kappa1
-    cancel); its floats are theirs rounded once, and T0 = -P(0)."""
+    cancel); its floats are theirs rounded once, and T0 = -P(0).  Its v and
+    Psi are those the mirrored configuration gives in Fractions."""
     for prof in (mixed_profile, two_blowdowns_profile):
         mirror = prof.mirror
         s_star = prof.config.s_star
 
         def reflect(p):
-            return [c if j % 2 == 0 else -c for j, c in enumerate(polyexp.poly_shift(p, s_star))]
+            return [c if j % 2 == 0 else -c for j, c in enumerate(poly_shift(p, s_star))]
 
+        v, psi = _exact(prof)
         assert mirror.kappa1 == -prof.kappa1
         assert mirror.s_domain == prof.s_domain
-        assert mirror.v_poly == reflect(prof.v_poly)
-        assert mirror.psi_poly == polyexp.poly_neg(reflect(prof.psi_poly))
-        p_hat = reflect(polyexp.poly_neg(_q_poly(prof.psi_poly, Fraction(prof.kappa1))))
+        assert _exact(mirror) == (reflect(v), poly_neg(reflect(psi)))
+        assert _exact(mirror) == tuple(v_psi_polys(mirror.config, mirror.E_eff))
+        p_hat = reflect(poly_neg(_q_poly(psi, Fraction(prof.kappa1))))
         assert mirror.p_alpha == tuple(float(c) for c in p_hat)
         assert mirror.t0 == float(-p_hat[0])
 
@@ -208,7 +211,7 @@ def test_particular_polynomial_is_the_quadratic_sum(suite_and_config_profiles):
         for prof in (parent, parent.mirror):
             if prof is None or prof.kappa1 == 0.0 or prof.t0_snapped:
                 continue
-            Q = _q_poly(prof.psi_poly, Fraction(prof.kappa1))
+            Q = _q_poly(_exact(prof)[1], Fraction(prof.kappa1))
             assert prof.p_alpha == tuple(float(-c) for c in Q), name
             assert prof.t0 == float(Q[0]), name
             checked += 1
@@ -358,6 +361,11 @@ def _mpq(c):
     return mp.mpf(c.numerator) / c.denominator
 
 
+def _exact(prof):
+    """The profile's v and Psi as Fraction polynomials."""
+    return fractions(prof.v_poly, prof.poly_den), fractions(prof.psi_poly, prof.poly_den)
+
+
 def _q_poly(psi_poly, k):
     """Q = sum_m Psi^(m)/k^(m+1) = -P exactly, summed derivative by
     derivative in O(deg^2) Fraction operations."""
@@ -391,15 +399,16 @@ def _closed_form_alpha(prof, points):
     is 1."""
     glued = prof.mirror is not None
     k = Fraction(prof.kappa1)
+    v, psi = _exact(prof)
     if k == 0:
-        Q = [Fraction(0)] + [-c / (j + 1) for j, c in enumerate(prof.psi_poly)]
+        Q = [Fraction(0)] + [-c / (j + 1) for j, c in enumerate(psi)]
         calibrated = Q
     else:
-        Q = _q_poly(prof.psi_poly, k)
+        Q = _q_poly(psi, k)
         # Q(0) = sum_m m! psi_m / k^(m+1), so dQ(0)/dk = -sum_m (m+1)! psi_m / k^(m+2)
-        dq0 = -sum(math.factorial(m + 1) * c / k ** (m + 2) for m, c in enumerate(prof.psi_poly))
+        dq0 = -sum(math.factorial(m + 1) * c / k ** (m + 2) for m, c in enumerate(psi))
         calibrated = [Fraction(0) if j <= _zero_order(prof) else c
-                      for j, c in enumerate(_q_poly(prof.psi_poly, k - Q[0] / dq0))]
+                      for j, c in enumerate(_q_poly(psi, k - Q[0] / dq0))]
     hi = prof.s_domain[1]
     with mp.workdps(50):
         def horner(coeffs, x):
@@ -418,7 +427,7 @@ def _closed_form_alpha(prof, points):
                 j = -horner(calibrated, xs)
             else:
                 j = horner(Q, 0) * mp.exp(_mpq(k) * xs) - horner(Q, xs)
-            out.append(j / horner(prof.v_poly, xs))
+            out.append(j / horner(v, xs))
         return out
 
 
