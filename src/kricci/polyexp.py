@@ -22,6 +22,12 @@ large, a closed form; none of them cancels (see `moments`).  Tiny |kappa*L|
 needs no branch of its own: both series are free of cancellation there and
 stop after a few terms.  Values that genuinely overflow the double range
 are returned as +/-inf rather than silently clamped.
+
+np.cumprod along a series block's term axis is a strided scalar loop: on an
+(8, 6, 3600) block of a cold table it took ~650 us, one multiply per term
+row ~45 us (2-core x86-64 VM).  So wide term rows are multiplied a row at
+a time, with the same bits, and narrow ones, as in the root finders'
+one-point calls, keep np.cumprod, which is faster there.
 """
 
 from __future__ import annotations
@@ -103,6 +109,9 @@ def sign_changes(p: Sequence) -> int:
 _SERIES_BLOCK = 8
 _SERIES_BLOCK_MAX = 128
 _BLOCK_TERMS = 4096
+#: term rows of at least this many values are multiplied one row at a time,
+#: narrower ones by np.cumprod (the crossover measured on 1..12 orders)
+_WIDE_ROW = 256
 #: a column takes the closed form from z = count + _CLOSED_Z on, which is at
 #: least m + 31 for every order m < count
 _CLOSED_Z = 30.0
@@ -164,10 +173,19 @@ def _moment_series(decay: bool, z: np.ndarray, x: np.ndarray, rows: np.ndarray,
     is.  A column leaves the sum once its term has passed its peak and is
     below the series tolerance in every row, or once its weight has
     overflowed (+inf in every row).
+
+    A term row holds count values per point in the decay series and one,
+    the weight, in the growth series.  Rows of at least _WIDE_ROW values
+    are multiplied one onto the next, narrower ones by np.cumprod.  The
+    decay ratio of order m and term j, z/(m + 1 + j), depends on m + j
+    alone, so a wide block divides once per divisor, size + count - 1 rows
+    rather than size * count, and writes its terms into one buffer per call.
     """
+    count = len(rows)
     if decay:
-        term = np.ones((len(rows), len(z)))
+        term = np.ones((count, len(z)))
         total = term.copy()
+        buf = np.empty(size * count * len(z))
     else:
         w = np.ones_like(z)
         total = np.repeat(1.0 / (rows + 1.0), len(z), axis=1)
@@ -177,17 +195,26 @@ def _moment_series(decay: bool, z: np.ndarray, x: np.ndarray, rows: np.ndarray,
         live = slice(start, None)
         zl = z[live]
         js = j + block  # the next terms, j + 1 .. j + size
-        if decay:
-            # one (size, rows, points) array per block, reused in place: with
-            # three, a 7,344-point batch paged ~3.5 MB back in on every call
+        if decay and count * len(zl) >= _WIDE_ROW:
+            q = zl / np.arange(j + 2, j + size + count + 1)[:, None]
+            terms = buf[:size * count * len(zl)].reshape(size, count, len(zl))
+            np.multiply(term[:, live], q[:count], out=terms[0])
+            for k in range(1, size):
+                np.multiply(terms[k - 1], q[k:k + count], out=terms[k])
+            term[:, live] = terms[-1]
+        elif decay:
             ratios = zl / (rows + 1 + js)
             ratios[0] *= term[:, live]
             terms = np.cumprod(ratios, axis=0, out=ratios)
             term[:, live] = terms[-1]
         else:
-            ratios = zl / js[:, 0]
-            ratios[0] *= w[live]
-            ws = np.cumprod(ratios, axis=0, out=ratios)
+            ws = zl / js[:, 0]
+            ws[0] *= w[live]
+            if len(zl) >= _WIDE_ROW:
+                for k in range(1, size):
+                    np.multiply(ws[k - 1], ws[k], out=ws[k])
+            else:
+                np.cumprod(ws, axis=0, out=ws)
             terms = ws[:, None, :] / (rows + js + 1)
             w[live] = ws[-1]
         terms[0] += total[:, live]
@@ -201,4 +228,3 @@ def _moment_series(decay: bool, z: np.ndarray, x: np.ndarray, rows: np.ndarray,
     if decay:
         sums *= np.exp(-z) / (rows + 1)
     return sums
-

@@ -381,10 +381,13 @@ def _moment_sum(k: float, table: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray,
     both = np.vstack((table, np.abs(table)))
     acc = np.zeros((len(both), len(x)))
     for col in range(table.shape[1] - 1, -1, -1):
-        acc = acc * x + both[:, col:col + 1]
+        acc *= x
+        acc += both[:, col:col + 1]
     coeffs, scale = acc[:len(table)], acc[len(table):]
     coeffs[1::2] *= -1.0
-    return np.sum(coeffs * moments, axis=0), np.sum(scale * moments, axis=0)
+    coeffs *= moments
+    scale *= moments
+    return coeffs.sum(axis=0), scale.sum(axis=0)
 
 
 def _exp_cap(t0: float) -> float:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import moment_reference
 from fraction_polys import (
     build_shifted_product,
     fractions,
@@ -23,6 +24,7 @@ from fraction_polys import (
     poly_mul,
     poly_shift,
 )
+from kricci import polyexp
 from kricci.polyexp import as_rational, linear_product, moments, sign_changes, taylor_shift
 
 # Frozen oracles for M(m, kappa, upper) = integral of x^m e^{-kappa x} over
@@ -239,3 +241,46 @@ def test_moment_sums_are_additive(kappa, split):
     parts = integral(p, split) \
         + math.exp(-kappa * split) * integral(poly_shift(p, Fraction(split)), 3.0 - split)
     assert parts == pytest.approx(integral(p, 3.0), rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    decay=st.booleans(),
+    count=st.integers(min_value=1, max_value=12),
+    points=st.sampled_from([1, 2, 7, 30, 300]),
+    size=st.integers(min_value=8, max_value=128),
+    reach=st.sampled_from([1.0, 30.0, 800.0]),
+    edges=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_moment_series_is_the_reference_bit_for_bit(decay, count, points, size, reach, edges, seed):
+    """The series' row-by-row products and shared divisors round exactly as
+    one division per ratio and np.cumprod do, on narrow and wide term rows
+    alike: the decay series up to z = count + 30, where `moments` hands it
+    over to the closed form, and the growth series past where its weight
+    overflows to +inf (z near 715)."""
+    rng = np.random.default_rng(seed)
+    top = count + 30.0 if decay else reach
+    z = np.sort(np.concatenate([rng.uniform(0.0, top, points), np.multiply(edges, top)]))
+    x = z / rng.uniform(1e-3, 10.0)
+    rows = np.arange(count)[:, None]
+    with np.errstate(over="ignore"):
+        got = polyexp._moment_series(decay, z, x, rows, size)
+        want = moment_reference.moment_series(decay, z, x, rows, size)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kappa", [-4.0, -0.02, 0.7, 6.0])
+@pytest.mark.parametrize("points", [1, 40, 3600])
+def test_moments_are_the_reference_bit_for_bit(kappa, points):
+    """Whole batches through `moments`, with |z| from 1e-6 to 900 and the
+    block sizes it picks, equal the reference series in every bit, and raise
+    no warning; at z = -800 the growth series' column is +inf."""
+    z = np.append(np.exp(np.random.default_rng(points).uniform(-14.0, 6.8, points)), 800.0)
+    x = z / abs(kappa)
+    got = moments(kappa, x, 9)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polyexp, "_moment_series", moment_reference.moment_series)
+        want = moments(kappa, x, 9)
+    assert np.array_equal(got, want)
+    assert np.isinf(got[:, -1]).all() == (kappa < 0)

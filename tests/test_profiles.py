@@ -20,10 +20,12 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import moment_reference
 from fraction_polys import fractions, poly_neg, poly_shift, v_psi_polys
 from kricci import acceptance as acc
-from kricci import polyexp
+from kricci import polyexp, profiles
 from kricci.obstruction import find_kappa1_noncompact
 from kricci.profiles import (
     SERIES_WINDOW,
@@ -580,3 +582,22 @@ def test_structurally_broken_configs_do_not_build():
     with pytest.raises(ValueError, match="inadmissible configuration: .*closes alpha only at "
                                          "epsilon = -1"):
         build_profile(cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from([-2.0, -0.5, 0.47, 2.2]),
+    count=st.integers(min_value=1, max_value=12),
+    points=st.sampled_from([0, 1, 24, 3600]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_moment_sum_is_the_reference_bit_for_bit(k, count, points, seed):
+    """The moment route's in-place Horner pass and products give J and its
+    term size in the same bits as the out-of-place reference, on tables of
+    mixed signs and on the Gauss-point batches of a cold table."""
+    rng = np.random.default_rng(seed)
+    table = np.triu(rng.normal(0.0, 10.0, (count, count))[:, ::-1])[:, ::-1]
+    x = rng.uniform(0.0, 40.0 / abs(k), points)
+    got = profiles._moment_sum(k, table, x)
+    want = moment_reference.moment_sum(k, table, x)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
