@@ -39,7 +39,7 @@ from kricci.obstruction import (
     symmetry_identity_check,
 )
 from kricci.profiles import Profile, alpha, build_profile, sample
-from kricci.residuals import bianchi_quantity, default_grid, soliton_residuals
+from kricci.residuals import default_grid, soliton_residuals
 from kricci.geometry import flow_trajectory, potential_rate, t_of_s
 
 
@@ -141,16 +141,6 @@ def noncompact_shrinker_small(kappa1=1) -> SolitonConfig:
     return derive_config(
         epsilon=-1,
         factors=[FanoFactor(0, 1, -1), FanoFactor(1, 2, -1)],
-        boundary=BoundaryStructure(Collapse.FACTOR),
-        kappa1=kappa1,
-    )
-
-
-def gaussian_config(kappa1=Fraction(1, 2)) -> SolitonConfig:
-    """One point factor, shrinking: the flat Gaussian soliton."""
-    return derive_config(
-        epsilon=-1,
-        factors=[FanoFactor(0, 1, -1)],
         boundary=BoundaryStructure(Collapse.FACTOR),
         kappa1=kappa1,
     )
@@ -384,7 +374,7 @@ def criterion_10_einstein_limit() -> CriterionResult:
 def criterion_11_detuned_conservation() -> CriterionResult:
     prof = build_profile(steady_representative(), e_star_shift=0.1)
     grid = default_grid(prof, n=120, s_max=10.0)
-    vals = bianchi_quantity(prof, sample(prof, grid))
+    vals = soliton_residuals(prof, sample(prof, grid)).bianchi
     span = float(np.max(vals) - np.min(vals))
     floor = float(np.min(np.abs(vals)))
     ok = span < 1.0e-8 and floor >= 1.0e-3

@@ -552,9 +552,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(EXIT_SCHEMA, f"schema error: {exc}")
     except InadmissibleError as exc:
         return _fail(EXIT_INADMISSIBLE, f"inadmissible configuration: {exc}")
-    except NumericFailure as exc:
-        return _fail(EXIT_NUMERIC, f"numeric failure: {exc}")
-    except ValueError as exc:
+    except (NumericFailure, ValueError, ArithmeticError) as exc:
         return _fail(EXIT_NUMERIC, f"numeric failure: {exc}")
 
 

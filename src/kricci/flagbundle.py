@@ -18,20 +18,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from kricci.model import (
     BoundaryStructure,
     Collapse,
     CompactEnd,
     FanoFactor,
+    Number,
     SolitonConfig,
     _close,
     _exact_or_float,
 )
 from kricci.polyexp import as_rational
-
-Number = Union[int, float, Fraction]
 
 
 @dataclass(frozen=True)

@@ -663,13 +663,6 @@ def _alpha_zero_crossing(profile: Profile, s_cap: float = 1.0e6) -> Optional[flo
         hi = inner[k] if k < inner.size else hi
 
 
-def volume_growth_exponent(profile: Profile, t_large: float = 1.0e3) -> float:
-    """Two-point log-log slope of the hypersurface volume f*v against t."""
-    smp = sample(profile, s_of_t(profile, np.array([0.1 * t_large, t_large])))
-    lo, hi = np.log(np.sqrt(smp.alpha) * smp.v)
-    return float(hi - lo) / (math.log(t_large) - math.log(0.1 * t_large))
-
-
 def completeness_report(profile: Profile) -> CompletenessReport:
     """Classify the end behaviour of the metric.
 

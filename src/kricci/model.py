@@ -440,9 +440,10 @@ def validate(config: SolitonConfig, structural: Optional[tuple] = None) -> Valid
 
     # -- first integral constant
     if config.kappa1 != 0:
-        resid = config.E_star - eps * config.kappa0 - config.c / config.kappa1
-        if not _close(resid, 0):
-            v.append(f"derived: first-integral constant inconsistent (residual {resid})")
+        expected = config.kappa1 * (config.E_star - eps * config.kappa0)
+        if not _close(config.c, expected):
+            v.append("derived: first-integral constant inconsistent "
+                     f"(residual {config.c - expected})")
 
     # -- class-specific inequality families; n = 0 factors are skipped
     active = [(i, f) for i, f in enumerate(config.factors) if f.n > 0]

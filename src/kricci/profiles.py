@@ -43,7 +43,7 @@ condition falls below the moment sum's and switches there
 (Profile.split_from).
 
 Near s = 0, where v vanishes, alpha = J/v is evaluated as a Taylor series
-in s, obtained by power-series division (see alpha_series_at_collapse).
+in s, obtained by power-series division (Profile.zero_series).
 The series converges out to rho, the distance from its end to the nearest
 other zero of v, and is trusted within rho/30 (Profile.series_reach), where
 its 14 terms reach rounding; it serves within the smaller of that and
@@ -570,27 +570,6 @@ def _series_at_zero(k: float, p_f: Sequence[float], v_float: Sequence[float],
             tot -= v_f[order + i] * coeffs[j - i]
         coeffs[j] = tot / lead
     return tuple(coeffs)
-
-
-def alpha_series_at_collapse(profile: Profile, end: str) -> List[float]:
-    """Series coefficients of alpha about a collapsed end.
-
-    The expansion variable is the inward distance from the end (s at the
-    zero end, s_star - s at the star end, where the series is the mirror's
-    zero series), so the linear coefficient is the inward slope: +2 at both
-    ends for calibrated profiles.  Raises ValueError at the star end when
-    the configuration's kappa1 does not satisfy the existence condition.
-    """
-    if end == "zero":
-        return list(profile.zero_series)
-    if end != "star":
-        raise ValueError("end must be 'zero' or 'star'")
-    if not profile.is_compact:
-        raise ValueError("profile has no second collapsed end")
-    if profile.mirror is None:
-        raise ValueError("alpha is singular at s_star: the existence integral does not "
-                         "vanish at this kappa1")
-    return list(profile.mirror.zero_series)
 
 
 def sample(profile: Profile, s) -> ProfileSample:

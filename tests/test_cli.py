@@ -1,5 +1,6 @@
 """Command-line interface: reports, tables, exit codes, and determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -303,6 +304,16 @@ def test_flow_outside_time_domain(capsys):
     assert "outside the flow's time domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kappa1, kappa0", [(-1e-80, 0), (-5e-324, 0.3)])
+def test_arithmetic_overflow_is_a_numeric_failure(tmp_path, capsys, kappa1, kappa0):
+    """A tiny kappa1 passes validate, and P's coefficient y/(den a^(n-j))
+    in profiles._build then leaves the float range: exit 4, no traceback."""
+    doc = dict(json.loads((CONFIGS / "expanding.json").read_text()), kappa1=kappa1, kappa0=kappa0)
+    assert main(["solve", write_config(tmp_path, doc)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "Traceback" not in err
+
+
 def test_unknown_keys_are_a_schema_error(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(FLAT_DOC, bad=1))
     assert main(["solve", cfg]) == 2
@@ -377,6 +388,16 @@ def test_a_rejected_call_leaves_the_shared_parser_as_it_was(tmp_path, capsys):
     assert main(["solve", STEADY]) == 0
     assert capsys.readouterr().out == alone.stdout
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_parser_offers_exactly_the_command_functions():
+    """main() dispatches to cmd_<command>, so each subcommand needs its
+    function and each cmd_* function its subcommand; the source hygiene
+    scan counts every cmd_* as reached."""
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert {"cmd_" + name.replace("-", "_") for name in sub.choices} == {
+        name for name in vars(cli) if name.startswith("cmd_")}
 
 
 def test_main_runs_the_command_function_bound_when_it_runs(monkeypatch):

@@ -35,9 +35,8 @@ from kricci.geometry import (
     potential_rate,
     s_of_t,
     t_of_s,
-    volume_growth_exponent,
 )
-from kricci.profiles import alpha_series_at_collapse, build_profile, sample
+from kricci.profiles import build_profile, sample
 
 # mixed-charge compact shrinker at its solved kappa1
 T_AT_2 = 2.457131873715860956435
@@ -265,6 +264,12 @@ def test_wrong_sign_slopes_are_incomplete():
 def test_volume_growth_exponents(steady_profile, expanding_profile, noncompact_profile):
     # hypersurface volume f*v against t: bounded fibre with sqrt-growth base
     # gives sum(n), cone ends give 2*sum(n) + 1
+    def volume_growth_exponent(profile, t_large=1.0e3):
+        # two-point log-log slope of f*v against t
+        smp = sample(profile, s_of_t(profile, np.array([0.1 * t_large, t_large])))
+        lo, hi = np.log(np.sqrt(smp.alpha) * smp.v)
+        return float(hi - lo) / (math.log(t_large) - math.log(0.1 * t_large))
+
     assert volume_growth_exponent(steady_profile) == pytest.approx(2.0, abs=0.1)
     assert volume_growth_exponent(expanding_profile) == pytest.approx(5.0, abs=0.1)
     assert volume_growth_exponent(noncompact_profile) == pytest.approx(3.0, abs=0.1)
@@ -569,7 +574,7 @@ def test_flow_near_the_compact_diameter(mixed_profile):
     k1 = prof.kappa1
     diameter = t_of_s(prof, prof.s_domain[1])
     assert flow_trajectory(prof, 0.2, diameter) == diameter
-    coeffs = alpha_series_at_collapse(prof, "star")
+    coeffs = prof.mirror.zero_series
 
     def alpha(delta):
         return sum(c * delta**j for j, c in enumerate(coeffs))

@@ -113,6 +113,19 @@ def test_tampered_e_star_is_caught():
     assert any(v.startswith("derived: E_star = 6") for v in report.violations)
 
 
+def test_first_integral_clause_holds_at_a_subnormal_kappa1():
+    """At kappa1 = -5e-324, c = kappa1 (E_star - eps kappa0) rounds to a
+    subnormal, so c/kappa1 misses E_star - eps kappa0 by 0.3; the clause
+    compares c with the product and never divides.  A wrong c is caught."""
+    factors = [FanoFactor(0, 1, -1), FanoFactor(2, 3, -4)]
+    cfg = derive_config(epsilon=1, factors=factors, boundary=OPEN, kappa1=-5e-324, kappa0=0.3)
+    assert validate(cfg).violations == ()
+    cfg = derive_config(epsilon=1, factors=factors, boundary=OPEN, kappa1=-1, kappa0=0.3)
+    report = validate(dataclasses.replace(cfg, c=2 * cfg.c))
+    assert any(v.startswith("derived: first-integral constant inconsistent")
+               for v in report.violations)
+
+
 def test_classification():
     steady = derive_config(
         epsilon=0, factors=[FanoFactor(0, 1, -1), FanoFactor(2, 3, -3)],

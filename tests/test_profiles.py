@@ -26,12 +26,12 @@ import moment_reference
 from fraction_polys import fractions, poly_neg, poly_shift, v_psi_polys
 from kricci import acceptance as acc
 from kricci import polyexp, profiles
+from kricci.geometry import t_of_s
 from kricci.obstruction import find_kappa1_noncompact
 from kricci.profiles import (
     SERIES_WINDOW,
     alpha,
     alpha_and_condition,
-    alpha_series_at_collapse,
     build_profile,
     route_switches,
     sample,
@@ -55,7 +55,12 @@ def test_cigar_profile_closed_form(cigar_profile):
 
 
 def test_gaussian_shrinker_is_flat():
-    prof = build_profile(acc.gaussian_config())
+    from kricci.model import BoundaryStructure, Collapse, FanoFactor, derive_config
+
+    # one point factor, shrinking, at kappa1 = 1/2: the flat Gaussian soliton
+    prof = build_profile(derive_config(epsilon=-1, factors=[FanoFactor(0, 1, -1)],
+                                       boundary=BoundaryStructure(Collapse.FACTOR),
+                                       kappa1=Fraction(1, 2)))
     for s in (0.0, 0.5, 3.0, 40.0, 400.0):
         assert sample(prof, s).alpha == pytest.approx(2.0 * s, rel=1e-12, abs=1e-12)
     assert prof.t0_snapped
@@ -104,12 +109,13 @@ def test_series_at_both_collapsed_ends(two_blowdowns_profile, mixed_profile, ste
                                       flat_profile):
     # a CP^1 zero end, and point zero ends where v(0) != 0
     for prof in (two_blowdowns_profile, steady_profile, flat_profile):
-        low = alpha_series_at_collapse(prof, "zero")
+        low = prof.zero_series
         assert low[0] == 0.0
         assert low[1] == pytest.approx(2.0, abs=1e-10)
-    # a CP^1 star end, and a point star end where v(s*) != 0
+    # a CP^1 star end, and a point star end where v(s*) != 0: the series in
+    # s* - s is the mirror's zero series
     for prof in (two_blowdowns_profile, mixed_profile):
-        high = alpha_series_at_collapse(prof, "star")
+        high = prof.mirror.zero_series
         assert high[0] == pytest.approx(0.0, abs=1e-12)
         assert high[1] == pytest.approx(2.0, abs=1e-10)
 
@@ -117,8 +123,8 @@ def test_series_at_both_collapsed_ends(two_blowdowns_profile, mixed_profile, ste
 def test_series_matches_samples_near_the_ends(two_blowdowns_profile):
     prof = two_blowdowns_profile
     s_star = float(prof.s_domain[1])
-    low = alpha_series_at_collapse(prof, "zero")
-    high = alpha_series_at_collapse(prof, "star")
+    low = prof.zero_series
+    high = prof.mirror.zero_series
     for delta in (1e-5, 1e-4):
         expect = sum(c * delta**k for k, c in enumerate(low))
         assert sample(prof, delta).alpha == pytest.approx(expect, rel=1e-8)
@@ -142,8 +148,9 @@ def test_series_requires_a_vanishing_v(flat_profile, steady_profile, two_blowdow
 
 def test_star_series_rejects_an_uncalibrated_kappa1():
     prof = build_profile(acc.compact_two_blowdowns(0.25))
+    assert prof.mirror is None
     with pytest.raises(ValueError, match="singular at s_star"):
-        alpha_series_at_collapse(prof, "star")
+        t_of_s(prof, 1.0)
 
 
 def test_mirror_window_is_sized_by_the_radius_of_convergence(
@@ -304,7 +311,7 @@ def test_singular_star_end_is_recorded_once(monkeypatch):
     assert points.count([s_star]) == 1
     assert all(math.isfinite(a) for a in values)
     with pytest.raises(ValueError, match="singular at s_star"):
-        alpha_series_at_collapse(prof, "star")
+        t_of_s(prof, s_star - 0.2)
     assert points.count([s_star]) == 1
 
 

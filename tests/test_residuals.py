@@ -1,4 +1,5 @@
-"""Curvature-system residuals, the first integral, and the cross-coordinate check."""
+"""Curvature-system residuals, the first integral, the Bianchi quantity,
+and the cross-coordinate check against the t-coordinate reference."""
 
 import dataclasses
 import math
@@ -9,15 +10,8 @@ import pytest
 from kricci import acceptance as acc
 from kricci.geometry import metric_functions
 from kricci.profiles import build_profile, sample
-from kricci.residuals import (
-    bianchi_quantity,
-    default_grid,
-    first_integral,
-    mu_general,
-    mu_values,
-    soliton_residuals,
-    t_coordinate_residuals,
-)
+from kricci.residuals import default_grid, soliton_residuals
+from t_coordinate_reference import t_coordinate_residuals
 
 
 def _max_eq_residual(res):
@@ -35,14 +29,24 @@ def test_residuals_vanish_on_every_class(steady_profile, expanding_profile,
         assert float(np.max(res.c_values) - np.min(res.c_values)) < 1e-9
 
 
+def _first_integral(prof, s):
+    return soliton_residuals(prof, sample(prof, s)).c_values
+
+
 def test_first_integral_equals_the_derived_constant(steady_profile, mixed_profile,
                                                     noncompact_profile):
     for prof in (steady_profile, mixed_profile, noncompact_profile):
         c = float(prof.config.c)
         for s in (0.3, 1.0, 2.5):
-            assert first_integral(prof, sample(prof, s)) == pytest.approx(c, rel=1e-10, abs=1e-10)
-        values = first_integral(prof, sample(prof, np.array([0.3, 1.0, 2.5])))
+            assert _first_integral(prof, s) == pytest.approx(c, rel=1e-10, abs=1e-10)
+        values = _first_integral(prof, np.array([0.3, 1.0, 2.5]))
         assert values == pytest.approx([c] * 3, rel=1e-10, abs=1e-10)
+
+
+def _mu(beta, dbeta, d2beta, q):
+    """mu = beta''/beta - (beta'/beta)^2/2 + q^2/(2 beta^2): the per-factor
+    quantity that the admissible beta branches annihilate."""
+    return d2beta / beta - 0.5 * (dbeta / beta) ** 2 + 0.5 * q * q / (beta * beta)
 
 
 def test_mu_vanishes_for_the_linear_family():
@@ -50,7 +54,7 @@ def test_mu_vanishes_for_the_linear_family():
     q, sigma = -2.0, 1.5
     for s in (0.1, 1.0, 7.0):
         beta = -q * (s + sigma)
-        assert mu_general(beta, -q, 0.0, q) == pytest.approx(0.0, abs=1e-14)
+        assert _mu(beta, -q, 0.0, q) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_mu_vanishes_for_the_shifted_parabola():
@@ -58,20 +62,26 @@ def test_mu_vanishes_for_the_shifted_parabola():
     A, s0, q = 0.7, 0.3, 1.3
     s = 2.0
     beta = A * (s + s0) ** 2 - q * q / (4.0 * A)
-    assert mu_general(beta, 2.0 * A * (s + s0), 2.0 * A, q) == pytest.approx(0.0, abs=1e-14)
+    assert _mu(beta, 2.0 * A * (s + s0), 2.0 * A, q) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_mu_general_reference_value():
     # beta = s^2 with q = 1 at s = 1: 2/1 - (2/1)^2/2 + 1/(2*1) = 1/2
-    assert mu_general(1.0, 2.0, 2.0, 1.0) == pytest.approx(0.5, rel=1e-15)
+    assert _mu(1.0, 2.0, 2.0, 1.0) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_mu_values_on_a_profile(steady_profile):
-    vals = mu_values(steady_profile, sample(steady_profile, 1.7))
+    # the sampled beta_i of a profile are linear (beta'' = 0), one row per factor
+    q = np.array([float(fac.q) for fac in steady_profile.config.factors])
+
+    def mu_values(smp):
+        return _mu(smp.beta, smp.dbeta, 0.0, q.reshape((-1,) + (1,) * np.ndim(smp.s)))
+
+    vals = mu_values(sample(steady_profile, 1.7))
     assert len(vals) == len(steady_profile.config.factors)
     for v in vals:
         assert v == pytest.approx(0.0, abs=1e-12)
-    grid = mu_values(steady_profile, sample(steady_profile, np.array([0.5, 1.7, 9.0])))
+    grid = mu_values(sample(steady_profile, np.array([0.5, 1.7, 9.0])))
     assert grid.shape == (len(steady_profile.config.factors), 3)
     assert np.abs(grid).max() < 1e-12
 
@@ -79,8 +89,10 @@ def test_mu_values_on_a_profile(steady_profile):
 def test_bianchi_quantity_vanishes(steady_profile, mixed_profile):
     for prof, pts in ((steady_profile, (0.5, 2.0, 10.0)), (mixed_profile, (0.5, 2.0, 3.5))):
         for s in pts:
-            assert bianchi_quantity(prof, sample(prof, s)) == pytest.approx(0.0, abs=1e-8)
-        assert np.abs(bianchi_quantity(prof, sample(prof, np.array(pts)))).max() < 1e-8
+            bianchi = soliton_residuals(prof, sample(prof, s)).bianchi
+            assert bianchi == pytest.approx(0.0, abs=1e-8)
+        bianchi = soliton_residuals(prof, sample(prof, np.array(pts))).bianchi
+        assert np.abs(bianchi).max() < 1e-8
 
 
 def test_detuned_profile_shifts_the_first_integral():
@@ -89,7 +101,7 @@ def test_detuned_profile_shifts_the_first_integral():
     shift = 0.25
     prof = build_profile(acc.steady_representative(), e_star_shift=shift)
     expected = float(prof.config.c) + prof.kappa1 * shift
-    vals = first_integral(prof, sample(prof, np.linspace(0.4, 9.0, 25)))
+    vals = _first_integral(prof, np.linspace(0.4, 9.0, 25))
     assert max(vals) - min(vals) < 1e-10
     assert vals[0] == pytest.approx(expected, rel=1e-12)
 
