@@ -55,7 +55,7 @@ from kricci.obstruction import (
     futaki_sweep,
 )
 from kricci.profiles import build_profile, sample
-from kricci.residuals import default_grid, soliton_residuals
+from kricci.residuals import DEFAULT_GRID_POINTS, DEFAULT_S_MAX, default_grid, soliton_residuals
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -69,10 +69,6 @@ _COMPACT_KEYS = {"collapse", "s_star"}
 
 
 class SchemaError(Exception):
-    pass
-
-
-class NumericFailure(Exception):
     pass
 
 
@@ -228,27 +224,24 @@ def _admissible_config(doc: Dict[str, Any], solve: bool):
     kappa1 are expected at that stage.  The instance returned, solved or
     not, passes every check of `validate`.  The structural clauses do not
     read kappa1, so they run once, before the root; the solved config keeps
-    the exact core the root finder built.
+    their verdict and the exact core the root finder built.
     """
     config = config_from_document(doc)
-    structural = structural_violations(config)
     root = None
     if solve:
+        structural = structural_violations(config)
         if structural:
             raise InadmissibleError("; ".join(structural))
         if float(config.epsilon) >= 0:
             raise InadmissibleError(
                 'solving for kappa1 needs a shrinking configuration (epsilon < 0)'
             )
-        try:
-            if config.is_compact:
-                root = find_kappa1_compact(config)
-            else:
-                root = find_kappa1_noncompact(config)
-        except (RuntimeError, ValueError) as exc:
-            raise NumericFailure(str(exc)) from exc
+        if config.is_compact:
+            root = find_kappa1_compact(config)
+        else:
+            root = find_kappa1_noncompact(config)
         config = with_kappa1(config, root.kappa1)
-    report = validate(config, structural)
+    report = validate(config)
     if not report.admissible:
         raise InadmissibleError("; ".join(report.violations))
     return config, root, report
@@ -290,12 +283,12 @@ def _write_csv(path: Optional[str], header: Sequence[str], rows: Sequence[Sequen
 
 
 def _grid_params(doc: Dict[str, Any], args) -> Tuple[float, int]:
-    s_max = float(_number(doc.get("s_max", 1.0e4), "s_max"))
-    n = int(doc.get("grid", 200))
-    if getattr(args, "s_max", None) is not None:
-        s_max = args.s_max
-    if getattr(args, "grid", None) is not None:
-        n = args.grid
+    """The sampling grid's far end and size: the flag, else the document's
+    key (config_from_document checked both), else the residuals default."""
+    s_max = getattr(args, "s_max", None)
+    if s_max is None:
+        s_max = float(Fraction(doc.get("s_max", DEFAULT_S_MAX)))
+    n = doc.get("grid", DEFAULT_GRID_POINTS) if args.grid is None else args.grid
     return s_max, n
 
 
@@ -319,10 +312,10 @@ def cmd_solve(args) -> int:
         "bianchi_span": float(np.max(res.bianchi) - np.min(res.bianchi)),
     }
     if not all(math.isfinite(v) for v in summary.values()):
-        raise NumericFailure("non-finite residuals on the sampling grid")
+        raise ValueError("non-finite residuals on the sampling grid")
 
     futaki_section = None
-    if config.is_compact and float(config.epsilon) < 0:
+    if config.is_compact:
         ev0 = futaki_integral(config, 0)
         ev = futaki_integral(config, config.kappa1)
         futaki_section = {
@@ -392,7 +385,7 @@ def cmd_futaki(args) -> int:
     structural = structural_violations(config)
     if structural:
         raise InadmissibleError("; ".join(structural))
-    if not (config.is_compact and float(config.epsilon) < 0):
+    if not config.is_compact:
         raise InadmissibleError("the sweep needs a compact shrinking configuration")
     ks = np.linspace(args.kappa_min, args.kappa_max, args.steps)
     values = futaki_sweep(config, ks.tolist())
@@ -445,10 +438,7 @@ def cmd_reconstruct(args) -> int:
                 f"--t-max {args.t_max!r} is beyond the diameter {float(diameter)!r} "
                 f"of the compact profile")
     _, n_grid = _grid_params(doc, args)
-    try:
-        mf = geometry.metric_functions(profile, np.linspace(0.0, args.t_max, n_grid))
-    except ValueError as exc:
-        raise NumericFailure(str(exc)) from exc
+    mf = geometry.metric_functions(profile, np.linspace(0.0, args.t_max, n_grid))
     r = profile.config.r
     header = ["t", "s", "f"] + [f"g_{i+1}" for i in range(r)] + ["u"]
     rows = np.vstack([mf.t_grid, mf.s_of_t, mf.f, mf.g, mf.u]).T.tolist()
@@ -461,13 +451,10 @@ def cmd_flow(args) -> int:
     profile = _admissible_profile(doc)
     _, n_grid = _grid_params(doc, args)
     hi = profile.s_domain[1]
-    s_hi = float(hi) * 0.95 if profile.is_compact else min(50.0, 1.0e4)
+    s_hi = float(hi) * 0.95 if profile.is_compact else 50.0
     s_lo = float(hi) * 0.05 if profile.is_compact else 0.05
-    try:
-        ts = geometry.t_of_s(profile, np.linspace(s_lo, s_hi, n_grid))
-        xis = geometry.flow_trajectory(profile, args.tau, ts)
-    except ValueError as exc:
-        raise NumericFailure(str(exc)) from exc
+    ts = geometry.t_of_s(profile, np.linspace(s_lo, s_hi, n_grid))
+    xis = geometry.flow_trajectory(profile, args.tau, ts)
     _write_csv(args.csv, ["t", "xi"], np.column_stack([ts, xis]).tolist())
     return EXIT_OK
 
@@ -552,7 +539,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(EXIT_SCHEMA, f"schema error: {exc}")
     except InadmissibleError as exc:
         return _fail(EXIT_INADMISSIBLE, f"inadmissible configuration: {exc}")
-    except (NumericFailure, ValueError, ArithmeticError) as exc:
+    except (RuntimeError, ValueError, ArithmeticError) as exc:
         return _fail(EXIT_NUMERIC, f"numeric failure: {exc}")
 
 

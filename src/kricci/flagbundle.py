@@ -139,8 +139,6 @@ def to_section3_config(
     the ratio conditions p_i/q_i = -(N0+1) etc., checked by validate().
     """
     eps = _exact_or_float(epsilon)
-    k1 = _exact_or_float(kappa1)
-    k0 = _exact_or_float(kappa0)
     e_star = _common_e_star(data, eps)
 
     factors = tuple(
@@ -164,11 +162,10 @@ def to_section3_config(
         epsilon=eps,
         factors=factors,
         boundary=boundary,
-        kappa1=k1,
-        kappa0=k0,
+        kappa1=_exact_or_float(kappa1),
+        kappa0=_exact_or_float(kappa0),
         sigmas=sigmas,
         E_star=e_star,
-        c=k1 * (e_star - eps * k0),
     )
 
 

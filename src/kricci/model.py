@@ -19,8 +19,12 @@ The solution family is linear in s:
     beta_i(s) = -q_i (s + sigma_i),      phi(s) = kappa1 * (s + kappa0),
 
 and alpha is determined by a first-order linear ODE whose right-hand side is
-eps*s + E_star.  This module derives (E_star, sigma_i, c, s_star) from the
-boundary data and checks every algebraic constraint the family must satisfy.
+eps*s + E_star.  This module derives (E_star, sigma_i, s_star) from the
+boundary data, with the first integral c = kappa1 (E_star - eps kappa0), and
+checks every algebraic constraint the family must satisfy, each once: the
+structural clauses (boundary constants, consistency, beta_i > 0 on the
+interval), which already give the class inequalities on (p, q, N0), and
+the few clauses that read kappa1.
 It also builds a config's exact core (exact_core): its polynomials in
 integers, built once and read by the profile, the root finders and the
 obstruction integral; their float copies are the only floating point here.
@@ -126,15 +130,16 @@ class SolitonConfig:
     kappa1:  slope of the potential phi = kappa1*(s + kappa0).
     E_star:  right-hand-side constant of the alpha equation
              alpha' + alpha((log v)' - kappa1) = eps*s + E_star.
-    c:       value of the first integral (= kappa1*(E_star - eps*kappa0)).
     zero_indices, star_indices: the factors whose beta vanishes at s = 0
              and at s_star, read off the sigmas (sigma_i = 0, sigma_i =
              -s_star), so validate can hold them against the boundary
              structure; n_zero and n_star, their total complex dimensions.
     length:  L = n_zero + n_star + 2, the length of the obstruction
              interval (-N0-1, N*+1).
-    core:    the exact core (exact_core), built on first use.  A replace()
-             drops it; with_kappa1 keeps it, since kappa1 does not enter it.
+    core:    the exact core (exact_core), built on first use.
+    structural: the structural clauses' violations (structural_violations),
+             found on first use.  A replace() drops core and structural;
+             with_kappa1 keeps both, since kappa1 enters neither.
     """
 
     epsilon: Number
@@ -144,13 +149,13 @@ class SolitonConfig:
     kappa0: Number
     sigmas: tuple
     E_star: Fraction
-    c: Number
     zero_indices: tuple = field(init=False, repr=False, compare=False)
     star_indices: tuple = field(init=False, repr=False, compare=False)
     n_zero: int = field(init=False, repr=False, compare=False)
     n_star: int = field(init=False, repr=False, compare=False)
     length: int = field(init=False, repr=False, compare=False)
     core: Optional["ExactCore"] = field(init=False, default=None, repr=False, compare=False)
+    structural: Optional[tuple] = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         zero = tuple(i for i, s in enumerate(self.sigmas) if s == 0)
@@ -178,6 +183,11 @@ class SolitonConfig:
     def is_compact(self) -> bool:
         return self.boundary.compact_end is not None
 
+    @property
+    def c(self) -> Number:
+        """The value of the first integral, kappa1 (E_star - eps kappa0)."""
+        return self.kappa1 * (self.E_star - self.epsilon * self.kappa0)
+
 
 @dataclass(frozen=True, eq=False)
 class ExactCore:
@@ -204,9 +214,10 @@ class ExactCore:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """``structural`` holds the violations of structural_violations(config),
-    ``at_kappa1`` those of the first integral and of the class sign
-    conditions on kappa1 (prefixed "class:")."""
+    """``structural`` holds the violations of structural_violations(config);
+    ``at_kappa1`` those of the clauses that read kappa1: the class sign
+    conditions on kappa1 and steady's equality -q(N0+1) = p (prefixed
+    "class:"), and a first integral c that overflows."""
 
     soliton_class: SolitonClass
     structural: tuple
@@ -242,7 +253,7 @@ def derive_config(
     E_star = 2*(N0 + 1) with N0 the total collapsing complex dimension.
     For eps != 0 the consistency condition E_star = eps*sigma_i - 2 p_i/q_i
     determines every sigma_i; for eps = 0 the sigmas are free data and must
-    be supplied.  c follows from kappa1*(E_star - eps*kappa0).
+    be supplied.
     """
     factors = tuple(factors)
     if not factors:
@@ -285,7 +296,6 @@ def derive_config(
         # eps*sigma_i - 2 p_i/q_i = E_star  =>  sigma_i = (E_star + 2 p_i/q_i)/eps
         sig = tuple((e_star + 2 * fac.p / fac.q) / eps for fac in factors)
 
-    c = k1 * (e_star - eps * k0)
     return SolitonConfig(
         epsilon=eps,
         factors=factors,
@@ -294,7 +304,6 @@ def derive_config(
         kappa0=k0,
         sigmas=sig,
         E_star=e_star,
-        c=c,
     )
 
 
@@ -324,12 +333,23 @@ def _base_class(config: SolitonConfig) -> SolitonClass:
 def structural_violations(config: SolitonConfig) -> tuple:
     """The violations that make the closed-form profile itself meaningless:
     wrong boundary constants, an inconsistent E_star or sigma, nonpositive
-    beta.  None of these clauses reads kappa1 or c, so one pass serves the
-    config at every kappa1.  The class-level sign conditions on kappa1 are
-    not among them: profiles with the wrong kappa1 sign are still
-    well-defined curves, merely geometrically incomplete, and the geometry
-    module probes exactly those.
+    beta.  None of these clauses reads kappa1, so one pass, kept on the
+    config, serves it at every kappa1 (with_kappa1).  The class-level sign
+    conditions on kappa1 are not among them: profiles with the wrong kappa1
+    sign are still well-defined curves, merely geometrically incomplete,
+    and the geometry module probes exactly those.
+
+    Given consistency (eps sigma_i - 2 p_i/q_i = E_star = 2(N0+1)), beta_i
+    > 0 on the interval is each class's inequality on (p_i, q_i, N0):
+    beta_i(0) = -(q_i E_star + 2 p_i)/eps, and on a compact interval
+    beta_i(s_star) = 2 p_i - 2(N*+1) q_i.
     """
+    if config.structural is None:
+        object.__setattr__(config, "structural", _structural_clauses(config))
+    return config.structural
+
+
+def _structural_clauses(config: SolitonConfig) -> tuple:
     v: list = []
     factors = config.factors
     r = len(factors)
@@ -408,93 +428,44 @@ def structural_violations(config: SolitonConfig) -> tuple:
                     f"({lhs} != {config.E_star})"
                 )
 
-    # -- beta positivity on the open interior
-    hi = config.s_star
-    for i, fac in enumerate(factors):
-        b0 = -fac.q * config.sigmas[i]  # beta_i(0)
-        if hi is not None:
-            b1 = -fac.q * (hi + config.sigmas[i])  # beta_i(s_star)
-            interior_ok = b0 >= 0 and b1 >= 0 and (b0 > 0 or b1 > 0)
-        else:
-            interior_ok = b0 >= 0 and -fac.q > 0
-        if not interior_ok:
+    # -- beta_i = -q_i (s + sigma_i) > 0 on the open interior: sigma_i >= 0
+    # if q_i < 0, sigma_i <= -s_star if q_i > 0 (compact only); compared
+    # exactly, where the float product -q_i sigma_i could underflow to 0
+    for i, (fac, sig) in enumerate(zip(factors, config.sigmas)):
+        if not (sig >= 0 if fac.q < 0 else config.is_compact and sig <= -config.s_star):
             v.append(f"beta: beta_{i+1} is not positive on the open interior")
     return tuple(v)
 
 
-def validate(config: SolitonConfig, structural: Optional[tuple] = None) -> ValidationReport:
+def validate(config: SolitonConfig) -> ValidationReport:
     """Check every algebraic admissibility condition of the instance.
 
     Failures are report entries, never exceptions: the structural ones
-    (``structural`` when the caller already has structural_violations of
-    this config, or of it at another kappa1), then the first integral and
-    the class sign conditions on kappa1, prefixed "class:".
+    (structural_violations, whose beta clause holds each class's
+    inequalities on p, q and N0), then the clauses beta positivity cannot
+    give: the class sign conditions on kappa1 and steady's equality
+    -q(N0+1) = p, whose sigmas are free data, prefixed "class:", and a
+    first integral c that overflows.
     """
-    if structural is None:
-        structural = structural_violations(config)
     v: list = []
-    eps = config.epsilon
     cls = _base_class(config)
-    zero_set, star_set = set(config.zero_indices), set(config.star_indices)
-    n0 = config.n_zero
-
-    # -- first integral constant
-    if config.kappa1 != 0:
-        expected = config.kappa1 * (config.E_star - eps * config.kappa0)
-        if not _close(config.c, expected):
-            v.append("derived: first-integral constant inconsistent "
-                     f"(residual {config.c - expected})")
-
-    # -- class-specific inequality families; n = 0 factors are skipped
-    active = [(i, f) for i, f in enumerate(config.factors) if f.n > 0]
+    if abs(config.c) == math.inf:
+        v.append("derived: first-integral constant c = kappa1*(E_star - eps*kappa0) overflows")
     if cls is SolitonClass.STEADY:
-        if config.is_compact:
-            v.append("class: steady configurations on a compact s-interval are rejected")
         if config.kappa1 > 0:
             v.append("class: steady requires kappa1 <= 0")
-        for i, fac in active:
-            if i in zero_set:
-                continue
-            if -fac.q * (n0 + 1) != fac.p:
+        for i, fac in enumerate(config.factors):  # n = 0 and collapsing factors are exempt
+            if fac.n and i not in config.zero_indices and -fac.q * (config.n_zero + 1) != fac.p:
                 v.append(f"class: steady equality -q*(N0+1) = p failed for factor {i+1}")
-            if config.sigmas[i] <= 0:
-                v.append(f"class: steady requires sigma_{i+1} > 0")
     elif cls is SolitonClass.EXPANDING:
-        if config.is_compact:
-            v.append("class: expanding configurations on a compact s-interval are rejected")
         if config.kappa1 > 0:
             v.append("class: expanding requires kappa1 <= 0")
-        for i, fac in active:
-            if i in zero_set:
-                continue
-            if fac.p <= 0 and fac.q >= 0:
-                v.append(f"class: non-Fano factor {i+1} (p <= 0) needs q < 0")
-            if not (-fac.q * (n0 + 1) > fac.p):
-                v.append(f"class: expanding inequality -q*(N0+1) > p failed for factor {i+1}")
-    elif cls is SolitonClass.SHRINKING_COMPACT:
-        nr = config.n_star
-        for i, fac in active:
-            if i in zero_set or i in star_set:
-                continue
-            if not (-(n0 + 1) * fac.q < fac.p):
-                v.append(f"class: compact-shrinker inequality -(N0+1)q < p failed for factor {i+1}")
-            if not ((nr + 1) * fac.q < fac.p):
-                v.append(f"class: compact-shrinker inequality (N*+1)q < p failed for factor {i+1}")
     elif cls is SolitonClass.SHRINKING_NONCOMPACT:
         if config.kappa1 <= 0:
             v.append("class: noncompact shrinker requires kappa1 > 0")
-        for i, fac in active:
-            if i in zero_set:
-                continue
-            if not (0 < -(n0 + 1) * fac.q):
-                v.append(f"class: noncompact-shrinker needs q < 0 for factor {i+1}")
-            elif not (-(n0 + 1) * fac.q < fac.p):
-                v.append(
-                    f"class: noncompact-shrinker inequality -(N0+1)q < p failed for factor {i+1}"
-                )
 
-    return ValidationReport(soliton_class=classify(config), structural=structural,
-                            at_kappa1=tuple(v))
+    return ValidationReport(soliton_class=classify(config),
+                            structural=structural_violations(config), at_kappa1=tuple(v))
 
 
 def _close(a, b, tol: float = 1e-12) -> bool:
@@ -529,12 +500,11 @@ def mirror_config(config: SolitonConfig) -> SolitonConfig:
 
 
 def with_kappa1(config: SolitonConfig, kappa1: Number) -> SolitonConfig:
-    """``config`` at another kappa1, with c = kappa1 (E_star - eps kappa0) as
-    derive_config gives it.  It keeps config's exact core, which kappa1 does
-    not enter."""
-    k1 = _exact_or_float(kappa1)
-    out = replace(config, kappa1=k1, c=k1 * (config.E_star - config.epsilon * config.kappa0))
-    object.__setattr__(out, "core", config.core)
+    """``config`` at another kappa1.  It keeps config's exact core and its
+    structural verdict, which kappa1 does not enter."""
+    out = replace(config, kappa1=_exact_or_float(kappa1))
+    for name in ("core", "structural"):
+        object.__setattr__(out, name, getattr(config, name))
     return out
 
 

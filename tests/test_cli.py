@@ -146,6 +146,38 @@ def test_one_exact_core_and_one_validate_per_command(capsys, monkeypatch, argv, 
     assert counts == {"core": cores, "validate": 1, "mirror": mirrors}
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", str(CONFIGS / "compact-shrinker.json"), "--grid", "24"],
+    ["solve", str(CONFIGS / "steady.json"), "--grid", "24"],
+    ["reconstruct", str(CONFIGS / "noncompact-shrinker.json"), "--t-max", "4", "--grid", "12"],
+    ["flow", str(CONFIGS / "steady.json"), "--tau", "0.3", "--grid", "12"],
+    ["find-kappa", str(CONFIGS / "compact-shrinker.json")],
+    ["futaki", str(CONFIGS / "compact-shrinker.json"),
+     "--kappa-min", "-1", "--kappa-max", "1", "--steps", "5"],
+])
+def test_one_structural_pass_per_command(capsys, monkeypatch, argv):
+    """The structural clauses run once per command: the config keeps their
+    verdict, with_kappa1 carries it to the solved config, and validate and
+    build_profile read it."""
+    counts = {}
+    _count_calls(monkeypatch, counts, model._structural_clauses, "structural")
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert counts == {"structural": 1}
+
+
+def test_a_root_finder_failure_is_a_numeric_failure(capsys, monkeypatch):
+    def fail(config):
+        raise RuntimeError("no sign change of chi found (unbounded root)")
+
+    monkeypatch.setattr(cli, "find_kappa1_noncompact", fail)
+    doc = str(CONFIGS / "noncompact-shrinker.json")
+    assert main(["find-kappa", doc]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "numeric failure: no sign change of chi found (unbounded root)\n"
+    assert captured.out == ""
+
+
 def test_csv_values_round_trip_to_doubles(tmp_path):
     cfg = write_config(tmp_path, FLAT_DOC)
     csv_path = tmp_path / "samples.csv"

@@ -1,10 +1,15 @@
 """Constant derivation, admissibility checking, and classification."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+import validate_reference
+from kricci.flagbundle import FlagBundleData, to_section3_config
 from kricci.model import (
     BoundaryStructure,
     Collapse,
@@ -107,7 +112,6 @@ def test_tampered_e_star_is_caught():
         kappa0=cfg.kappa0,
         sigmas=cfg.sigmas,
         E_star=Fraction(6),
-        c=cfg.c,
     )
     report = validate(bad)
     assert any(v.startswith("derived: E_star = 6") for v in report.violations)
@@ -115,15 +119,34 @@ def test_tampered_e_star_is_caught():
 
 def test_first_integral_clause_holds_at_a_subnormal_kappa1():
     """At kappa1 = -5e-324, c = kappa1 (E_star - eps kappa0) rounds to a
-    subnormal, so c/kappa1 misses E_star - eps kappa0 by 0.3; the clause
-    compares c with the product and never divides.  A wrong c is caught."""
+    subnormal, so c/kappa1 misses E_star - eps kappa0 by 0.3; nothing
+    divides, and the config is admissible."""
     factors = [FanoFactor(0, 1, -1), FanoFactor(2, 3, -4)]
     cfg = derive_config(epsilon=1, factors=factors, boundary=OPEN, kappa1=-5e-324, kappa0=0.3)
     assert validate(cfg).violations == ()
-    cfg = derive_config(epsilon=1, factors=factors, boundary=OPEN, kappa1=-1, kappa0=0.3)
-    report = validate(dataclasses.replace(cfg, c=2 * cfg.c))
-    assert any(v.startswith("derived: first-integral constant inconsistent")
-               for v in report.violations)
+
+
+def test_an_overflowing_first_integral_is_inadmissible():
+    """c = kappa1 (E_star - eps kappa0) is a float +-inf past the float
+    range; validate rejects the config, as the reference does."""
+    factors = [FanoFactor(0, 1, -1), FanoFactor(2, 3, -4)]
+    cfg = derive_config(epsilon=1, factors=factors, boundary=OPEN, kappa1=-1e308)
+    assert cfg.c == -math.inf
+    assert validate(cfg).at_kappa1 == (
+        "derived: first-integral constant c = kappa1*(E_star - eps*kappa0) overflows",)
+    assert validate_reference.violations(cfg) != ()
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_beta_positivity_compares_sigma_exactly(n):
+    """beta_1(0) = -q_1 sigma_1 = -2.5e-324 is negative but rounds to -0.0
+    as a float product; the beta clause compares sigma_1 with 0 instead.
+    For n > 0 the full clause list rejected the config through steady's
+    sigma_1 > 0 clause; for n = 0 it admitted a negative beta."""
+    cfg = derive_config(epsilon=0, factors=[FanoFactor(n, Fraction(1, 2), Fraction(-1, 2))],
+                        boundary=BoundaryStructure(Collapse.CIRCLE), kappa1=-1, sigmas=(-5e-324,))
+    assert validate(cfg).violations == ("beta: beta_1 is not positive on the open interior",)
+    assert (validate_reference.violations(cfg) == ()) == (n == 0)
 
 
 def test_classification():
@@ -259,14 +282,99 @@ def test_collapsing_dimensions_are_read_off_the_sigmas():
     assert (compact.star_indices, compact.n_star, compact.length) == ((3,), 0, 2)
 
 
-def test_validate_runs_the_kappa1_clauses_on_given_structural_ones():
-    """validate(config, structural) trusts the structural verdict it is
-    given and adds the first-integral and class clauses, in that order."""
-    cfg = derive_config(
-        epsilon=-1, factors=[FanoFactor(0, 1, -1), FanoFactor(1, 2, -1)],
-        boundary=OPEN, kappa1=-0.5,
+# p/q one small step, half a unit or more on either side of a class's
+# critical ratio -(N0+1) or N*+1 (never 0, so p stays nonzero), or on it
+_STEPS = (Fraction(1, 10**12), Fraction(1, 2), Fraction(5, 2))
+_EPSILONS = {
+    "steady": (0,),
+    "expanding": (1, 2, Fraction(1, 3), 0.5, 2.5, 1e12, 1e300),
+    "noncompact": (-1, -2, Fraction(-1, 3), -0.5, -1.0, -1e12, -1e300),
+    "compact": (-1, -1.0, Fraction(-1), Fraction(-1, 2)),
+}
+_CHARGES = (Fraction(1), Fraction(1, 2), Fraction(3), Fraction(2, 7), Fraction(1, 10**20))
+_SIGMAS = (Fraction(1), Fraction(1, 3), 0.5, 1e-300, 5e-324, 0, -5e-324, -1)
+
+
+@st.composite
+def _configs(draw):
+    """A config of one of the four classes, from derive_config or from
+    rational flag-bundle data: collapsing factors at zero (and, when
+    compact, at s_star) with strict or rational charges, and middle
+    factors whose p/q sits on or next to a critical ratio, mostly on the
+    side where beta stays positive."""
+    cls = draw(st.sampled_from(sorted(_EPSILONS)))
+    flag = draw(st.booleans())
+    eps = draw(st.sampled_from(_EPSILONS[cls]))
+    if flag:
+        eps = Fraction(eps)
+    factor_zero = draw(st.booleans())
+    strict = not flag and draw(st.booleans())
+    # steady flag-bundle data share E_star = 2/b_i only when every b_i is
+    # 1/(N0+1): no star end and no step off the steady ratio
+    compact = (cls == "compact") != draw(st.sampled_from([False] * 5 + [True]))
+    compact = compact and not (flag and eps == 0)
+    factor_star = compact and draw(st.booleans())
+    n_min = 1 if flag else 0
+    n0 = draw(st.integers(n_min, 2)) if factor_zero else 0
+    n_star = draw(st.integers(n_min, 2)) if factor_star else 0
+    zero_ratio, star_ratio = -(n0 + 1), n_star + 1
+
+    def collapsing(n, ratio):
+        sign = 1 if ratio > 0 else -1
+        if strict:
+            return FanoFactor(n, n + 1, sign)
+        q = sign * (Fraction(1, abs(ratio)) if flag else draw(st.sampled_from(_CHARGES[:4])))
+        return FanoFactor(n, ratio * q, q)
+
+    factors = [collapsing(n0, zero_ratio)] if factor_zero else []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(n_min, 3))
+        # the sound sign of q: negative on an open interval, either when compact
+        q_sign = -1 if draw(st.integers(0, 4)) else 1
+        ratio = star_ratio if compact and q_sign > 0 else zero_ratio
+        if cls != "steady" or (not flag and draw(st.integers(0, 3)) == 0):
+            side = 1 if cls == "expanding" or q_sign > 0 else -1  # where beta stays positive
+            side = -side if draw(st.integers(0, 3)) == 0 else side
+            ratio += side * draw(st.sampled_from(_STEPS))
+        q = 1 / Fraction(ratio) if flag else q_sign * draw(st.sampled_from(_CHARGES))
+        factors.append(FanoFactor(n, ratio * q, q))
+    if factor_star:
+        factors.append(collapsing(n_star, star_ratio))
+    boundary = BoundaryStructure(
+        Collapse.FACTOR if factor_zero else Collapse.CIRCLE,
+        CompactEnd(Collapse.FACTOR if factor_star else Collapse.CIRCLE) if compact else None,
+        strict_unit_charge=strict,
     )
-    report = validate(cfg, ("beta: given",))
-    assert report.violations == ("beta: given", "class: noncompact shrinker requires kappa1 > 0")
-    assert report.structural_violations() == ("beta: given",)
-    assert validate(cfg).violations == ("class: noncompact shrinker requires kappa1 > 0",)
+    sigmas = None
+    if eps == 0:
+        sigmas = [0 if i == 0 and factor_zero else draw(st.sampled_from(_SIGMAS))
+                  for i in range(len(factors))]
+    kappa1 = draw(st.sampled_from((-1, Fraction(-1, 3), 0, 0.25, 1, -5e-324, 5e-324, -1e308, 1e308)))
+    kappa0 = draw(st.sampled_from((0, 0.3, Fraction(1, 2), -2)))
+    cfg = derive_config(eps, factors, boundary, kappa1, kappa0, sigmas)
+    if not flag:
+        return cfg
+    zero = frozenset({1}) if factor_zero else frozenset()
+    star = (frozenset({len(factors)}) if factor_star else frozenset()) if compact else None
+    data = FlagBundleData(d=tuple(2 * f.n for f in factors), b=tuple(-f.q for f in factors),
+                          a=tuple(-f.q * Fraction(s) for f, s in zip(factors, cfg.sigmas)),
+                          collapse_zero=zero, collapse_star=star)
+    return to_section3_config(data, eps, kappa1, kappa0)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_configs())
+def test_validate_keeps_the_full_clause_verdict(cfg):
+    """validate leaves out each class's inequalities on (p, q, N0), which
+    beta positivity implies once the consistency relation holds, and checks
+    c only for overflow, since c is derived; its verdict is that of the
+    full clause list (validate_reference).  The one exception is that
+    list's own defect: where its float product beta_i(0) = -q_i sigma_i
+    rounds a negative value to -0.0, it admits a beta that is negative
+    near s = 0, which validate rejects."""
+    event("structurally sound" if not structural_violations(cfg) else "structurally unsound")
+    admissible = validate_reference.violations(cfg) == ()
+    if admissible and validate_reference.beta_underflows(cfg):
+        event("reference admits a negative beta_i(0)")
+        admissible = False
+    assert validate(cfg).admissible == admissible
