@@ -11,17 +11,17 @@ like 2*delta at a collapsed end, delta the distance from it.
 
 Coordinates.  A table works in one coordinate y, monotone in s: y =
 log(s) up to L = log(s*/2), and y = 2L - log(s* - s) beyond, so y runs from
--inf at s = 0 to +inf at s* (L = inf on an open profile).  On both halves
-ds/dy = delta, the distance from the nearer end, so the integrand is
-delta*rate, smooth up to the ends, and a point near s* keeps the precision
-of its distance, which s itself cannot carry.  The nodes start at the end
-node, delta = 1e-8 or the zero series' reach rho/30 if that is less: 200
-uniform in y up to s = 1e5 on an open profile, and on a compact one 80 up
-to L, uniform in u where delta = 0.4*log(1 + e^u), so in log(delta) near
-the end and in delta near the fold, and their reflection about L.  On a
-glued compact profile (see profiles) alpha on the star half is the
-mirror's, so each end is an s = 0 end.  _points and _locate convert
-between y and s.
+-inf at s = 0 to +inf at s* (L = inf on an open profile, where y = log s
+throughout).  On both halves ds/dy = delta, the distance from the nearer
+end, so the integrand is delta*rate, smooth up to the ends, and a point
+near s* keeps the precision of its distance, which s itself cannot carry.
+The nodes start at the end node, delta = 1e-8 or the zero series' reach
+rho/30 if that is less: 200 uniform in y up to s_tail (below) on an open
+profile, and on a compact one 80 up to L, uniform in u where delta =
+0.4*log(1 + e^u), so in log(delta) near the end and in delta near the
+fold, and their reflection about L.  On a glued compact profile (see
+profiles) alpha on the star half is the mirror's, so each end is an s = 0
+end.  _points and _locate convert between y and s.
 
 Quadrature.  t and F are integrated in one pass: each interval between
 nodes is one 8-point Gauss-Legendre panel in y, with one alpha for both
@@ -42,41 +42,40 @@ prefix is a compensated (Neumaier) sum of the leaves, from the collapsed
 end for t and outward from the middle node for F, kept with what its
 rounding left out.
 
-The end rule.  Between a collapsed end and its end node the zero series
-(the mirror's at s*) gives alpha = c1*delta*(1 + A), A = sum a_k delta^k,
-and one recurrence gives (1 + A)^-power = sum b_k delta^k, so G is a
-constant C +- factor * c1^-power * sum b_k delta^(k+1-power)/(k+1-power):
-t = sqrt(2 delta)*(1 + ...) for power 1/2, and for F, power 1, the k = 0
-term is log(delta).  It is evaluated in log(delta), y or 2L - y, without
-forming delta, so t holds down to s = 5e-324 and F has no floor; t_of_s,
-which holds delta itself, reads it in place of e^y.  The series is
-trusted within rho/30 of its end, hence the end node.  Past the last node
-of an open profile G continues on the nodes' own spacing in y, in blocks
-of 16 node intervals, each integrated on its own when first needed and
-kept while s and alpha are positive floats at its end, so a point read
-from its block gets the same float alone or in any batch, which one
-quadrature of a batch's whole stretch would not (numpy's matmul rounds a
-row differently with the number of rows).  From the first block out of
-reach on, a point is integrated alone from that block's start up to it.
+The end rule.  Every table has two ends, s = 0 and the far end (s*, or
+s = inf on an open profile).  Past an end node, x the distance from the
+end (1/s at s = inf), alpha = lead*x^m*(1 + A), A = sum a_k x^k, and one
+recurrence gives (1 + A)^-power = sum b_k x^k, so dG/dy = +-x^e * sum B_k
+x^k, B_k = factor*lead^-power*b_k, and G = C +- sum B_k x^(k+e)/(k+e),
+with a log(x) term where k + e = 0.  It is evaluated in log x (y, 2L - y
+or -y) without forming x, so t holds down to s = 5e-324 and F has no
+floor; t_of_s, which holds s, reads x itself.  At a collapsed end the zero
+series (the mirror's at s*), trusted within rho/30, gives m = 1 and e =
+1 - power: t = sqrt(2 delta)*(1 + ...), and F's k = 0 term is log(delta).
+At s = inf alpha = Q/v, Q = P or, at kappa1 = 0, the antiderivative of
+Psi: a series in 1/s with m = -d, d = deg Q - deg v, and e = d*power - 1.
+It is trusted from s_tail = max(1e5, 30 R), R Fujiwara's bound on the
+roots of Q and v, and from where e^(kappa1 s) T0 is below rounding of Q.
+Under exponential growth s_tail is where the split route caps its
+exponent, and the rows are zeros, so G = C beyond.
 
 Inversion is safeguarded Newton in y over a whole batch of targets, on
 the leaves' polynomials, with dG/dy = delta*rate from the same leaf: a
 bracket of the leaf that holds the target and a start on the chord across
 it, a bisection whenever a step leaves the bracket, and a stop once the
 step is below 1e-14 in y (a relative tolerance in delta) or one float
-spacing of y.  Past the end node of a collapsed end the end rule's leading
-term, inverted, gives the start, one unit of y inside a bracket.  Past the
-last node of an open profile the table first grows block by block until G
-at its end holds every target; a target is beyond reach once the next
-block would end where s or alpha leaves the floats.  t_of_s, s_of_t and
-flow_trajectory take arrays, and the flow composes its three maps in y.
+spacing of y.  Past either end node the end rule's leading term, inverted,
+gives the start, one unit of y inside a bracket.  A target beyond G's
+finite limit at s = inf, or past where s = e^y leaves the floats, is
+beyond the reachable range.  t_of_s, s_of_t and flow_trajectory take
+arrays, and the flow composes its three maps in y.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -91,10 +90,6 @@ _HALF_NODES = 80
 _FOLD_SCALE = 0.4
 _D_MIN = 1.0e-8
 _S_MAX = 1.0e5
-#: node intervals in each block past the last node of an open table
-_FAR_BLOCK = 16
-#: s = e^y is a float below this y
-_Y_MAX = math.log(np.finfo(float).max)
 _GL_X, _GL_W = legendre.leggauss(8)
 #: values at _GL_X -> the coefficients of their degree-7 Legendre interpolant:
 #: the rule's discrete orthogonality, refined by one Newton step for the
@@ -126,6 +121,8 @@ _MAX_DEPTH = 50
 _MAX_SPLITS = 4096
 _NEWTON_TOL = 1.0e-14
 _NEWTON_ITER = 100
+#: where completeness_report stops looking for a zero of alpha
+_ZERO_SCAN_END = 1.0e6
 
 
 class CompletenessClass(str, Enum):
@@ -280,38 +277,31 @@ def _newton(residual, lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> np.ndarr
 @dataclass(frozen=True)
 class _CumulativeIntegral:
     """G(s) = int rate ds, tabulated in the coordinate y of the module
-    docstring on the leaves of its quadrature, with rate = ``factor`` *
-    alpha^-``power`` on the profile that each method is given (the table
-    holds no reference to it, so it is freed with the profile).  ``prefix``
+    docstring on the leaves of its quadrature, with rate = factor *
+    alpha^-power on the profile that each method is given (the table holds
+    no reference to it, so it is freed with the profile).  ``prefix``
     is G at the ``edges`` of the leaves, the first and last of which are the
     end nodes, rounded, and ``carry`` what that rounding left out, so that
     G between them is rounded once.  On leaf j, in v = 0..2 across it,
     ``polys[:, 0, j]`` holds the power coefficients of the share of the
     leaf's increment that G has reached, exactly 0 at v = 0, and
     ``polys[:, 1, j]`` those of dG/dy.
-    ``breaks`` are the y where alpha changes route.
-
-    ``ends`` holds the end rule of each collapsed end, s = 0 and on a
-    compact profile s*, as (C, rows): past the end node G = C + H at s = 0
-    and C - H at s*, H from _end_rule on the rows of _end_series.  ``far``
-    keeps the blocks of leaves past the last node of an open profile, in
-    order from it, each as its edges, prefix, carry and polys (see _grow).
+    ``ends`` holds the end rule of s = 0 and of the far end, s* or s = inf,
+    each as (C, e, rows): past the end node G = C + H at s = 0 and C - H at
+    the far end, H from _end_rule on the rows of _end_series.
     """
 
-    power: float
-    factor: float
     edges: np.ndarray
     prefix: np.ndarray
     carry: np.ndarray
     polys: np.ndarray
-    breaks: Tuple[float, ...]
-    ends: Tuple[Tuple[float, np.ndarray], ...]
-    far: List[tuple] = field(default_factory=list)
+    ends: Tuple[Tuple[float, float, np.ndarray], ...]
 
     def value(self, profile: Profile, y: np.ndarray, delta: Optional[np.ndarray] = None):
-        """G and dG/dy at the points y; y = -inf and +inf are the collapsed
-        ends.  ``delta``, when given, is the distance of each point from the
-        nearer end, which the end rule then reads in place of e^y."""
+        """G and dG/dy at the points y; y = -inf and +inf are the two ends.
+        ``delta``, when given, is the distance of each point from the nearer
+        end, s on an open profile, which the end rule then reads in place of
+        e^y (its x = 1/s past the last node of an open profile)."""
         edges = self.edges
         leaves = (edges, self.prefix, self.carry, self.polys)
         inside = (y >= edges[0]) & (y <= edges[-1])
@@ -320,79 +310,27 @@ class _CumulativeIntegral:
         out = np.empty((2,) + y.shape)
         out[:, inside] = _on_leaves(*leaves, y[inside])
         for side, past in enumerate((y < edges[0], y > edges[-1])):
-            if past.any() and side == len(self.ends):  # past the last node of an open profile
-                out[:, past] = self._beyond(profile, y[past])
-            elif past.any():
-                const, rows = self.ends[side]
-                fold = math.log(0.5 * profile.s_domain[1])
-                g, dg = _end_rule(self.power, rows, 2.0 * fold - y[past] if side else y[past],
-                                  None if delta is None else delta[past])
+            if past.any():
+                const, e, rows = self.ends[side]
+                x = None if delta is None else \
+                    1.0 / delta[past] if side and not profile.is_compact else delta[past]
+                g, dg = _end_rule(e, rows, _pivot(profile) - y[past] if side else y[past], x)
                 out[:, past] = const - g if side else const + g, dg
         return out
-
-    def _beyond(self, profile: Profile, y: np.ndarray) -> np.ndarray:
-        """G and dG/dy at points y past the last node of an open profile,
-        each read from the far block whose (start, end] holds it alone.
-        From the first block out of reach on, a point is integrated alone
-        from that block's start, so alpha is read nowhere past it; where
-        alpha is inf, the rate is read as 0, as in the table itself."""
-        last, span = _far_layout(profile)
-        starts = last + span * np.arange(math.ceil((y.max() - last) / span) + 1.0)
-        k = np.searchsorted(starts, y) - 1
-        out = np.empty((2,) + y.shape)
-        for block in np.unique(k):
-            at = np.flatnonzero(k == block)
-            if self._block(profile, block) is not None:
-                out[:, at] = _on_leaves(*self.far[block], y[at])
-                continue
-            if not (_alpha_at(profile, y[at]) > 0.0).all():
-                raise ValueError(f"s = {math.exp(y[at].max()):.6g} beyond the reachable range")
-            reach = len(self.far)
-            for i in at:
-                piece = self._piece(profile, reach, starts[reach:reach + 1], y[i:i + 1])
-                out[:, i] = _on_leaves(*piece, y[i:i + 1])[:, 0]
-        return out
-
-    def _block(self, profile: Profile, k: int):
-        """Far block k, the quadrature of the k-th run of _FAR_BLOCK node
-        intervals at the nodes' own spacing, on its own, so the same for any
-        query; integrated on first use and kept in ``far``.  None if it, or
-        a block before it, would end where s or alpha is not a float > 0."""
-        last, span = _far_layout(profile)
-        while len(self.far) <= k:
-            nodes = last + span * (len(self.far) + np.arange(_FAR_BLOCK + 1) / _FAR_BLOCK)
-            if not (nodes[-1] <= _Y_MAX and 0.0 < _alpha_at(profile, nodes[-1:])[0] < math.inf):
-                return None
-            self.far.append(self._piece(profile, len(self.far), nodes[:-1], nodes[1:]))
-        return self.far[k]
-
-    def _piece(self, profile: Profile, block: int, a: np.ndarray, b: np.ndarray):
-        """The leaves over the intervals [a, b] past the last node, with G
-        summed on from the start of far block ``block``, for _on_leaves."""
-        edges, polys, sums = _leaves(profile, self.power, self.factor, a, b, self.breaks)
-        _, prefix, carry, _ = self.far[block - 1] if block else (None, self.prefix, self.carry, None)
-        prefix, carry = _running_sum(np.concatenate([[prefix[-1], carry[-1]], sums[0]]))
-        return edges, prefix[1:], carry[1:], polys[0]
 
     def invert(self, profile: Profile, target: np.ndarray, what: str) -> np.ndarray:
         """The points y where G = target, for each target; ``what`` names G
         in error messages."""
         sign = 1.0 if self.prefix[-1] > self.prefix[0] else -1.0  # F falls if kappa1 < 0
-        # past the last node of an open profile, far blocks until G at the end holds every target
-        blocks, goal = 0, np.max(sign * target, initial=-math.inf)
-        while not profile.is_compact and \
-                sign * (self.far[blocks - 1][1] if blocks else self.prefix)[-1] < goal:
-            if self._block(profile, blocks) is None:
-                raise ValueError(f"{what} = {sign * goal} beyond the reachable range")
-            blocks += 1
-        edges, prefix = (np.concatenate([whole, *(part[1:] for part in parts)])
-                         for whole, *parts in zip((self.edges, self.prefix), *self.far[:blocks]))
-        # G at the collapsed ends: its constant C where finite (t), else infinite
-        at_ends = np.array([c for c, _ in self.ends]) if self.power < 1.0 \
-            else np.array([-sign, sign][:len(self.ends)]) * math.inf
+        edges, prefix = self.edges, self.prefix
+        # G's limit at each end: its constant C where the end rule converges
+        # (t at a collapsed end, G past a finite far limit), else infinite
+        at_ends = np.array([c if e > 0.0 else way * sign * math.inf
+                            for (c, e, _), way in zip(self.ends, (-1.0, 1.0))])
         gap = sign * (target[:, None] - at_ends)
-        if profile.is_compact and (gap[:, 1] > 1e-9).any():
-            raise ValueError(f"{what} = {target.max()} beyond the end of the compact interval")
+        if (gap[:, 1] > (1e-9 if profile.is_compact else 0.0)).any():
+            end = "the end of the compact interval" if profile.is_compact else "the reachable range"
+            raise ValueError(f"{what} = {sign * np.max(sign * target)} beyond {end}")
         k = np.searchsorted(sign * prefix, sign * target)
         first, last = k == 0, k == len(edges)
         # the leaf that holds each target, and a start from the chord across it
@@ -402,24 +340,27 @@ class _CumulativeIntegral:
                                        where=rise != 0.0).clip(0.0, 1.0)
         y = np.where(gap[:, 0] <= 0.0, -math.inf, math.inf)
         solve = (gap[:, 0] > 0.0) & ~(profile.is_compact & (gap[:, -1] >= 0.0))
-        for side, (const, rows) in enumerate(self.ends):
-            # past an end node G = C +- H(log delta); H's leading term,
-            # inverted, is well within one unit of the target in log delta
+        # s = e^y is a float up to here on an open profile
+        top = math.inf if profile.is_compact else math.log(np.finfo(float).max)
+        for side, (const, e, rows) in enumerate(self.ends):
+            # past an end node G = C +- H(log x); H's leading term, inverted,
+            # is well within one unit of the target in log x
             at = (last if side else first) & solve
             if not at.any():
                 continue
             h = (const - target[at]) if side else (target[at] - const)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                guess = h / rows[1, 0] if self.power == 1.0 \
-                    else np.log(h / rows[0, 0]) / (1.0 - self.power)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # clipped below
+                guess = h / rows[1, 0] if e == 0.0 else np.log(h / rows[0, 0]) / e
             node = edges[-side]
-            guess = np.maximum(2.0 * math.log(0.5 * profile.s_domain[1]) - guess, node) if side \
+            guess = np.clip(_pivot(profile) - guess, node, top) if side \
                 else np.minimum(guess, node)
-            outer = guess + (1.0 if side else -1.0)
+            outer = np.minimum(guess + 1.0, top) if side else guess - 1.0
             lo[at], hi[at], x[at] = np.minimum(outer, node), np.maximum(outer, node), guess
             miss = sign * (self.value(profile, outer)[0] - target[at]) * (-1.0 if side else 1.0)
             if not (np.isfinite(outer).all() and (miss <= 0.0).all()):
-                raise ValueError(f"{what} = {target[at][0]} is not bracketed past the end node")
+                why = "beyond the reachable range" if (outer == top).any() \
+                    else "is not bracketed past the end node"
+                raise ValueError(f"{what} = {target[at][0]} {why}")
 
         def residual(xs, live):
             g, dg = self.value(profile, xs)
@@ -445,17 +386,11 @@ def _on_leaves(edges, prefix, carry, polys, y: np.ndarray):
     return out
 
 
-def _alpha_at(profile: Profile, y: np.ndarray) -> np.ndarray:
-    """alpha at the points y of an open profile, inf where it overflows,
-    which is what the caller asks, so without a warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return profiles.alpha(profile, *_points(profile, np.minimum(y, _Y_MAX)))
-
-
 def _integrand(profile: Profile, power, factor, y: np.ndarray):
     """delta * factor * alpha^-power at the table coordinates y, with its
     relative rounding floor: one row for each entry of ``power`` and
-    ``factor`` where they are arrays, all from one evaluation of alpha."""
+    ``factor`` where they are arrays, all from one evaluation of alpha.  It
+    is 0 where alpha is inf, past the split route's cap under growth."""
     s, delta = _points(profile, y)
     a, cond = profiles.alpha_and_condition(profile, s, delta)
     bad = ~(a > 0.0)
@@ -494,50 +429,101 @@ def _leaves(profile: Profile, power, factor, a, b, breaks):
             sums[order].T)
 
 
-def _end_series(profile: Profile, power: float, factor: float) -> np.ndarray:
-    """The end rule's rows at the s = 0 end of ``profile``: factor*c1^-power
-    times the module docstring's b_k (row 1: dG/dy over delta^(1 - power))
-    and times b_k/(k + 1 - power) (row 0: G; 0 for the log term)."""
-    c = profile.zero_series
-    if not c[1] > 0.0:
-        raise ValueError(f"alpha does not vanish like {c[1]} * delta > 0 at a collapsed end")
-    a = [ck / c[1] for ck in c[1:]]  # a[k] multiplies delta^k in 1 + A
-    b = [1.0]
+def _end_series(series: Sequence[float], rates, exponents) -> List[Tuple[float, np.ndarray]]:
+    """The end rule at an end where alpha = x^m * sum_k series[k] x^k, x the
+    distance from it (1/s at s = inf), as (e, rows) for each (power, factor)
+    of ``rates`` (t's, then F's) and its e of ``exponents``: dG/dy = x^e *
+    sum_k B_k x^k.  Row 1 holds B_k, factor * series[0]^-power times the
+    module docstring's b_k, and row 0 B_k/(k + e), 0 for the log term.  One
+    pass of the b_k recurrence serves both powers."""
+    lead = series[0]
+    if not lead > 0.0:
+        raise ValueError(f"alpha's leading coefficient {lead} at an end of its table is not > 0")
+    a = [c / lead for c in series]  # a[k] multiplies x^k in 1 + A
+    half, whole = [1.0], [1.0]  # the b_k of power 1/2 (t) and 1 (F)
     for n in range(1, len(a)):
-        b.append(sum(((1.0 - power) * k - n) * a[k] * b[n - k] for k in range(1, n + 1)) / n)
-    rate = factor * c[1] ** -power * np.array(b)
-    exponent = np.arange(len(b)) + 1.0 - power
-    return np.vstack([np.divide(rate, exponent, out=np.zeros_like(rate), where=exponent != 0.0),
-                      rate])
+        t_sum = f_sum = 0
+        for k in range(1, n + 1):
+            t_sum += (0.5 * k - n) * a[k] * half[n - k]
+            f_sum += -n * a[k] * whole[n - k]
+        half.append(t_sum / n)
+        whole.append(f_sum / n)
+    rows = []
+    for (power, factor), e, b in zip(rates, exponents, (half, whole)):
+        scale = factor * lead ** -power
+        rate = [scale * bk for bk in b]
+        rows.append((e, np.array([[r / (k + e) if k + e else 0.0 for k, r in enumerate(rate)],
+                                  rate])))
+    return rows
 
 
-def _end_rule(power: float, rows: np.ndarray, log_delta: np.ndarray, delta=None):
-    """G past an end node, less its constant, and dG/dy at log_delta, the
-    log of the distance from the end, from the rows of _end_series.  The
-    distance ``delta`` is read where the caller holds it, and not formed
-    otherwise: e^log_delta would carry only |log delta| * 2^-53 of relative
-    precision, and underflow first."""
-    g = polynomial.polyval(np.exp(log_delta) if delta is None else delta, rows.T)
-    if power == 1.0:
-        return g[0] + rows[1, 0] * log_delta, g[1]
-    return g * (np.exp((1.0 - power) * log_delta) if delta is None else delta ** (1.0 - power))
+def _end_rule(e: float, rows: np.ndarray, log_x: np.ndarray, x=None) -> np.ndarray:
+    """G past an end node, less its constant, and dG/dy, at log_x, the log
+    of the distance x from the end, from the rows of _end_series: H = sum_k
+    rows[0, k] x^(k+e), plus rows[1, k] log x where k + e = 0.  ``x`` is read
+    where the caller holds it, and not formed otherwise: e^log_x would carry
+    only |log x| * 2^-53 of relative precision, and underflow first."""
+    g = polynomial.polyval(np.exp(log_x) if x is None else x, rows.T)
+    if e != 0.0:
+        g *= np.exp(e * log_x) if x is None else x ** e
+    if e <= 0.0 and float(e).is_integer():
+        g[0] += rows[1, int(-e)] * log_x
+    return g
+
+
+def _pivot(profile: Profile) -> float:
+    """Past the last node log x = _pivot - y: 2 log(s*/2) - y at s*, and
+    log(1/s) = -y at s = inf."""
+    end = profile.s_domain[1]
+    return 0.0 if math.isinf(end) else 2.0 * math.log(0.5 * end)
+
+
+def _root_bound(c: Sequence[float]) -> float:
+    """Fujiwara's bound on the moduli of the roots of sum_k c_k s^k, of
+    degree n: 2 max_k |c_(n-k)/c_n|^(1/k), with c_0 halved."""
+    n = len(c) - 1
+    return 2.0 * max((abs(c[n - k] / c[n] / (2.0 if k == n else 1.0)) ** (1.0 / k)
+                      for k in range(1, n + 1)), default=0.0)
+
+
+def _tail_start(profile: Profile) -> float:
+    """s_tail of an open profile (module docstring), 30 R as the zero series'
+    reach is rho/30: there e^(kappa1 s) |T0| is below 2^-53 of Q's lead."""
+    if profile.kappa1 > 0.0 and profile.t0 != 0.0:
+        return max(_S_MAX, profiles._exp_cap(profile.t0) / profile.kappa1)
+    q = profile.p_alpha or profile.psi_antideriv
+    start = max(_S_MAX, profiles._REACH * max(_root_bound(q), _root_bound(profile.v_float)))
+    if profile.t0 != 0.0:  # and kappa1 < 0
+        start = max(start, math.log(2.0 ** -53 * abs(q[-1] / profile.t0)) / profile.kappa1)
+    return start
+
+
+def _tail_rows(profile: Profile, rates) -> List[Tuple[float, np.ndarray]]:
+    """The end rule at s = inf of an open profile, as _end_series: Q/v =
+    s^d * sum_k c_k s^-k, the c_k from dividing the reversed coefficients of
+    Q by those of v as power series.  Under exponential growth the rows are
+    zeros and e = inf (faster than any power)."""
+    if profile.kappa1 > 0.0 and profile.t0 != 0.0:
+        return [(math.inf, np.zeros((2, 1)))] * len(rates)
+    q, v = (profile.p_alpha or profile.psi_antideriv)[::-1], profile.v_float[::-1]
+    series: List[float] = []
+    for j in range(profiles._SERIES_TERMS):
+        tot = q[j] if j < len(q) else 0.0
+        for vi, c in zip(v[1:], reversed(series)):
+            tot -= vi * c
+        series.append(tot / v[0])
+    return _end_series(series, rates, [(len(q) - len(v)) * power - 1.0 for power, _ in rates])
 
 
 def _nodes(profile: Profile) -> np.ndarray:
     """The table's nodes in y, laid out as the module docstring says."""
     if not profile.is_compact:
-        return np.linspace(math.log(min(_D_MIN, profile.series_reach)), math.log(_S_MAX), _NODES)
+        return np.linspace(math.log(min(_D_MIN, profile.series_reach)),
+                           math.log(_tail_start(profile)), _NODES)
     half = 0.5 * profile.s_domain[1]
     lower, upper = (_half_nodes(min(_D_MIN, p.series_reach), half)
                     for p in (profile, profile.mirror))
     return np.concatenate([lower, 2.0 * math.log(half) - upper[-2::-1]])
-
-
-def _far_layout(profile: Profile) -> Tuple[float, float]:
-    """The last node of an open profile, and the length in y of each block
-    of _FAR_BLOCK node intervals that its tables add past it."""
-    below, last = _nodes(profile)[-2:]
-    return last, _FAR_BLOCK * (last - below)
 
 
 def _half_nodes(low: float, high: float) -> np.ndarray:
@@ -555,8 +541,8 @@ def _tables(profile: Profile) -> None:
     """Build the tables of t = int alpha^-1/2 ds and, where kappa1 != 0, of
     F = int alpha^-1/kappa1 ds into ``profile._integrals``, from one
     quadrature of both rates, so that they share their leaves and every
-    alpha.  Each has the end rule at each collapsed end.  t is 0 at s = 0;
-    F, infinite there, is anchored to 0 at its middle node.  A compact
+    alpha.  Each has the end rule at both ends.  t is 0 at s = 0; F,
+    infinite there, is anchored to 0 at its middle node.  A compact
     profile needs the mirror of a calibrated kappa1, without which alpha
     is singular at s*."""
     compact = profile.is_compact
@@ -564,19 +550,21 @@ def _tables(profile: Profile) -> None:
         raise ValueError("alpha is singular at s_star: the existence integral does not "
                          "vanish at this kappa1")
     nodes = _nodes(profile)
-    top = math.log(0.5 * profile.s_domain[1])
-    breaks = tuple(math.log(d) if at == "zero" else 2.0 * top - math.log(d)
+    pivot = _pivot(profile)
+    breaks = tuple(math.log(d) if at == "zero" else pivot - math.log(d)
                    for at, d in profiles.route_switches(profile))
-    rates = {"t": (0.5, 1.0)}
-    if profile.kappa1 != 0.0:
-        rates["F"] = (1.0, 1.0 / profile.kappa1)
-    edges, polys, sums = _leaves(profile, *np.array(list(rates.values())).T,
-                                 nodes[:-1], nodes[1:], breaks)
-    for (name, (power, factor)), row_polys, row_sums in zip(rates.items(), polys, sums):
-        rows = [_end_series(p, power, factor) for p in (profile, profile.mirror)[:1 + compact]]
-        # H from each collapsed end to its end node
-        heads = [_end_rule(power, r, np.array([at]))[0][0]
-                 for r, at in zip(rows, (edges[0], 2.0 * top - edges[-1]))]
+    rates = [(0.5, 1.0), (1.0, 1.0 / profile.kappa1)] if profile.kappa1 != 0.0 else [(0.5, 1.0)]
+    edges, polys, sums = _leaves(profile, *np.array(rates).T, nodes[:-1], nodes[1:], breaks)
+    # the end rule of each rate at s = 0, and at s* or s = inf
+    collapsed = [1.0 - power for power, _ in rates]
+    far = _end_series(profile.mirror.zero_series[1:], rates, collapsed) if compact \
+        else _tail_rows(profile, rates)
+    for name, (power, _), row_polys, row_sums, ends in zip(
+            ("t", "F"), rates, polys, sums,
+            zip(_end_series(profile.zero_series[1:], rates, collapsed), far)):
+        # H from each end to its end node
+        heads = [_end_rule(e, rows, np.array([at]))[0][0]
+                 for (e, rows), at in zip(ends, (edges[0], pivot - edges[-1]))]
         if power < 1.0:
             prefix, carry = _running_sum(np.concatenate([heads[:1], row_sums, heads[1:]]))
             consts = (0.0, prefix[-1])
@@ -586,8 +574,8 @@ def _tables(profile: Profile) -> None:
             prefix, carry = (np.concatenate([-down[::-1], [0.0], up]) for down, up in sides)
             consts = (prefix[0] - heads[0], prefix[-1] + heads[-1])
         profile._integrals[name] = _CumulativeIntegral(
-            power, factor, edges, prefix[:len(edges)], carry[:len(edges)], row_polys, breaks,
-            tuple(zip(consts, rows)))
+            edges, prefix[:len(edges)], carry[:len(edges)], row_polys,
+            tuple((const, e, rows) for const, (e, rows) in zip(consts, ends)))
 
 
 def _arclength(profile: Profile) -> _CumulativeIntegral:
@@ -627,7 +615,7 @@ def s_of_t(profile: Profile, t):
     Safeguarded Newton in the table coordinate y on the table's leaf
     polynomials, to 1e-14 in y: relative 1e-14 in the distance delta from
     the nearer end, s or s* - s.  On an open profile every t is inverted
-    whose s and alpha are floats.
+    whose s is a float, below a finite far limit of t under growth.
     """
     t_arr = np.asarray(t, dtype=float)
     s, _ = _points(profile, _t_points(profile, t_arr.reshape(-1)))
@@ -635,19 +623,25 @@ def s_of_t(profile: Profile, t):
 
 
 def metric_functions(profile: Profile, t_grid: Sequence[float]) -> MetricFunctions:
-    """Metric coefficients f, g_i and the potential u on a t-grid."""
+    """Metric coefficients f, g_i and the potential u on a t-grid.  A grid
+    that reaches where profiles.alpha is not a float raises ValueError."""
     t_arr = np.asarray([float(t) for t in t_grid])
     s_vals = s_of_t(profile, t_arr)
-    smp = sample(profile, s_vals)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised on below
+        smp = sample(profile, s_vals)
+    lost = ~np.isfinite(smp.alpha)
+    if lost.any():
+        raise ValueError(f"s = {float(s_vals[lost][0])!r} beyond the reachable range: "
+                         "alpha is not a float there")
     return MetricFunctions(t_grid=t_arr, f=np.sqrt(np.maximum(smp.alpha, 0.0)), u=smp.phi,
                            g=np.sqrt(np.maximum(smp.beta, 0.0)), s_of_t=s_vals)
 
 
-def _alpha_zero_crossing(profile: Profile, s_cap: float = 1.0e6) -> Optional[float]:
+def _alpha_zero_crossing(profile: Profile) -> Optional[float]:
     """First s > 0 with alpha(s) <= 0, or None if alpha stays positive: a
-    scan of 400 geometric points from 2e-3, then 31 interior points of the
-    bracket at a time, down to adjacent floats."""
-    xs = np.geomspace(2.0e-3, s_cap, 400)
+    scan of 400 geometric points from 2e-3 to _ZERO_SCAN_END, then 31
+    interior points of the bracket at a time, down to adjacent floats."""
+    xs = np.geomspace(2.0e-3, _ZERO_SCAN_END, 400)
     down = np.flatnonzero(profiles.alpha(profile, xs) <= 0.0)
     if not down.size:
         return None

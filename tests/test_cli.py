@@ -289,6 +289,17 @@ def test_reconstruct_far_past_the_last_node(capsys, name):
     assert all(a[1] < b[1] for a, b in zip(rows, rows[1:]))
 
 
+def test_reconstruct_stops_where_alpha_leaves_the_floats(capsys):
+    """s_of_t reaches t = 1e76 on the expanding cone, at s ~ 1e151, but
+    profiles.alpha overflows from s = 2.24e102: the command fails with the
+    first such s named, exit 4, and writes no inf or nan."""
+    assert main(["reconstruct", str(CONFIGS / "expanding.json"), "--t-max", "1e76",
+                 "--grid", "25"]) == 4
+    out, err = capsys.readouterr()
+    assert "inf" not in out and "nan" not in out
+    assert err.startswith("numeric failure: s = ") and "beyond the reachable range" in err
+
+
 def test_reconstruct_beyond_the_diameter_is_a_schema_error(capsys):
     # the symmetric compact profile has diameter sqrt(2)*pi = 4.4429
     assert main(["reconstruct", str(CONFIGS / "symmetric-compact.json"),

@@ -464,31 +464,35 @@ def test_interpolated_tables_match_fresh_quadrature(steady_profile, noncompact_p
     floats, and at the edges of the leaves."""
     for prof in (steady_profile, noncompact_profile, mixed_profile, two_blowdowns_profile):
         nodes = geometry._nodes(prof)
-        for table in (geometry._arclength(prof), geometry._flow_potential(prof)):
-            special = list(table.breaks) + data.draw(st.lists(st.sampled_from(table.edges),
-                                                              min_size=2, max_size=4))
+        # the y where alpha changes route, measured from the end each is at
+        breaks = [math.log(d) if at == "zero" else geometry._pivot(prof) - math.log(d)
+                  for at, d in profiles.route_switches(prof)]
+        for table, power, factor in ((geometry._arclength(prof), 0.5, 1.0),
+                                     (geometry._flow_potential(prof), 1.0, 1.0 / prof.kappa1)):
+            special = breaks + data.draw(st.lists(st.sampled_from(table.edges),
+                                                  min_size=2, max_size=4))
             if prof.is_compact:
                 special.append(math.log(0.5 * prof.s_domain[1]))
             special += [math.nextafter(y, way) for y in special for way in (-math.inf, math.inf)]
-            special += [y + gap for y in table.breaks for gap in (-1e-9, 1e-9, -1e-3, 1e-3)]
+            special += [y + gap for y in breaks for gap in (-1e-9, 1e-9, -1e-3, 1e-3)]
             anywhere = st.floats(float(nodes[0]), float(nodes[-1]))
             y = np.array(data.draw(st.lists(st.one_of(st.sampled_from(special), anywhere),
                                             min_size=1, max_size=16)))
             y = y[(y >= nodes[0]) & (y <= nodes[-1])]
             k = np.minimum(np.searchsorted(nodes, y, side="right") - 1, len(nodes) - 2)
             at_node, at_next = table.prefix[np.searchsorted(table.edges, nodes[[k, k + 1]])]
-            rate = functools.partial(geometry._integrand, prof, table.power, table.factor)
-            fresh = at_node + np.array([geometry._integrate(rate, a, b, table.breaks)[3].sum()
+            rate = functools.partial(geometry._integrand, prof, power, factor)
+            fresh = at_node + np.array([geometry._integrate(rate, a, b, breaks)[3].sum()
                                         for a, b in zip(nodes[k], y)])
             scale = np.maximum(np.abs(fresh), np.maximum(np.abs(at_node), np.abs(at_next)))
             assert np.all(np.abs(table.value(prof, y)[0] - fresh) <= 1e-14 * scale)
 
 
 def test_open_tables_invert_as_far_as_the_target(flat_profile):
-    """Past the last node an open table grows block by block until it holds
-    the target: on the flat cone s = t^2/2 out to t = 1e65 (s = 5e129).
-    The bracket that doubled in y up to the target once left Newton short
-    of its iterations at t = 1e60."""
+    """Past the last node an open table inverts its end rule at s = inf,
+    from the inverted leading term: on the flat cone s = t^2/2 out to
+    t = 1e65 (s = 5e129).  A bracket that doubled in y up to the target
+    once left Newton short of its iterations at t = 1e60."""
     t = np.array([1e3, 1e7, 1e9, 1e12, 1e60, 1e65])
     assert s_of_t(flat_profile, t) == pytest.approx(0.5 * t * t, rel=1e-13)
 
@@ -496,9 +500,9 @@ def test_open_tables_invert_as_far_as_the_target(flat_profile):
 @pytest.mark.parametrize("fixture", ["steady_profile", "expanding_profile", "flat_profile",
                                      "noncompact_profile"])
 def test_far_queries_do_not_depend_on_the_batch(request, fixture):
-    """Past the last node an open table grows by blocks of node intervals,
-    each integrated on its own and kept, so a point gets the same float
-    alone, in a batch that reaches farther, and after that batch."""
+    """Past the last node an open table reads its end rule at s = inf point
+    by point, so a point gets the same float alone, in a batch that reaches
+    farther, and after that batch."""
     prof = request.getfixturevalue(fixture)
     config = prof.config
     s = np.array([2e5, 1e6, 3e8])
@@ -516,7 +520,8 @@ def test_far_queries_do_not_depend_on_the_batch(request, fixture):
 
 def test_unreachable_targets_stop_where_alpha_leaves_the_floats():
     """With kappa1 > 0 alpha grows like e^(kappa1 s) and overflows to inf,
-    so t is bounded; a larger t is beyond the reachable range."""
+    so t is bounded: past the last node the end rule's rows are zeros and t
+    is its constant, and a larger t is beyond the reachable range."""
     prof = build_profile(acc.steady_representative(kappa1=1))
     length = completeness_report(prof).geodesic_length
     assert s_of_t(prof, 0.999 * length) < 1e5
@@ -524,32 +529,116 @@ def test_unreachable_targets_stop_where_alpha_leaves_the_floats():
         s_of_t(prof, 1.001 * length)
 
 
+OPEN_FIXTURES = ("flat_profile", "steady_profile", "expanding_profile", "noncompact_profile")
+FAR_POINTS = (1e6, 1e50, 1e150, 1e300)
+
+
+@pytest.fixture(scope="module")
+def far_reference(request):
+    """G at FAR_POINTS past the last node of an open fixture's t and F
+    tables, from G at that node plus a 30-digit Gauss-Legendre quadrature,
+    in y = log s, of dG/dy = s * factor * (Q/v)^-power with the profile's
+    own float coefficients of Q (P, or the antiderivative of Psi at
+    kappa1 = 0) and of v; each computed once, by fixture name."""
+    cache = {}
+
+    def of(fixture):
+        if fixture not in cache:
+            prof = request.getfixturevalue(fixture)
+            rates = {"t": (geometry._arclength(prof), 0.5, 1.0)}
+            if prof.kappa1 != 0.0:
+                rates["F"] = (geometry._flow_potential(prof), 1.0, 1.0 / prof.kappa1)
+            with mp.workdps(30):
+                cache[fixture] = {name: _quadrature_past_the_last_node(prof, *rate)
+                                  for name, rate in rates.items()}
+        return cache[fixture]
+    return of
+
+
+def _quadrature_past_the_last_node(prof, table, power, factor):
+    q = [mp.mpf(c) for c in reversed(prof.p_alpha or prof.psi_antideriv)]
+    v = [mp.mpf(c) for c in reversed(prof.v_float)]
+    power, factor = mp.mpf(power), mp.mpf(factor)
+
+    def rate(y):
+        s = mp.exp(y)
+        return s * factor * (mp.polyval(q, s) / mp.polyval(v, s)) ** -power
+    y = mp.mpf(table.edges[-1])
+    g = mp.mpf(table.value(prof, table.edges[-1:])[0][0])
+    out = {}
+    for s in FAR_POINTS:
+        end = mp.log(s)
+        g += mp.quad(rate, mp.linspace(y, end, int((end - y) / 80) + 2), method="gauss-legendre")
+        y, out[s] = end, float(g)
+    return out
+
+
 @pytest.mark.parametrize("fixture, s, asymptote", [
     ("flat_profile", 1e307, lambda s: math.sqrt(2.0 * s)),
     ("flat_profile", 8.9e307, lambda s: math.sqrt(2.0 * s)),
     ("expanding_profile", 2.2e102, lambda s: 2.0 * math.sqrt(s)),
     ("steady_profile", 2.5e153, lambda s: s / math.sqrt(2.0)),
+    *((fixture, s, None) for fixture in OPEN_FIXTURES for s in FAR_POINTS),
 ])
-def test_t_of_s_reaches_as_far_as_alpha_is_a_float(request, fixture, s, asymptote):
-    """A far block runs about 11x in s.  Where alpha leaves the floats
-    inside the block that holds s (flat: alpha = 2s overflows at 9e307;
-    expanding at 2.24e102; steady at 2.9e153), t is integrated from the
-    block's start up to s alone, the same float in a batch.  t meets its
-    asymptote: sqrt(2s) on the flat cone, 2 sqrt(s) with alpha ~ s, and
-    s/sqrt(2) with alpha ~ 2."""
+def test_t_of_s_reaches_as_far_as_alpha_is_a_float(request, far_reference, fixture, s,
+                                                   asymptote):
+    """Past the last node t and F are the end rule at s = inf, a series in
+    1/s from alpha = Q/v, read at s itself, the same float in a batch, with
+    no warning (the suite makes one an error).  t meets its asymptote out
+    to where profiles.alpha leaves the floats (flat: alpha = 2s overflows
+    at 9e307; expanding at 2.24e102; steady at 2.9e153): sqrt(2s) on the
+    flat cone, 2 sqrt(s) with alpha ~ s, and s/sqrt(2) with alpha ~ 2.  At
+    1e6, 1e50, 1e150 and 1e300 t and F agree with a 30-digit quadrature to
+    1e-13, and s_of_t inverts t to 1e-13 in s, also where profiles.alpha
+    has left the floats (from s = 1.3e154 on the noncompact shrinker)."""
     config = request.getfixturevalue(fixture).config
-    t = t_of_s(build_profile(config), s)
-    assert t == pytest.approx(asymptote(s), rel=1e-13)
+    prof = build_profile(config)
+    t = t_of_s(prof, s)
+    if asymptote is not None:
+        assert t == pytest.approx(asymptote(s), rel=1e-13)
+    else:
+        reference = far_reference(fixture)
+        assert t == pytest.approx(reference["t"][s], rel=1e-13)
+        assert s_of_t(prof, t) == pytest.approx(s, rel=1e-13)
+        if prof.kappa1 != 0.0:
+            f = geometry._flow_potential(prof).value(prof, *geometry._locate(prof, np.array([s])))
+            assert f[0][0] == pytest.approx(reference["F"][s], rel=1e-13)
     assert t_of_s(build_profile(config), np.array([2e5, s]))[1] == t
+
+
+@pytest.mark.parametrize("fixture", OPEN_FIXTURES)
+def test_open_tables_are_continuous_across_the_last_node(request, fixture):
+    """At the last node the leaves hand over to the end rule at s = inf,
+    whose constant is G there plus the rule's own value: G at the node and
+    at the next float of y, less dG/dy times that spacing, agree to 1e-15,
+    for t and F."""
+    prof = request.getfixturevalue(fixture)
+    geometry._arclength(prof)
+    for table in prof._integrals.values():
+        last = table.edges[-1]
+        after = math.nextafter(last, math.inf)
+        (inner, slope), (outer, _) = table.value(prof, np.array([last, after])).T
+        assert outer - slope * (after - last) == pytest.approx(inner, rel=1e-15)
+
+
+def test_t_increases_to_1e300_where_the_exponential_decays_slowly():
+    """At kappa1 = -1e-6 the expanding profile's e^(kappa1 s) T0 decays
+    below rounding of Q only from s ~ 2e8, so the nodes reach that far
+    before the end rule takes over; t increases from 1e-6 to 1e300, with
+    no warning."""
+    prof = build_profile(acc.expanding_representative(kappa1=-1e-6))
+    assert 1e8 < math.exp(geometry._nodes(prof)[-1]) < 1e9
+    t = t_of_s(prof, np.geomspace(1e-6, 1e300, 600))
+    assert np.all(np.diff(t) > 0.0) and np.all(np.isfinite(t))
 
 
 @pytest.mark.parametrize("zero", [3e5, 9.9e5])
 def test_t_of_s_stops_short_of_a_zero_of_alpha_past_the_last_node(steady_profile, monkeypatch,
                                                                   zero):
     """completeness_report takes t just short of the first zero of alpha,
-    which it looks for up to s = 1e6, inside the first far block.  Here the
-    steady profile's alpha is made -1 from ``zero`` on.  t just short of it
-    reads no alpha past it, and is the unchanged profile's t."""
+    which it looks for up to s = 1e6, past the last node.  Here the steady
+    profile's alpha is made -1 from ``zero`` on.  t just short of it reads
+    no alpha past it, and is the unchanged profile's t."""
     s = zero * (1.0 - 1e-9)
     expected = t_of_s(build_profile(steady_profile.config), s)
     kernel = profiles.alpha_and_condition
